@@ -36,9 +36,11 @@ def step_batch(rate, wheel, charge, err, sun, action, e_w, e_r, e_a, par):
 
 def step_one(rate, wheel, charge, err, sun, action, e_w, e_r, e_a, par):
     """Scalar step; returns (rate, wheel, charge, err)."""
-    a = action
-    charge = min(1.0, (charge + par[a] * sun) - par[4 + a])
-    wheel = max(0.0, (wheel + par[8 + a]) + par[12 + a] * e_w)
-    rate = max(0.0, (rate + par[16 + a] * (par[20 + a] - rate)) + par[24 + a] * e_r)
-    err = max(0.0, (par[28 + a] * err + par[32 + a]) + par[36 + a] * e_a)
+    # one slice takes the action's column of the ten rows as Python floats
+    (gain, drain, w_drift, w_noise, r_pull, r_target, r_noise,
+     e_keep, e_drift, e_noise) = par[action::4].tolist()
+    charge = min(1.0, (charge + gain * sun) - drain)
+    wheel = max(0.0, (wheel + w_drift) + w_noise * e_w)
+    rate = max(0.0, (rate + r_pull * (r_target - rate)) + r_noise * e_r)
+    err = max(0.0, (e_keep * err + e_drift) + e_noise * e_a)
     return rate, wheel, charge, err

@@ -16,8 +16,10 @@ of execution order or parallelism.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,24 +96,39 @@ class Partition:
     def n_cells(self) -> int:
         return len(self.cells)
 
-    def locate(self, coords: np.ndarray) -> np.ndarray:
-        """Cell index per (n, 3) coordinate row; -1 marks domain exit."""
-        rate, wheel, charge = coords[:, 0], coords[:, 1], coords[:, 2]
+    @cached_property
+    def interior_edges(self) -> tuple[tuple[float, ...], ...]:
+        """(rate, wheel, charge) bin edges without the domain bounds."""
         s = self.spec
-        nr, nw, nc = (
-            len(s.attitude_rate_edges) - 1,
-            len(s.wheel_edges) - 1,
-            len(s.charge_edges) - 1,
-        )
-        ri = np.searchsorted(np.asarray(s.attitude_rate_edges[1:-1]), rate, side="right")
-        wi = np.searchsorted(np.asarray(s.wheel_edges[1:-1]), wheel, side="right")
-        ci = np.searchsorted(np.asarray(s.charge_edges[1:-1]), charge, side="right")
-        idx = (ri * nw + wi) * nc + ci
+        return s.attitude_rate_edges[1:-1], s.wheel_edges[1:-1], s.charge_edges[1:-1]
+
+    def locate(self, coords: np.ndarray) -> np.ndarray:
+        """Cell index per (n, 3) coordinate row; -1 marks domain exit,
+        which includes any non-finite coordinate."""
+        rate, wheel, charge = coords[:, 0], coords[:, 1], coords[:, 2]
+        r_edges, w_edges, c_edges = self.interior_edges
+        ri = np.searchsorted(np.asarray(r_edges), rate, side="right")
+        wi = np.searchsorted(np.asarray(w_edges), wheel, side="right")
+        ci = np.searchsorted(np.asarray(c_edges), charge, side="right")
+        idx = (ri * (len(w_edges) + 1) + wi) * (len(c_edges) + 1) + ci
         exited = (rate > RATE_LIMIT) | (wheel >= WHEEL_LIMIT) | (charge <= 0.0)
+        finite = np.isfinite(coords[:, :3])
+        if not finite.all():  # rare; the per-row reduction is the costly part
+            exited |= ~finite.all(axis=1)
         return np.where(exited, -1, idx)
 
     def locate_one(self, rate: float, wheel: float, charge: float) -> int:
-        return int(self.locate(np.array([[rate, wheel, charge]]))[0])
+        """Scalar twin of `locate` for the per-step shield lookup:
+        ``bisect_right`` over the interior edges gives the bins of
+        ``searchsorted(side="right")``."""
+        finite = math.isfinite(rate) and math.isfinite(wheel) and math.isfinite(charge)
+        if not finite or rate > RATE_LIMIT or wheel >= WHEEL_LIMIT or charge <= 0.0:
+            return -1
+        r_edges, w_edges, c_edges = self.interior_edges
+        ri = bisect_right(r_edges, rate)
+        wi = bisect_right(w_edges, wheel)
+        ci = bisect_right(c_edges, charge)
+        return (ri * (len(w_edges) + 1) + wi) * (len(c_edges) + 1) + ci
 
 
 def make_partition(spec: PartitionSpec | None = None) -> Partition:
@@ -187,6 +204,8 @@ def estimate_transitions(sim, partition: Partition, cfg: AbstractionConfig) -> F
             coords = sim.step_batch(batch, a, rng)
         except Exception as exc:  # noqa: BLE001 - annotate and reraise
             raise SimulatorFailureError(q, a, exc) from exc
+        if not np.isfinite(coords).all():
+            raise SimulatorFailureError(q, a, ValueError("non-finite state coordinates"))
         idx = partition.locate(coords)
         idx = np.where(idx < 0, exit_state, idx)
         counts = np.bincount(idx, minlength=m + 1)

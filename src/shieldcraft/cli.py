@@ -251,6 +251,16 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="shieldcraft")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -266,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="experiment config JSON")
     p.add_argument("--task", choices=("simple", "complex"))
     p.add_argument("--cells", help="bin counts per dimension, e.g. 4,5,5")
-    p.add_argument("--samples", type=int, help="samples per (cell, action)")
+    p.add_argument("--samples", type=_positive_int, help="samples per (cell, action)")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_abstract)
@@ -300,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="liveness_and_safety")
     p.add_argument("--policy", required=True)
     p.add_argument("--shield")
-    p.add_argument("--episodes", type=int)
+    p.add_argument("--episodes", type=_positive_int)
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("pipeline", help="run the full experiment pipeline")

@@ -32,6 +32,7 @@ Labelled regions over the observation:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,12 +122,17 @@ def truncated_normal(rng, n: int) -> np.ndarray:
 
 
 def is_failure(rate: float, wheel: float, charge: float) -> bool:
-    """Exit from the safe operating domain."""
-    return charge <= 0.0 or wheel >= WHEEL_LIMIT or rate > RATE_LIMIT
+    """Exit from the safe operating domain; a non-finite coordinate is an
+    exit too."""
+    finite = math.isfinite(rate) and math.isfinite(wheel) and math.isfinite(charge)
+    return not finite or charge <= 0.0 or wheel >= WHEEL_LIMIT or rate > RATE_LIMIT
 
 
 def _in_windows(frac: float, windows) -> bool:
-    return any(lo <= frac < hi for lo, hi in windows)
+    for lo, hi in windows:
+        if lo <= frac < hi:
+            return True
+    return False
 
 
 def observe_and_label(state: SpacecraftState) -> tuple[np.ndarray, int]:
@@ -217,10 +223,10 @@ class SpacecraftEnv:
     def step(self, action: int, rng) -> tuple[np.ndarray, int, bool]:
         """One decision step; returns (observation, labels, failed)."""
         st = self.state
-        e = truncated_normal(rng, 3)
+        e_w, e_r, e_a = truncated_normal(rng, 3).tolist()
         rate, wheel, charge, err = _kernels.step_one(
             st.attitude_rate, st.wheel_speed, st.charge, st.pointing_error,
-            float(st.sun), int(action), e[0], e[1], e[2], self._par,
+            float(st.sun), int(action), e_w, e_r, e_a, self._par,
         )
         minutes = st.minutes + self.params.step_minutes
         sun, target = self._access(minutes, self._windows)

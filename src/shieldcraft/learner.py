@@ -15,6 +15,7 @@ ending early only on failure.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,19 +63,21 @@ class LearnerConfig:
 
 class Discretizer:
     """Observation binning: the safety partition for (rate, wheel, charge)
-    plus coarse pointing-error bins and the two access indicators."""
+    plus coarse pointing-error bins and the two access indicators.
+
+    Bins come from ``bisect_right`` over Python-float edges, which gives
+    the bins of ``np.searchsorted(side="right")`` without a numpy call per
+    observation.
+    """
 
     def __init__(self, partition, pointing_edges=(POINTING_TOL, 0.04)):
         self.partition = partition
-        self.pointing_edges = np.asarray(pointing_edges)
-        s = partition.spec
-        self._rate_edges = np.asarray(s.attitude_rate_edges[1:-1])
-        self._wheel_edges = np.asarray(s.wheel_edges[1:-1])
-        self._charge_edges = np.asarray(s.charge_edges[1:-1])
+        self.pointing_edges = tuple(float(e) for e in pointing_edges)
+        self._rate_edges, self._wheel_edges, self._charge_edges = partition.interior_edges
         self._dims = (
-            len(s.attitude_rate_edges) - 1,
-            len(s.wheel_edges) - 1,
-            len(s.charge_edges) - 1,
+            len(self._rate_edges) + 1,
+            len(self._wheel_edges) + 1,
+            len(self._charge_edges) + 1,
             len(self.pointing_edges) + 1,
             2,
             2,
@@ -85,13 +88,12 @@ class Discretizer:
         return int(np.prod(self._dims))
 
     def __call__(self, observation) -> int:
-        err, rate, wheel, charge, sun, target = observation[:6]
-        ri = int(np.searchsorted(self._rate_edges, rate, side="right"))
-        wi = int(np.searchsorted(self._wheel_edges, wheel, side="right"))
-        ci = int(np.searchsorted(self._charge_edges, charge, side="right"))
-        pi = int(np.searchsorted(self.pointing_edges, err, side="right"))
-        nr, nw, nc, np_, _, _ = self._dims
-        ri, wi, ci = min(ri, nr - 1), min(wi, nw - 1), min(ci, nc - 1)
+        err, rate, wheel, charge, sun, target = observation[:6].tolist()
+        ri = bisect_right(self._rate_edges, rate)
+        wi = bisect_right(self._wheel_edges, wheel)
+        ci = bisect_right(self._charge_edges, charge)
+        pi = bisect_right(self.pointing_edges, err)
+        _, nw, nc, np_, _, _ = self._dims
         idx = ((ri * nw + wi) * nc + ci) * np_ + pi
         return (idx * 2 + int(sun)) * 2 + int(target)
 
@@ -135,15 +137,19 @@ class SpacecraftSession:
         return self._outcome(obs, labels, failed)
 
 
-def _q_row(q: QTable, key, n_actions, init=0.0) -> np.ndarray:
+def _q_row(q: dict, key, init_row: list) -> list:
     row = q.get(key)
     if row is None:
-        row = np.full(n_actions, init, dtype=float)
-        q[key] = row
+        row = q[key] = init_row.copy()
     return row
 
 
-def _greedy(q: QTable, key, n_actions) -> int:
+def _argmax(row: list) -> int:
+    """Index of the first maximum, as ``np.argmax`` picks it."""
+    return row.index(max(row))
+
+
+def _greedy(q: QTable, key) -> int:
     row = q.get(key)
     if row is None:
         return 0
@@ -167,8 +173,13 @@ def train(session, monitor: Dfa, cfg: LearnerConfig, shield_runtime=None) -> Tra
     is supplied; `cfg.update_on` chooses whether the update credits the
     executed or the proposed action.
     """
-    q: QTable = {}
+    q = {}  # key -> list of action values; arrays only in the result
     n_actions = session.n_actions
+    init_row = [float(cfg.optimistic_init)] * n_actions
+    advance = rewards.advance_table(monitor, cfg.reward)
+    sink = EpisodeEvent.SINK_TERMINATE
+    credit_proposed = cfg.update_on == "proposed"
+    alpha = cfg.alpha
     log = []
     denom = max(1.0, cfg.episodes * cfg.epsilon_decay_fraction)
     for ep in range(cfg.episodes):
@@ -176,13 +187,13 @@ def train(session, monitor: Dfa, cfg: LearnerConfig, shield_runtime=None) -> Tra
         anneal = min(1.0, ep / denom)
         epsilon = cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * anneal
         out = session.reset(rng)
-        init = rewards.advance(monitor.z0, out.labels, monitor, cfg.reward)
+        init = advance[monitor.z0][out.labels]
         z = init.z_next
         reward_steps = [init.step]
         terminal_event = "horizon"
         if shield_runtime is not None:
             shield_runtime.reset(out.labels)
-        if init.step.event is EpisodeEvent.SINK_TERMINATE:
+        if init.step.event is sink:
             terminal_event = "sink"
         else:
             obs_idx = out.obs_index
@@ -191,40 +202,37 @@ def train(session, monitor: Dfa, cfg: LearnerConfig, shield_runtime=None) -> Tra
                 if rng.random() < epsilon:
                     proposed = int(rng.integers(n_actions))
                 else:
-                    proposed = int(
-                        np.argmax(_q_row(q, (obs_idx, z), n_actions, cfg.optimistic_init))
-                    )
+                    proposed = _argmax(_q_row(q, (obs_idx, z), init_row))
                 if shield_runtime is not None:
                     executed = shield_runtime.filter(coords, proposed).action
                 else:
                     executed = proposed
                 out = session.step(executed, rng)
-                adv = rewards.advance(z, out.labels, monitor, cfg.reward)
-                reward_steps.append(adv.step)
-                terminal = adv.step.event is EpisodeEvent.SINK_TERMINATE or out.failed
-                target = adv.step.reward
+                adv = advance[z][out.labels]
+                step = adv.step
+                reward_steps.append(step)
+                terminal = step.event is sink or out.failed
+                target = step.reward
                 if not terminal:
-                    nxt = _q_row(q, (out.obs_index, adv.z_next), n_actions, cfg.optimistic_init)
-                    target += adv.step.discount * float(np.max(nxt))
-                update_action = executed if cfg.update_on == "executed" else proposed
-                row = _q_row(q, (obs_idx, z), n_actions, cfg.optimistic_init)
-                row[update_action] += cfg.alpha * (target - row[update_action])
+                    nxt = _q_row(q, (out.obs_index, adv.z_next), init_row)
+                    target += step.discount * max(nxt)
+                update_action = proposed if credit_proposed else executed
+                row = _q_row(q, (obs_idx, z), init_row)
+                row[update_action] += alpha * (target - row[update_action])
                 if shield_runtime is not None:
                     shield_runtime.update(out.labels)
                 z = adv.z_next
                 obs_idx = out.obs_index
                 coords = out.coords
                 if terminal:
-                    terminal_event = (
-                        "sink" if adv.step.event is EpisodeEvent.SINK_TERMINATE else "failure"
-                    )
+                    terminal_event = "sink" if step.event is sink else "failure"
                     break
         value = rewards.cumulative_value(reward_steps)
         log.append((ep, value, terminal_event))
     values = [v for _ep, v, _event in log]
     tail = values[-max(1, len(values) // 4):]
     return TrainResult(
-        qtable=q,
+        qtable={key: np.array(row, dtype=float) for key, row in q.items()},
         episode_log=log,
         avg_vf=sum(values) / len(values),
         settled_avg_vf=sum(tail) / len(tail),
@@ -283,19 +291,24 @@ def evaluate(
     exit. The policy's own monitor keeps running (with accept-reset) so
     Q lookups stay on-distribution.
     """
-    n_actions = session.n_actions
+    advance = rewards.advance_table(monitor, reward_cfg)
+    delta_l = dfa_liveness.delta.tolist()
+    delta_v = dfa_violation.delta.tolist()
+    accept_l = dfa_liveness.accepting
+    accept_v = dfa_violation.accepting
+    greedy = {}  # key -> greedy action; the Q-table is fixed here
     records = []
     trajectories = []
     for ep in range(episodes):
         rng = np.random.default_rng([seed, _EVAL_STREAM, ep])
         out = session.reset(rng)
-        adv0 = rewards.advance(monitor.z0, out.labels, monitor, reward_cfg)
+        adv0 = advance[monitor.z0][out.labels]
         z = adv0.z_next
         reward_steps = [adv0.step]
-        zl = dfa_liveness.step(dfa_liveness.z0, out.labels)
-        zv = dfa_violation.step(dfa_violation.z0, out.labels)
-        first_sat = 0 if zl in dfa_liveness.accepting else None
-        first_viol = 0 if zv in dfa_violation.accepting else None
+        zl = delta_l[dfa_liveness.z0][out.labels]
+        zv = delta_v[dfa_violation.z0][out.labels]
+        first_sat = 0 if zl in accept_l else None
+        first_viol = 0 if zv in accept_v else None
         if shield_runtime is not None:
             shield_runtime.reset(out.labels)
         interventions = 0
@@ -307,7 +320,10 @@ def evaluate(
         obs_idx = out.obs_index
         coords = out.coords
         for t in range(episode_length):
-            proposed = _greedy(qtable, (obs_idx, z), n_actions)
+            key = (obs_idx, z)
+            proposed = greedy.get(key)
+            if proposed is None:
+                proposed = greedy[key] = _greedy(qtable, key)
             intervened = False
             executed = proposed
             if shield_runtime is not None:
@@ -317,16 +333,17 @@ def evaluate(
                 interventions += int(intervened)
             out = session.step(executed, rng)
             steps = t + 1
-            adv = rewards.advance(z, out.labels, monitor, reward_cfg)
+            labels = out.labels
+            adv = advance[z][labels]
             reward_steps.append(adv.step)
-            zl = dfa_liveness.step(zl, out.labels)
-            zv = dfa_violation.step(zv, out.labels)
-            if first_sat is None and zl in dfa_liveness.accepting:
+            zl = delta_l[zl][labels]
+            zv = delta_v[zv][labels]
+            if first_sat is None and zl in accept_l:
                 first_sat = steps
-            if first_viol is None and zv in dfa_violation.accepting:
+            if first_viol is None and zv in accept_v:
                 first_viol = steps
             if shield_runtime is not None:
-                shield_runtime.update(out.labels)
+                shield_runtime.update(labels)
             z = adv.z_next
             obs_idx = out.obs_index
             coords = out.coords

@@ -78,6 +78,12 @@ def advance(z: int, symbol: int, d: Dfa, cfg: RewardConfig) -> Advance:
     return Advance(z_next=z_next, step=step)
 
 
+def advance_table(d: Dfa, cfg: RewardConfig) -> list[list[Advance]]:
+    """``advance(z, symbol)`` for every monitor state and symbol, indexed
+    ``[z][symbol]``, so that an episode step looks its outcome up."""
+    return [[advance(z, s, d, cfg) for s in range(d.n_symbols)] for z in range(d.n_states)]
+
+
 def cumulative_value(steps: Iterable[RewardStep]) -> float:
     """Discounted return: sum_i r_i * prod_{j<i} g_j (empty product = 1)."""
     total = 0.0

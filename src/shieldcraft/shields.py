@@ -251,18 +251,21 @@ class ShieldRuntime:
         self.dfa = violation_dfa
         self.partition = partition
         self.z = violation_dfa.z0
+        self._delta = violation_dfa.delta.tolist()
+        self._n_z = violation_dfa.n_states
+        self._exit_cell = partition.n_cells
 
     def reset(self, labels: int):
-        self.z = self.dfa.step(self.dfa.z0, labels)
+        self.z = self._delta[self.dfa.z0][labels]
 
     def update(self, labels: int):
-        self.z = self.dfa.step(self.z, labels)
+        self.z = self._delta[self.z][labels]
 
     def product_state(self, rate: float, wheel: float, charge: float) -> int:
         q = self.partition.locate_one(rate, wheel, charge)
         if q < 0:
-            q = self.partition.n_cells
-        return q * self.dfa.n_states + self.z
+            q = self._exit_cell
+        return q * self._n_z + self.z
 
     def filter(self, coords, proposed: int) -> FilterDecision:
         return self.shield.filter(self.product_state(*coords), proposed)

@@ -115,6 +115,15 @@ class TestPartition:
         assert (idx[1], idx[2], idx[3]) == (-1, -1, -1)
         assert idx[4] == partition.n_cells - 1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_non_finite_coordinate_is_domain_exit(self, bad, axis):
+        partition = make_partition()
+        point = [0.001, 0.1, 0.5]
+        point[axis] = bad
+        assert partition.locate(np.array([point, [0.001, 0.1, 0.5]])).tolist()[0] == -1
+        assert partition.locate_one(*point) == -1
+
     def test_locate_one_boundary(self):
         partition = make_partition()
         q_low = partition.locate_one(0.001, 0.79, 0.5)
@@ -205,6 +214,25 @@ class TestEstimator:
 
         with pytest.raises(SimulatorFailureError) as err:
             estimate_transitions(Broken(), partition, AbstractionConfig(10, seed=0))
+        assert err.value.state == 0 and err.value.action == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_landing_raises(self, bad):
+        partition = tiny_partition()
+        m = partition.n_cells
+        kernel = np.zeros((m, 1, m + 1))
+        kernel[:, :, 0] = 1.0
+        env = TeleportEnv(partition, kernel)
+        step_batch = env.step_batch
+
+        def step_then_corrupt(batch, action, rng):
+            coords = step_batch(batch, action, rng)
+            coords[-1, 1] = bad
+            return coords
+
+        env.step_batch = step_then_corrupt
+        with pytest.raises(SimulatorFailureError, match="non-finite") as err:
+            estimate_transitions(env, partition, AbstractionConfig(10, seed=0))
         assert err.value.state == 0 and err.value.action == 0
 
     def test_refinement_sanity(self):

@@ -129,6 +129,28 @@ class TestToolCommands:
         assert code == 1
         assert "p2 boundary" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_abstract_rejects_non_positive_samples(self, value, tmp_path, capsys):
+        # a zero count must not fall back to the config default
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "abstract", "--task", "simple", "--samples", value,
+                "--out", str(tmp_path / "mdp.json"),
+            ])
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err
+        assert not (tmp_path / "mdp.json").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_evaluate_rejects_non_positive_episodes(self, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "evaluate", "--task", "simple", "--policy", str(tmp_path / "policy.json"),
+                "--episodes", value,
+            ])
+        assert exc.value.code == 2
+        assert "--episodes" in capsys.readouterr().err
+
     def test_train_original_reward_flag(self, tmp_path, capsys):
         cfg = tiny_config()
         cfg_path = tmp_path / "config.json"

@@ -67,6 +67,13 @@ class TestFailure:
         assert not is_failure(rate=0.01, wheel=0.5, charge=0.5)
         assert is_failure(rate=0.0101, wheel=0.5, charge=0.5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("axis", ["rate", "wheel", "charge"])
+    def test_non_finite_state_fails(self, bad, axis):
+        coords = {"rate": 0.005, "wheel": 0.5, "charge": 0.5}
+        coords[axis] = bad
+        assert is_failure(**coords)
+
 
 class TestDynamics:
     def test_momentum_dump_magnitude(self):
