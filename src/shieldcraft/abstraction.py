@@ -175,13 +175,10 @@ class AbstractionConfig:
     samples_per_cell: int = 10_000
     seed: int = 0
     workers: int = 1
-    sampler: str = "uniform"  # in-cell distribution; only uniform is implemented
 
     def __post_init__(self):
         if self.samples_per_cell < 1:
             raise ValueError("samples_per_cell must be >= 1")
-        if self.sampler != "uniform":
-            raise ValueError(f"unknown in-cell sampler {self.sampler!r}")
 
 
 def estimate_transitions(sim, partition: Partition, cfg: AbstractionConfig) -> FiniteMdp:

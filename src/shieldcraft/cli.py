@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import ltl
@@ -25,8 +26,6 @@ from .ltl import Fragment, PropositionTable, classify, negate, parse
 from .mdp import FiniteMdp, product
 from .pipeline import (
     ExperimentConfig,
-    config_from_dict,
-    config_to_dict,
     default_config,
     load_config,
     report,
@@ -154,12 +153,11 @@ def cmd_shield(args) -> int:
         raise CliError("shield synthesis expects a safe formula")
     violation = compile_cosafe(negate(safety), table)
     pm = product(mdp, violation)
-    kind = {"one": "one", "two": "two", "q": "q"}[args.kind]
-    cfg = ShieldConfig(threshold=args.p, kind=kind, horizon=args.horizon)
+    cfg = ShieldConfig(threshold=args.p, kind=args.kind, horizon=args.horizon)
     shield = synthesize(pm, cfg)
     shield.save(args.out)
     empty = sum(1 for a in shield.allowed if not a)
-    print(f"shield: kind={kind} p={args.p} product-states={shield.n_states} "
+    print(f"shield: kind={args.kind} p={args.p} product-states={shield.n_states} "
           f"states-without-allowed-action={empty}")
     print(f"wrote {args.out}")
     return 0
@@ -171,7 +169,7 @@ def _experiment_config(args) -> ExperimentConfig:
     else:
         cfg = default_config(getattr(args, "task", "simple") or "simple")
     if getattr(args, "seed", None) is not None:
-        cfg = config_from_dict({**config_to_dict(cfg), "seed": args.seed})
+        cfg = replace(cfg, seed=args.seed)
     return cfg
 
 
@@ -192,7 +190,6 @@ def cmd_pipeline(args) -> int:
 
 def cmd_train(args) -> int:
     from .pipeline import build_specs
-    from dataclasses import replace
 
     cfg = _experiment_config(args)
     specs = build_specs(cfg)
@@ -203,12 +200,11 @@ def cmd_train(args) -> int:
     if args.shield:
         runtime = ShieldRuntime(Shield.load(args.shield), specs.dfa_violation, partition)
     reward = replace(cfg.reward, style=args.reward)
-    lcfg = replace(cfg.learner, seed=cfg.seed, reward=reward)
-    result = train(session, monitor, lcfg, shield_runtime=runtime)
+    result = train(session, monitor, cfg.learner, reward, seed=cfg.seed, shield_runtime=runtime)
     from .learner import qtable_to_json
 
     Path(args.out).write_text(json.dumps(qtable_to_json(result.qtable)) + "\n", "utf-8")
-    print(f"trained {lcfg.episodes} episodes, avg value {result.avg_vf:.4f}")
+    print(f"trained {cfg.learner.episodes} episodes, avg value {result.avg_vf:.4f}")
     print(f"wrote {args.out}")
     return 0
 

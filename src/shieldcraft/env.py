@@ -172,7 +172,7 @@ class SpacecraftEnv:
     """Single mutable simulation instance; run one per thread.
 
     Also implements the abstraction sampling interface: `sample_in_cell`
-    and `step_batch` (batched through the selected dynamics kernel lane).
+    and `step_batch` (batched through the dynamics kernel).
     """
 
     action_names = MODES

@@ -16,7 +16,7 @@ ending early only on failure.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class LearnerConfig:
     epsilon_end: float = 0.05
     episodes: int = 5000
     episode_length: int = 100
-    seed: int = 0
     update_on: str = "executed"  # or "proposed": credit the agent's choice
     # fraction of episodes over which epsilon anneals; it holds at
     # epsilon_end afterwards
@@ -46,7 +45,6 @@ class LearnerConfig:
     # starting value for newly seen state rows; safe to raise above zero
     # only when a shield filters execution
     optimistic_init: float = 0.0
-    reward: RewardConfig = field(default_factory=RewardConfig)
 
     def __post_init__(self):
         if self.episodes < 1 or self.episode_length < 1:
@@ -96,10 +94,6 @@ class Discretizer:
         _, nw, nc, np_, _, _ = self._dims
         idx = ((ri * nw + wi) * nc + ci) * np_ + pi
         return (idx * 2 + int(sun)) * 2 + int(target)
-
-
-def discretize(observation, partition, pointing_edges=(POINTING_TOL, 0.04)) -> int:
-    return Discretizer(partition, pointing_edges)(observation)
 
 
 @dataclass
@@ -166,7 +160,14 @@ class TrainResult:
     settled_avg_vf: float
 
 
-def train(session, monitor: Dfa, cfg: LearnerConfig, shield_runtime=None) -> TrainResult:
+def train(
+    session,
+    monitor: Dfa,
+    cfg: LearnerConfig,
+    reward_cfg: RewardConfig,
+    seed: int = 0,
+    shield_runtime=None,
+) -> TrainResult:
     """Q-learn against the monitored specification.
 
     The executed action is the shield-corrected one when a shield runtime
@@ -176,14 +177,14 @@ def train(session, monitor: Dfa, cfg: LearnerConfig, shield_runtime=None) -> Tra
     q = {}  # key -> list of action values; arrays only in the result
     n_actions = session.n_actions
     init_row = [float(cfg.optimistic_init)] * n_actions
-    advance = rewards.advance_table(monitor, cfg.reward)
+    advance = rewards.advance_table(monitor, reward_cfg)
     sink = EpisodeEvent.SINK_TERMINATE
     credit_proposed = cfg.update_on == "proposed"
     alpha = cfg.alpha
     log = []
     denom = max(1.0, cfg.episodes * cfg.epsilon_decay_fraction)
     for ep in range(cfg.episodes):
-        rng = np.random.default_rng([cfg.seed, _TRAIN_STREAM, ep])
+        rng = np.random.default_rng([seed, _TRAIN_STREAM, ep])
         anneal = min(1.0, ep / denom)
         epsilon = cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * anneal
         out = session.reset(rng)

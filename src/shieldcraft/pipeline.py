@@ -109,7 +109,7 @@ def default_config(task: str, seed: int = 0) -> ExperimentConfig:
             task="simple",
             seed=seed,
             liveness_spec=LIVENESS_SIMPLE,
-            learner=LearnerConfig(episodes=5000, episode_length=100, seed=seed),
+            learner=LearnerConfig(episodes=5000, episode_length=100),
             shield_horizon=100,
             shield_kinds=("none",),
             include_inloop_rows=False,
@@ -125,7 +125,7 @@ def default_config(task: str, seed: int = 0) -> ExperimentConfig:
                 init_wheel=(0.25, 0.50),
             ),
             learner=LearnerConfig(
-                episodes=12000, episode_length=90, seed=seed,
+                episodes=12000, episode_length=90,
                 alpha=0.2, epsilon_decay_fraction=0.35,
             ),
             # infinite-horizon minimal reach is degenerate on this
@@ -167,10 +167,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if "reward" in data:
         data["reward"] = _build(RewardConfig, dict(data["reward"]), "reward")
     if "learner" in data:
-        sub = dict(data["learner"])
-        if "reward" in sub:
-            sub["reward"] = _build(RewardConfig, dict(sub["reward"]), "learner.reward")
-        data["learner"] = _build(LearnerConfig, sub, "learner")
+        data["learner"] = _build(LearnerConfig, data["learner"], "learner")
     for key in ("train_specs", "shield_kinds"):
         if key in data:
             data[key] = tuple(data[key])
@@ -361,16 +358,16 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
             if row.trained_with_shield:
                 lcfg = replace(
                     cfg.learner,
-                    seed=cfg.seed,
                     episodes=cfg.inloop_train_episodes,
                     optimistic_init=cfg.inloop_optimism,
-                    reward=cfg.reward,
                 )
                 runtime = make_runtime(row.shield)
             else:
-                lcfg = replace(cfg.learner, seed=cfg.seed, reward=cfg.reward)
+                lcfg = cfg.learner
                 runtime = None
-            result = train(make_session(), monitor, lcfg, shield_runtime=runtime)
+            result = train(
+                make_session(), monitor, lcfg, cfg.reward, seed=cfg.seed, shield_runtime=runtime
+            )
             policies[key] = result
             lines = ["episode,value,terminal_event"]
             lines += [f"{ep},{val!r},{event}" for ep, val, event in result.episode_log]

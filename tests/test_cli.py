@@ -223,6 +223,21 @@ class TestPipeline:
             tmp_path / "fromconfig" / "metrics.csv"
         ).read_bytes()
 
+    def test_config_holds_one_seed_and_one_reward(self, tiny_run):
+        _cfg, result = tiny_run
+        data = json.loads((result.out_dir / "config.json").read_text())
+        paths = []
+
+        def walk(node, path):
+            for key, value in node.items():
+                if key in ("seed", "reward"):
+                    paths.append(path + key)
+                if isinstance(value, dict):
+                    walk(value, f"{path}{key}.")
+
+        walk(data, "")
+        assert sorted(paths) == ["reward", "seed"]
+
     def test_episode_records_jsonl(self, tiny_run):
         _cfg, result = tiny_run
         path = result.out_dir / f"episodes_{result.rows[0].spec.row_id}.jsonl"
@@ -285,6 +300,12 @@ class TestConfigSerialization:
         data = config_to_dict(default_config("simple"))
         data["typo_field"] = 1
         with pytest.raises(ValueError):
+            config_from_dict(data)
+        # seed and reward live at the top level only; an old config that
+        # still nests them under learner fails and names both keys
+        data = config_to_dict(default_config("simple"))
+        data["learner"] = {**data["learner"], "seed": 0, "reward": data["reward"]}
+        with pytest.raises(ValueError, match=r"learner: \['reward', 'seed'\]"):
             config_from_dict(data)
 
     def test_episode_length_conventions(self):

@@ -9,7 +9,6 @@ from shieldcraft.learner import (
     LearnerConfig,
     SpacecraftSession,
     StepOutcome,
-    discretize,
     evaluate,
     qtable_from_json,
     qtable_to_json,
@@ -73,11 +72,6 @@ class TestDiscretizer:
             idx = d(obs)
             assert 0 <= idx < d.capacity
 
-    def test_function_wrapper(self):
-        partition = make_partition()
-        obs = np.array([0.05, 0.001, 0.45, 0.65, 1, 0, 1, 0, 0, 0])
-        assert discretize(obs, partition) == Discretizer(partition)(obs)
-
 
 class TestToyConvergence:
     def test_converges_to_hand_solved_fixed_point(self):
@@ -90,9 +84,9 @@ class TestToyConvergence:
         dfa = compile_cosafe(parse("F p0", T1), T1)
         cfg = LearnerConfig(
             alpha=0.1, epsilon_start=0.0, epsilon_end=0.0,
-            episodes=100, episode_length=100, seed=0,
+            episodes=100, episode_length=100,
         )
-        result = train(ToggleEnv(), dfa, cfg)
+        result = train(ToggleEnv(), dfa, cfg, RewardConfig(), seed=0)
         q0 = result.qtable[(0, dfa.z0)]
         q1 = result.qtable[(1, dfa.z0)]
         expect = 0.1 / (1 - 0.9 * 0.99)
@@ -101,8 +95,8 @@ class TestToyConvergence:
 
     def test_accept_reset_keeps_monitor_at_start(self):
         dfa = compile_cosafe(parse("F p0", T1), T1)
-        cfg = LearnerConfig(episodes=50, episode_length=20, seed=1)
-        result = train(ToggleEnv(), dfa, cfg)
+        cfg = LearnerConfig(episodes=50, episode_length=20)
+        result = train(ToggleEnv(), dfa, cfg, RewardConfig(), seed=1)
         assert all(z == dfa.z0 for (_obs, z) in result.qtable)
 
     def test_update_uses_transition_discount_not_global(self):
@@ -112,17 +106,17 @@ class TestToyConvergence:
         reward = RewardConfig(gamma=0.5, gamma_transition=0.7, gamma_final=0.9)
         cfg = LearnerConfig(
             alpha=1.0, epsilon_start=0.0, epsilon_end=0.0,
-            episodes=1, episode_length=1, seed=0, reward=reward,
+            episodes=1, episode_length=1,
         )
-        result = train(ToggleEnv(), dfa, cfg)
+        result = train(ToggleEnv(), dfa, cfg, reward, seed=0)
         # accept pays 1 - gamma_final regardless of gamma
         assert result.qtable[(0, dfa.z0)][0] == pytest.approx(1 - 0.9)
 
     def test_same_seed_identical_qtable(self):
         dfa = compile_cosafe(parse("F p0", T1), T1)
-        cfg = LearnerConfig(episodes=30, episode_length=15, seed=5)
-        r1 = train(ToggleEnv(), dfa, cfg)
-        r2 = train(ToggleEnv(), dfa, cfg)
+        cfg = LearnerConfig(episodes=30, episode_length=15)
+        r1 = train(ToggleEnv(), dfa, cfg, RewardConfig(), seed=5)
+        r2 = train(ToggleEnv(), dfa, cfg, RewardConfig(), seed=5)
         assert set(r1.qtable) == set(r2.qtable)
         for key in r1.qtable:
             assert np.array_equal(r1.qtable[key], r2.qtable[key])
@@ -130,8 +124,8 @@ class TestToyConvergence:
 
     def test_training_log_shape(self):
         dfa = compile_cosafe(parse("F p0", T1), T1)
-        cfg = LearnerConfig(episodes=10, episode_length=5, seed=2)
-        result = train(ToggleEnv(), dfa, cfg)
+        cfg = LearnerConfig(episodes=10, episode_length=5)
+        result = train(ToggleEnv(), dfa, cfg, RewardConfig(), seed=2)
         assert len(result.episode_log) == 10
         for ep, value, event in result.episode_log:
             assert event in ("horizon", "sink", "failure")
@@ -167,9 +161,9 @@ class TestEpisodeTermination:
         monitor = self._monitor()
         cfg = LearnerConfig(
             alpha=0.5, epsilon_start=1.0, epsilon_end=1.0, episodes=40,
-            episode_length=30, seed=3,
+            episode_length=30,
         )
-        result = train(FailingEnv(), monitor, cfg)
+        result = train(FailingEnv(), monitor, cfg, RewardConfig(), seed=3)
         events = {event for _e, _v, event in result.episode_log}
         assert "sink" in events or "failure" in events
 
@@ -202,8 +196,8 @@ class TestEpisodeTermination:
 class TestMetricsIdentities:
     def test_no_shield_zero_interventions(self):
         dfa = compile_cosafe(parse("F p0", T1), T1)
-        cfg = LearnerConfig(episodes=20, episode_length=10, seed=1)
-        result = train(ToggleEnv(), dfa, cfg)
+        cfg = LearnerConfig(episodes=20, episode_length=10)
+        result = train(ToggleEnv(), dfa, cfg, RewardConfig(), seed=1)
         out = evaluate(
             result.qtable, ToggleEnv(), dfa, dfa, compile_cosafe(parse("F p0", T1), T1),
             RewardConfig(), episodes=50, episode_length=10, seed=0,
@@ -255,8 +249,11 @@ class TestShieldInLoop:
                 return decision
 
         session = SpacecraftSession(SpacecraftEnv(), Discretizer(partition))
-        cfg = LearnerConfig(episodes=30, episode_length=50, seed=0)
-        train(session, liveness, cfg, shield_runtime=SpyRuntime(shield, violation, partition))
+        cfg = LearnerConfig(episodes=30, episode_length=50)
+        train(
+            session, liveness, cfg, RewardConfig(), seed=0,
+            shield_runtime=SpyRuntime(shield, violation, partition),
+        )
         assert executed_log
         for s, action in executed_log:
             assert action in shield.allowed[s] or action == shield.fallback[s]
@@ -279,18 +276,22 @@ class TestShieldInLoop:
         dfa = compile_cosafe(parse("F p0", T1), T1)
         cfg = LearnerConfig(
             alpha=1.0, epsilon_start=0.0, epsilon_end=0.0, episodes=1,
-            episode_length=1, seed=0, update_on="proposed",
+            episode_length=1, update_on="proposed",
         )
-        result = train(ToggleEnv(), dfa, cfg, shield_runtime=AlwaysCorrect())
+        result = train(
+            ToggleEnv(), dfa, cfg, RewardConfig(), seed=0, shield_runtime=AlwaysCorrect()
+        )
         row = result.qtable[(0, dfa.z0)]
         # greedy proposes 0, shield forces 1 (stay at s0: no reward);
         # the zero-reward outcome lands on entry 0
         assert row[0] == 0.0 and row[1] == 0.0
         cfg2 = LearnerConfig(
             alpha=1.0, epsilon_start=0.0, epsilon_end=0.0, episodes=1,
-            episode_length=1, seed=0, update_on="executed",
+            episode_length=1, update_on="executed",
         )
-        result2 = train(ToggleEnv(), dfa, cfg2, shield_runtime=AlwaysCorrect())
+        result2 = train(
+            ToggleEnv(), dfa, cfg2, RewardConfig(), seed=0, shield_runtime=AlwaysCorrect()
+        )
         assert result2.qtable[(0, dfa.z0)][1] == 0.0
 
 
