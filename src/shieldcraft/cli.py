@@ -12,26 +12,16 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import ltl
-from .abstraction import (
-    AbstractionConfig,
-    abstraction_report,
-    estimate_transitions,
-    make_partition,
-)
+import numpy as np
+
+from . import ltl, pipeline
+from .abstraction import PartitionSpec, make_partition
 from .dfa import compile_cosafe, monitor_product
-from .env import ATOM_NAMES, SpacecraftEnv, proposition_table
-from .learner import Discretizer, SpacecraftSession, evaluate, qtable_from_json, train
+from .env import ATOM_NAMES, RATE_LIMIT, proposition_table
+from .learner import qtable_from_json
 from .ltl import Fragment, PropositionTable, classify, negate, parse
-from .mdp import FiniteMdp, product
-from .pipeline import (
-    ExperimentConfig,
-    default_config,
-    load_config,
-    report,
-    run_pipeline,
-)
-from .shields import Shield, ShieldConfig, ShieldRuntime, synthesize
+from .mdp import FiniteMdp
+from .shields import Shield, ShieldConfig
 
 
 class CliError(Exception):
@@ -52,11 +42,6 @@ def _table_for(path: str, atoms: str | None) -> PropositionTable:
     if set(found) <= set(ATOM_NAMES):
         return proposition_table()
     return PropositionTable(tuple(found))
-
-
-def _save_json(data: dict, path: str | None):
-    if path:
-        Path(path).write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
 
 
 def cmd_compile(args) -> int:
@@ -80,7 +65,8 @@ def cmd_compile(args) -> int:
     print(f"states: {d.n_states}")
     print(f"accepting: {sorted(d.accepting)}")
     print(f"sinks: {sorted(d.sinks)}")
-    _save_json(d.to_json(), args.out)
+    if args.out:
+        pipeline.write_json(args.out, d.to_json())
     return 0
 
 
@@ -106,12 +92,7 @@ def _compile_split_monitor(formula, table, max_states):
     return monitor_product(liveness, violation)
 
 
-def _partition_from_cells(cells: str):
-    import numpy as np
-
-    from .abstraction import PartitionSpec
-    from .env import RATE_LIMIT
-
+def _partition_from_cells(cells: str) -> PartitionSpec:
     try:
         n_rate, n_wheel, n_charge = (int(x) for x in cells.split(","))
     except ValueError:
@@ -125,22 +106,16 @@ def _partition_from_cells(cells: str):
 
 def cmd_abstract(args) -> int:
     cfg = _experiment_config(args)
-    spec = _partition_from_cells(args.cells) if args.cells else cfg.partition
-    partition = make_partition(spec)
-    abs_cfg = AbstractionConfig(
+    cfg = replace(
+        cfg,
+        partition=_partition_from_cells(args.cells) if args.cells else cfg.partition,
         samples_per_cell=args.samples or cfg.samples_per_cell,
-        seed=args.seed if args.seed is not None else cfg.seed,
-        workers=cfg.abstraction_workers,
     )
-    sim = SpacecraftEnv(cfg.env)
-    mdp = estimate_transitions(sim, partition, abs_cfg)
-    mdp.save(args.out)
+    partition = make_partition(cfg.partition)
     report_path = Path(args.out).with_suffix(".report.json")
-    report_path.write_text(
-        json.dumps(abstraction_report(mdp, abs_cfg), indent=1) + "\n", encoding="utf-8"
-    )
+    mdp = pipeline.estimate_mdp(cfg, partition, args.out, report_path)
     print(f"abstraction: {mdp.n_states} states ({partition.n_cells} cells + exit), "
-          f"{len(mdp.action_names)} actions, {abs_cfg.samples_per_cell} samples/cell")
+          f"{len(mdp.action_names)} actions, {cfg.samples_per_cell} samples/cell")
     print(f"wrote {args.out} and {report_path}")
     return 0
 
@@ -152,10 +127,8 @@ def cmd_shield(args) -> int:
     if classify(safety) is not Fragment.SAFE:
         raise CliError("shield synthesis expects a safe formula")
     violation = compile_cosafe(negate(safety), table)
-    pm = product(mdp, violation)
-    cfg = ShieldConfig(threshold=args.p, kind=args.kind, horizon=args.horizon)
-    shield = synthesize(pm, cfg)
-    shield.save(args.out)
+    sh_cfg = ShieldConfig(threshold=args.p, kind=args.kind, horizon=args.horizon)
+    shield = pipeline.synthesize_shields(mdp, violation, {args.out: sh_cfg})[args.kind]
     empty = sum(1 for a in shield.allowed if not a)
     print(f"shield: kind={args.kind} p={args.p} product-states={shield.n_states} "
           f"states-without-allowed-action={empty}")
@@ -163,11 +136,11 @@ def cmd_shield(args) -> int:
     return 0
 
 
-def _experiment_config(args) -> ExperimentConfig:
+def _experiment_config(args) -> pipeline.ExperimentConfig:
     if getattr(args, "config", None):
-        cfg = load_config(args.config)
+        cfg = pipeline.load_config(args.config)
     else:
-        cfg = default_config(getattr(args, "task", "simple") or "simple")
+        cfg = pipeline.default_config(getattr(args, "task", "simple") or "simple")
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
@@ -175,7 +148,7 @@ def _experiment_config(args) -> ExperimentConfig:
 
 def cmd_pipeline(args) -> int:
     cfg = _experiment_config(args)
-    result = run_pipeline(cfg, args.out)
+    result = pipeline.run_pipeline(cfg, args.out)
     print(f"run directory: {result.out_dir}")
     for row in result.rows:
         m = row.metrics
@@ -188,49 +161,30 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
+def _load_shield(args):
+    return Shield.load(args.shield) if args.shield else None
+
+
 def cmd_train(args) -> int:
-    from .pipeline import build_specs
-
     cfg = _experiment_config(args)
-    specs = build_specs(cfg)
-    partition = make_partition(cfg.partition)
-    session = SpacecraftSession(SpacecraftEnv(cfg.env), Discretizer(partition))
-    monitor = specs.monitors[args.train_spec]
-    runtime = None
-    if args.shield:
-        runtime = ShieldRuntime(Shield.load(args.shield), specs.dfa_violation, partition)
-    reward = replace(cfg.reward, style=args.reward)
-    result = train(session, monitor, cfg.learner, reward, seed=cfg.seed, shield_runtime=runtime)
-    from .learner import qtable_to_json
-
-    Path(args.out).write_text(json.dumps(qtable_to_json(result.qtable)) + "\n", "utf-8")
+    if args.reward:
+        cfg = replace(cfg, reward=replace(cfg.reward, style=args.reward))
+    result = pipeline.train_policy(
+        cfg, pipeline.build_specs(cfg), make_partition(cfg.partition), args.train_spec,
+        _load_shield(args), args.out,
+    )
     print(f"trained {cfg.learner.episodes} episodes, avg value {result.avg_vf:.4f}")
     print(f"wrote {args.out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    from .pipeline import build_specs
-
     cfg = _experiment_config(args)
-    specs = build_specs(cfg)
-    partition = make_partition(cfg.partition)
-    session = SpacecraftSession(SpacecraftEnv(cfg.env), Discretizer(partition))
+    cfg = replace(cfg, eval_episodes=args.episodes or cfg.eval_episodes)
     qtable = qtable_from_json(json.loads(Path(args.policy).read_text(encoding="utf-8")))
-    runtime = None
-    if args.shield:
-        runtime = ShieldRuntime(Shield.load(args.shield), specs.dfa_violation, partition)
-    result = evaluate(
-        qtable,
-        session,
-        specs.monitors[args.train_spec],
-        specs.dfa_liveness,
-        specs.dfa_violation,
-        cfg.reward,
-        episodes=args.episodes or cfg.eval_episodes,
-        episode_length=cfg.learner.episode_length,
-        seed=cfg.seed,
-        shield_runtime=runtime,
+    result = pipeline.evaluate_policy(
+        cfg, pipeline.build_specs(cfg), make_partition(cfg.partition), qtable,
+        args.train_spec, _load_shield(args),
     )
     m = result.metrics
     print(
@@ -242,7 +196,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    out = report(args.runs, args.out)
+    out = pipeline.report(args.runs, args.out)
     print(f"wrote {out['merged_metrics']} and {len(out['timeseries'])} time-series files")
     return 0
 
@@ -293,8 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-spec", choices=("liveness_only", "liveness_and_safety"),
                    default="liveness_and_safety")
     p.add_argument("--shield", help="shield JSON to filter training actions")
-    p.add_argument("--reward", choices=("shaped", "original"), default="shaped",
-                   help="'original' drops the monitor-progress bonus")
+    p.add_argument("--reward", choices=("shaped", "original"),
+                   help="reward style (default: the config's); "
+                        "'original' drops the monitor-progress bonus")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train)
 

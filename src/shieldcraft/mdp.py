@@ -126,8 +126,7 @@ class FiniteMdp:
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=1)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_json()) + "\n")
 
     @classmethod
     def load(cls, path) -> "FiniteMdp":

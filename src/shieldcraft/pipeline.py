@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -205,6 +206,86 @@ def build_specs(cfg: ExperimentConfig) -> SpecBundle:
     return SpecBundle(table, liveness, safety, dfa_liveness, dfa_violation, monitors)
 
 
+# run_pipeline and the CLI stage commands wire each stage through the
+# functions below. They call the stage entry points (estimate_transitions,
+# abstraction_report, product, synthesize, train, evaluate) as globals of
+# this module, which is where the benchmark's probe wraps them.
+
+
+def write_json(path, data):
+    """Write one JSON artifact: compact, so CPython's C encoder runs."""
+    Path(path).write_text(json.dumps(data) + "\n", encoding="utf-8")
+
+
+def estimate_mdp(cfg: ExperimentConfig, partition, mdp_path, report_path):
+    """Estimate the safety MDP by simulation; write it and its sampling
+    report."""
+    abs_cfg = AbstractionConfig(
+        samples_per_cell=cfg.samples_per_cell, seed=cfg.seed, workers=cfg.abstraction_workers
+    )
+    mdp = estimate_transitions(SpacecraftEnv(cfg.env), partition, abs_cfg)
+    mdp.save(mdp_path)
+    write_json(report_path, abstraction_report(mdp, abs_cfg))
+    return mdp
+
+
+def synthesize_shields(mdp, violation_dfa: Dfa, targets: dict) -> dict:
+    """Build the safety product once, then synthesize and write one shield
+    per ``{path: ShieldConfig}`` entry; returns the shields by kind."""
+    pm = product(mdp, violation_dfa)
+    shields = {}
+    for path, sh_cfg in targets.items():
+        shield = synthesize(pm, sh_cfg)
+        shield.save(path)
+        shields[sh_cfg.kind] = shield
+    return shields
+
+
+def make_session(cfg: ExperimentConfig, partition) -> SpacecraftSession:
+    return SpacecraftSession(SpacecraftEnv(cfg.env), Discretizer(partition))
+
+
+def make_runtime(shield, specs: SpecBundle, partition) -> ShieldRuntime | None:
+    """The runtime filter of ``shield``; None runs unshielded."""
+    if shield is None:
+        return None
+    return ShieldRuntime(shield, specs.dfa_violation, partition)
+
+
+def train_policy(cfg: ExperimentConfig, specs: SpecBundle, partition, train_spec: str,
+                 shield, policy_path) -> learner_mod.TrainResult:
+    """Train one policy against the ``train_spec`` monitor, filtered by
+    ``shield`` when given, and write its policy file."""
+    result = train(
+        make_session(cfg, partition),
+        specs.monitors[train_spec],
+        cfg.learner,
+        cfg.reward,
+        seed=cfg.seed,
+        shield_runtime=make_runtime(shield, specs, partition),
+    )
+    write_json(policy_path, learner_mod.qtable_to_json(result.qtable))
+    return result
+
+
+def evaluate_policy(cfg: ExperimentConfig, specs: SpecBundle, partition, qtable,
+                    train_spec: str, shield) -> learner_mod.EvalResult:
+    """Evaluate one matrix row: ``qtable`` under ``shield`` (or none)."""
+    return evaluate(
+        qtable,
+        make_session(cfg, partition),
+        specs.monitors[train_spec],
+        specs.dfa_liveness,
+        specs.dfa_violation,
+        cfg.reward,
+        episodes=cfg.eval_episodes,
+        episode_length=cfg.learner.episode_length,
+        seed=cfg.seed,
+        shield_runtime=make_runtime(shield, specs, partition),
+        record_trajectories=cfg.record_trajectories,
+    )
+
+
 @dataclass
 class RowSpec:
     shield: str  # "none" | "one" | "two" | "q"
@@ -283,136 +364,84 @@ def write_metrics_csv(rows: list, path: Path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+@contextmanager
+def _stage(name):
+    try:
+        yield
+    except Exception as exc:
+        raise PipelineStageError(name, exc) from exc
+
+
 def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.time()
+    write_json(out_dir / "config.json", config_to_dict(cfg))
 
-    def stage(name, fn):
-        try:
-            return fn()
-        except Exception as exc:
-            raise PipelineStageError(name, exc) from exc
-
-    (out_dir / "config.json").write_text(
-        json.dumps(config_to_dict(cfg), indent=1) + "\n", encoding="utf-8"
-    )
-
-    specs = stage("compile", lambda: build_specs(cfg))
+    with _stage("compile"):
+        specs = build_specs(cfg)
     for name, d in (
         ("dfa_liveness", specs.dfa_liveness),
         ("dfa_violation", specs.dfa_violation),
         ("dfa_monitor", specs.monitors["liveness_and_safety"]),
     ):
-        (out_dir / f"{name}.json").write_text(
-            json.dumps(d.to_json(), indent=1) + "\n", encoding="utf-8"
-        )
+        write_json(out_dir / f"{name}.json", d.to_json())
 
     partition = make_partition(cfg.partition)
-    abs_cfg = AbstractionConfig(
-        samples_per_cell=cfg.samples_per_cell, seed=cfg.seed, workers=cfg.abstraction_workers
-    )
+    with _stage("abstract"):
+        mdp = estimate_mdp(cfg, partition, out_dir / "mdp.json", out_dir / "mdp_report.json")
 
-    def do_abstract():
-        sim = SpacecraftEnv(cfg.env)
-        mdp = estimate_transitions(sim, partition, abs_cfg)
-        mdp.save(out_dir / "mdp.json")
-        report = abstraction_report(mdp, abs_cfg)
-        (out_dir / "mdp_report.json").write_text(
-            json.dumps(report, indent=1) + "\n", encoding="utf-8"
-        )
-        return mdp
-
-    mdp = stage("abstract", do_abstract)
-
-    def do_shields():
-        pm = product(mdp, specs.dfa_violation)
-        shields = {}
-        for kind in cfg.shield_kinds:
-            if kind == "none":
-                continue
-            sh_cfg = ShieldConfig(
+    with _stage("shields"):
+        targets = {
+            out_dir / f"shield_{kind}.json": ShieldConfig(
                 threshold=cfg.shield_threshold, kind=kind, horizon=cfg.shield_horizon
             )
-            shields[kind] = synthesize(pm, sh_cfg)
-            shields[kind].save(out_dir / f"shield_{kind}.json")
-        return shields
+            for kind in cfg.shield_kinds
+            if kind != "none"
+        }
+        shields = synthesize_shields(mdp, specs.dfa_violation, targets)
 
-    shields = stage("shields", do_shields)
-
-    discretizer = Discretizer(partition)
-
-    def make_session():
-        return SpacecraftSession(SpacecraftEnv(cfg.env), discretizer)
-
-    def make_runtime(kind):
-        return ShieldRuntime(shields[kind], specs.dfa_violation, partition)
-
-    def do_train():
-        policies = {}
+    inloop_cfg = replace(
+        cfg,
+        learner=replace(
+            cfg.learner, episodes=cfg.inloop_train_episodes, optimistic_init=cfg.inloop_optimism
+        ),
+    )
+    policies = {}
+    with _stage("train"):
         for row in matrix_rows(cfg):
             key = row.policy_key
             if key in policies:
                 continue
-            monitor = specs.monitors[row.train_spec]
             if row.trained_with_shield:
-                lcfg = replace(
-                    cfg.learner,
-                    episodes=cfg.inloop_train_episodes,
-                    optimistic_init=cfg.inloop_optimism,
-                )
-                runtime = make_runtime(row.shield)
+                row_cfg, shield = inloop_cfg, shields[row.shield]
             else:
-                lcfg = cfg.learner
-                runtime = None
-            result = train(
-                make_session(), monitor, lcfg, cfg.reward, seed=cfg.seed, shield_runtime=runtime
+                row_cfg, shield = cfg, None
+            result = train_policy(
+                row_cfg, specs, partition, row.train_spec, shield, out_dir / f"policy_{key}.json"
             )
             policies[key] = result
             lines = ["episode,value,terminal_event"]
             lines += [f"{ep},{val!r},{event}" for ep, val, event in result.episode_log]
-            (out_dir / f"trainlog_{key}.csv").write_text(
-                "\n".join(lines) + "\n", encoding="utf-8"
-            )
-            (out_dir / f"policy_{key}.json").write_text(
-                json.dumps(learner_mod.qtable_to_json(result.qtable)) + "\n",
-                encoding="utf-8",
-            )
-        return policies
+            (out_dir / f"trainlog_{key}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    policies = stage("train", do_train)
-
-    def do_evaluate():
-        rows = []
+    rows = []
+    with _stage("evaluate"):
         for row in matrix_rows(cfg):
             trained = policies[row.policy_key]
-            runtime = make_runtime(row.shield) if row.shield != "none" else None
-            result = evaluate(
-                trained.qtable,
-                make_session(),
-                specs.monitors[row.train_spec],
-                specs.dfa_liveness,
-                specs.dfa_violation,
-                cfg.reward,
-                episodes=cfg.eval_episodes,
-                episode_length=cfg.learner.episode_length,
-                seed=cfg.seed,
-                shield_runtime=runtime,
-                record_trajectories=cfg.record_trajectories,
+            result = evaluate_policy(
+                cfg, specs, partition, trained.qtable, row.train_spec, shields.get(row.shield)
             )
             rows.append(RowResult(row, trained.settled_avg_vf, result.metrics))
             _write_episode_records(out_dir / f"episodes_{row.row_id}.jsonl", result.episodes)
             _write_trajectories(
                 out_dir / f"trajectories_{row.row_id}.jsonl", result.trajectories
             )
-        return rows
 
-    rows = stage("evaluate", do_evaluate)
     write_metrics_csv(rows, out_dir / "metrics.csv")
-    (out_dir / "run_info.json").write_text(
-        json.dumps({"task": cfg.task, "seed": cfg.seed, "elapsed_s": time.time() - started})
-        + "\n",
-        encoding="utf-8",
+    write_json(
+        out_dir / "run_info.json",
+        {"task": cfg.task, "seed": cfg.seed, "elapsed_s": time.time() - started},
     )
     return PipelineResult(
         config=cfg, out_dir=out_dir, mdp=mdp, shields=shields, policies=policies, rows=rows

@@ -34,6 +34,10 @@ class NonConvergenceError(RuntimeError):
     pass
 
 
+class ArtifactMismatchError(ValueError):
+    """A stored artifact was built for another partition or automaton."""
+
+
 @dataclass(frozen=True)
 class ShieldConfig:
     threshold: float = 0.05
@@ -110,8 +114,7 @@ class Shield:
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=1)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_json()) + "\n")
 
     @classmethod
     def load(cls, path) -> "Shield":
@@ -247,6 +250,13 @@ class ShieldRuntime:
     flight state and maps (cell, automaton state) to shield entries."""
 
     def __init__(self, shield: Shield, violation_dfa, partition):
+        expected = (partition.n_cells + 1) * violation_dfa.n_states
+        if shield.n_states != expected:
+            raise ArtifactMismatchError(
+                f"shield mismatch: the shield has {shield.n_states} product states, but "
+                f"{partition.n_cells} cells + exit times {violation_dfa.n_states} "
+                f"violation-automaton states make {expected}"
+            )
         self.shield = shield
         self.dfa = violation_dfa
         self.partition = partition

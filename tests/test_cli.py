@@ -4,7 +4,10 @@ from pathlib import Path
 
 import pytest
 
+import shieldcraft.pipeline as pipeline
 from shieldcraft.cli import main
+from shieldcraft.learner import SpacecraftSession
+from shieldcraft.mdp import FiniteMdp
 from shieldcraft.pipeline import (
     ExperimentConfig,
     MissingRunError,
@@ -14,6 +17,7 @@ from shieldcraft.pipeline import (
     report,
     run_pipeline,
 )
+from shieldcraft.shields import Shield
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -38,6 +42,19 @@ def tiny_run(tmp_path_factory):
     cfg = tiny_config()
     result = run_pipeline(cfg, out)
     return cfg, result
+
+
+def write_config(cfg, path):
+    path.write_text(json.dumps(config_to_dict(cfg)))
+    return str(path)
+
+
+def shield_args(cfg, mdp_path, out, kind="q"):
+    return [
+        "shield", "--mdp", str(mdp_path), "--spec", str(SPECS / "power_wheel_safety.ltl"),
+        "--kind", kind, "--p", str(cfg.shield_threshold), "--horizon", str(cfg.shield_horizon),
+        "--out", str(out),
+    ]
 
 
 class TestCompileCommand:
@@ -162,6 +179,45 @@ class TestToolCommands:
         ])
         assert code == 0 and policy.exists()
 
+    def test_train_reward_defaults_to_config(self, tmp_path, capsys):
+        # without --reward the config's reward style holds; the complex
+        # task's monitor has intermediate states, where the styles differ
+        shaped = tiny_config("complex")
+        original = replace(shaped, reward=replace(shaped.reward, style="original"))
+        from_config = tmp_path / "from_config.json"
+        code = main([
+            "train", "--config", write_config(original, tmp_path / "original.json"),
+            "--train-spec", "liveness_only", "--out", str(from_config),
+        ])
+        assert code == 0
+        from_flag = tmp_path / "from_flag.json"
+        code = main([
+            "train", "--config", write_config(shaped, tmp_path / "shaped.json"),
+            "--train-spec", "liveness_only", "--reward", "original", "--out", str(from_flag),
+        ])
+        assert code == 0
+        assert from_config.read_bytes() == from_flag.read_bytes()
+
+    def test_mismatched_shield_fails_by_name(self, tmp_path, capsys):
+        # a shield over 2x5x5 cells cannot filter the default 4x5x5 partition
+        cfg = default_config("simple")
+        mdp_path, shield_path = tmp_path / "mdp.json", tmp_path / "shield.json"
+        code = main([
+            "abstract", "--task", "simple", "--cells", "2,5,5", "--samples", "20",
+            "--out", str(mdp_path),
+        ])
+        assert code == 0
+        assert main(shield_args(cfg, mdp_path, shield_path, kind="one")) == 0
+        capsys.readouterr()
+        policy = tmp_path / "policy.json"
+        code = main([
+            "train", "--task", "simple", "--shield", str(shield_path), "--out", str(policy),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "shield mismatch" in err and "102 product states" in err and "make 202" in err
+        assert not policy.exists()
+
     def test_shield_rejects_non_safe_spec(self, tmp_path, capsys):
         mdp_path = tmp_path / "mdp.json"
         main(["abstract", "--task", "simple", "--samples", "50", "--out", str(mdp_path)])
@@ -189,6 +245,93 @@ class TestToolCommands:
         ])
         assert code == 0
         assert "episodes=10" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def tiny_q_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny_q_run")
+    cfg = tiny_config(shield_kinds=("none", "q"))
+    return cfg, run_pipeline(cfg, out)
+
+
+class TestOneWiringPath:
+    """The CLI stage commands run the pipeline's own stage functions, so
+    they write what run_pipeline writes."""
+
+    def test_abstract_and_shield_match_pipeline(self, tiny_q_run, tmp_path, capsys):
+        cfg, result = tiny_q_run
+        mdp_path, shield_path = tmp_path / "mdp.json", tmp_path / "shield.json"
+        config = write_config(cfg, tmp_path / "config.json")
+        assert main(["abstract", "--config", config, "--out", str(mdp_path)]) == 0
+        assert main(shield_args(cfg, mdp_path, shield_path)) == 0
+        run_mdp = json.loads((result.out_dir / "mdp.json").read_text())
+        run_shield = json.loads((result.out_dir / "shield_q.json").read_text())
+        assert FiniteMdp.load(mdp_path).to_json() == run_mdp
+        assert Shield.load(shield_path).to_json() == run_shield
+        assert mdp_path.read_bytes() == (result.out_dir / "mdp.json").read_bytes()
+        assert shield_path.read_bytes() == (result.out_dir / "shield_q.json").read_bytes()
+
+    def test_train_matches_pipeline_policy(self, tiny_q_run, tmp_path, capsys):
+        cfg, result = tiny_q_run
+        policy = tmp_path / "policy.json"
+        code = main([
+            "train", "--config", write_config(cfg, tmp_path / "config.json"),
+            "--train-spec", "liveness_only", "--out", str(policy),
+        ])
+        assert code == 0
+        assert policy.read_bytes() == (result.out_dir / "policy_liveness_only.json").read_bytes()
+
+    def test_json_artifacts_are_compact(self, tiny_q_run):
+        _cfg, result = tiny_q_run
+        for path in sorted(result.out_dir.glob("*.json")):
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text)) + "\n", path.name
+
+    def test_both_paths_reach_the_probed_entry_points(self, monkeypatch, tmp_path, capsys):
+        # the benchmark wraps these module attributes of pipeline and reads
+        # the arguments checked here
+        names = (
+            "build_specs", "estimate_transitions", "abstraction_report", "product",
+            "synthesize", "train", "evaluate",
+        )
+        calls = {name: 0 for name in names}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                if name == "estimate_transitions":
+                    assert len(args) == 3 and not kwargs
+                if name == "synthesize":
+                    assert len(args) == 2 and not kwargs
+                if name == "train":
+                    assert isinstance(args[0], SpacecraftSession)
+                    assert "shield_runtime" in kwargs
+                if name == "evaluate":
+                    assert isinstance(args[1], SpacecraftSession)
+                    assert "shield_runtime" in kwargs
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+
+        cfg = tiny_config(shield_kinds=("none", "q"))
+        run_pipeline(cfg, tmp_path / "run")
+        assert all(calls.values()), calls
+
+        calls.update((name, 0) for name in names)
+        config = write_config(cfg, tmp_path / "config.json")
+        mdp_path, shield_path = tmp_path / "mdp.json", tmp_path / "shield.json"
+        policy = tmp_path / "policy.json"
+        for argv in (
+            ["abstract", "--config", config, "--out", str(mdp_path)],
+            shield_args(cfg, mdp_path, shield_path),
+            ["train", "--config", config, "--shield", str(shield_path), "--out", str(policy)],
+            ["evaluate", "--config", config, "--policy", str(policy),
+             "--shield", str(shield_path), "--episodes", "5"],
+        ):
+            assert main(argv) == 0, argv
+        assert all(calls.values()), calls
 
 
 class TestPipeline:
