@@ -10,14 +10,13 @@ domain map to one absorbing unsafe-exit state labelled {p1, p2}.
 
 Each (cell, action) row draws from its own RNG stream derived from
 (seed, stream tag, cell, action), so results are bit-identical regardless
-of execution order or parallelism.
+of the order in which rows are estimated.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -174,7 +173,6 @@ def make_partition(spec: PartitionSpec | None = None) -> Partition:
 class AbstractionConfig:
     samples_per_cell: int = 10_000
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         if self.samples_per_cell < 1:
@@ -193,8 +191,7 @@ def estimate_transitions(sim, partition: Partition, cfg: AbstractionConfig) -> F
     exit_state = m
     n = cfg.samples_per_cell
 
-    def one_row(key):
-        q, a = key
+    def one_row(q, a):
         rng = np.random.default_rng([cfg.seed, _ABSTRACTION_STREAM, q, a])
         try:
             batch = sim.sample_in_cell(partition.cells[q].bounds, n, rng)
@@ -210,12 +207,7 @@ def estimate_transitions(sim, partition: Partition, cfg: AbstractionConfig) -> F
             (int(j), counts[j] / n) for j in np.flatnonzero(counts)
         )
 
-    keys = [(q, a) for q in range(m) for a in range(n_actions)]
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = dict(zip(keys, pool.map(one_row, keys)))
-    else:
-        results = {key: one_row(key) for key in keys}
+    results = {(q, a): one_row(q, a) for q in range(m) for a in range(n_actions)}
     for a in range(n_actions):
         results[(exit_state, a)] = ((exit_state, 1.0),)
 
@@ -240,25 +232,28 @@ def wilson_halfwidth(p_hat: float, n: int, z: float = 1.959963984540054) -> floa
 
 
 def abstraction_report(m: FiniteMdp, cfg: AbstractionConfig) -> dict:
-    """Per-row entropy (bits), Wilson 95% half-widths per entry, and the
-    count of deterministic rows; written alongside the MDP file."""
+    """Per-row entropy (bits) and widest Wilson 95% half-width over the
+    row's entries, and the count of deterministic rows; written alongside
+    the MDP file. An entry's own half-width is
+    ``wilson_halfwidth(p, samples_per_cell)`` of its ``p`` in the MDP."""
     if m.n_states == 0 or not m.rows:
         raise EmptyModelError("cannot report on an empty model")
     n = cfg.samples_per_cell
     rows = []
     deterministic = 0
     for (q, a) in sorted(m.rows):
-        entries = []
+        row = m.rows[(q, a)]
         entropy = 0.0
-        for target, p in m.rows[(q, a)]:
+        widest = 0.0
+        for _target, p in row:
             if p > 0.0:
                 entropy -= p * math.log2(p)
-            entries.append(
-                {"target": target, "p": p, "wilson_halfwidth": wilson_halfwidth(p, n)}
-            )
-        if len(entries) == 1:
+            widest = max(widest, wilson_halfwidth(p, n))
+        if len(row) == 1:
             deterministic += 1
-        rows.append({"state": q, "action": a, "entropy_bits": entropy, "entries": entries})
+        rows.append(
+            {"state": q, "action": a, "entropy_bits": entropy, "max_wilson_halfwidth": widest}
+        )
     return {
         "samples_per_cell": n,
         "seed": cfg.seed,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ltl, pipeline
 from .abstraction import PartitionSpec, make_partition
-from .dfa import compile_cosafe, monitor_product
+from .dfa import DEFAULT_STATE_CAP, compile_cosafe, monitor_product
 from .env import ATOM_NAMES, RATE_LIMIT, proposition_table
 from .learner import qtable_from_json
 from .ltl import Fragment, PropositionTable, classify, negate, parse
@@ -137,11 +137,11 @@ def cmd_shield(args) -> int:
 
 
 def _experiment_config(args) -> pipeline.ExperimentConfig:
-    if getattr(args, "config", None):
+    if args.config:
         cfg = pipeline.load_config(args.config)
     else:
-        cfg = pipeline.default_config(getattr(args, "task", "simple") or "simple")
-    if getattr(args, "seed", None) is not None:
+        cfg = pipeline.default_config(args.task or "simple")
+    if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     return cfg
 
@@ -214,38 +214,41 @@ def _positive_int(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="shieldcraft")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the experiment-config flags of the commands that run pipeline stages
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--config", help="experiment config JSON")
+    run.add_argument("--task", choices=pipeline.TASKS)
+    run.add_argument("--seed", type=int)
+    train_spec = argparse.ArgumentParser(add_help=False)
+    train_spec.add_argument("--train-spec", choices=pipeline.TRAIN_SPECS,
+                            default="liveness_and_safety")
 
     p = sub.add_parser("compile", help="compile a formula file to a DFA")
     p.add_argument("--spec", required=True, help="formula file")
     p.add_argument("--atoms", help="comma-separated atom order (default: inferred)")
     p.add_argument("--out", help="write DFA JSON here")
-    p.add_argument("--max-states", type=int, default=10_000)
+    p.add_argument("--max-states", type=int, default=DEFAULT_STATE_CAP)
     p.set_defaults(fn=cmd_compile)
 
-    p = sub.add_parser("abstract", help="estimate the safety MDP by simulation")
-    p.add_argument("--config", help="experiment config JSON")
-    p.add_argument("--task", choices=("simple", "complex"))
+    p = sub.add_parser("abstract", parents=[run],
+                       help="estimate the safety MDP by simulation")
     p.add_argument("--cells", help="bin counts per dimension, e.g. 4,5,5")
     p.add_argument("--samples", type=_positive_int, help="samples per (cell, action)")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_abstract)
 
     p = sub.add_parser("shield", help="synthesize a shield from an MDP and a safe formula")
     p.add_argument("--mdp", required=True)
     p.add_argument("--spec", required=True, help="safe formula file")
-    p.add_argument("--kind", choices=("one", "two", "q"), required=True)
+    p.add_argument("--kind", choices=[k for k in pipeline.SHIELD_KINDS if k != "none"],
+                   required=True)
     p.add_argument("--p", type=float, default=0.05)
-    p.add_argument("--horizon", type=int)
+    p.add_argument("--horizon", type=int,
+                   help="steps of bounded reachability (required for --kind q)")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_shield)
 
-    p = sub.add_parser("train", help="train a tabular policy")
-    p.add_argument("--config")
-    p.add_argument("--task", choices=("simple", "complex"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--train-spec", choices=("liveness_only", "liveness_and_safety"),
-                   default="liveness_and_safety")
+    p = sub.add_parser("train", parents=[run, train_spec], help="train a tabular policy")
     p.add_argument("--shield", help="shield JSON to filter training actions")
     p.add_argument("--reward", choices=("shaped", "original"),
                    help="reward style (default: the config's); "
@@ -253,21 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("evaluate", help="evaluate a stored policy")
-    p.add_argument("--config")
-    p.add_argument("--task", choices=("simple", "complex"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--train-spec", choices=("liveness_only", "liveness_and_safety"),
-                   default="liveness_and_safety")
+    p = sub.add_parser("evaluate", parents=[run, train_spec], help="evaluate a stored policy")
     p.add_argument("--policy", required=True)
     p.add_argument("--shield")
     p.add_argument("--episodes", type=_positive_int)
     p.set_defaults(fn=cmd_evaluate)
 
-    p = sub.add_parser("pipeline", help="run the full experiment pipeline")
-    p.add_argument("--config")
-    p.add_argument("--task", choices=("simple", "complex"))
-    p.add_argument("--seed", type=int)
+    p = sub.add_parser("pipeline", parents=[run], help="run the full experiment pipeline")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_pipeline)
 

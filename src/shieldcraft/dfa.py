@@ -162,10 +162,6 @@ class Dfa:
         )
 
 
-def dfa_step(d: Dfa, z: int, symbol: int) -> int:
-    return d.step(z, symbol)
-
-
 def identify_sinks(delta: np.ndarray, accepting: frozenset[int]) -> frozenset[int]:
     """Non-accepting states whose every transition is a self-loop."""
     sinks = set()

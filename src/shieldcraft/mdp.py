@@ -148,7 +148,6 @@ class ProductMdp:
     dfa: Dfa
     rows: dict[tuple[int, int], tuple[tuple[int, float], ...]]
     final_states: frozenset[int]
-    sink_states: frozenset[int]
 
     @property
     def n_z(self) -> int:
@@ -194,8 +193,7 @@ def product(m: FiniteMdp, d: Dfa) -> ProductMdp:
     final = frozenset(
         q * n_z + z for q in range(m.n_states) for z in d.accepting
     )
-    sinks = frozenset(q * n_z + z for q in range(m.n_states) for z in d.sinks)
-    return ProductMdp(base=m, dfa=d, rows=rows, final_states=final, sink_states=sinks)
+    return ProductMdp(base=m, dfa=d, rows=rows, final_states=final)
 
 
 @dataclass(frozen=True)

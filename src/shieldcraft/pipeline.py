@@ -36,6 +36,7 @@ LIVENESS_SIMPLE = "F p0"
 LIVENESS_COMPLEX = "F (p3 & X F (p4 & X F (p3 & X F (p4 & X F p3))))"
 SAFETY_SPEC = "G !(p1 | p2)"
 
+TASKS = ("simple", "complex")
 TRAIN_SPECS = ("liveness_only", "liveness_and_safety")
 SHIELD_KINDS = ("none", "one", "two", "q")
 
@@ -74,7 +75,6 @@ class ExperimentConfig:
     env: EnvParams = field(default_factory=EnvParams)
     partition: PartitionSpec = field(default_factory=PartitionSpec)
     samples_per_cell: int = 10_000
-    abstraction_workers: int = 1
     shield_threshold: float = 0.05
     shield_horizon: int | None = None
     reward: RewardConfig = field(default_factory=RewardConfig)
@@ -91,7 +91,7 @@ class ExperimentConfig:
     record_trajectories: int = 3
 
     def __post_init__(self):
-        if self.task not in ("simple", "complex"):
+        if self.task not in TASKS:
             raise ValueError(f"unknown task {self.task!r}")
         for spec in self.train_specs:
             if spec not in TRAIN_SPECS:
@@ -99,6 +99,8 @@ class ExperimentConfig:
         for kind in self.shield_kinds:
             if kind not in SHIELD_KINDS:
                 raise ValueError(f"unknown shield kind {kind!r}")
+        if "q" in self.shield_kinds and self.shield_horizon is None:
+            raise ValueError("shield_kinds includes 'q', which needs a shield_horizon")
 
 
 def default_config(task: str, seed: int = 0) -> ExperimentConfig:
@@ -129,9 +131,7 @@ def default_config(task: str, seed: int = 0) -> ExperimentConfig:
                 episodes=12000, episode_length=90,
                 alpha=0.2, epsilon_decay_fraction=0.35,
             ),
-            # infinite-horizon minimal reach is degenerate on this
-            # abstraction (no absorbing safe class), so the q shield uses
-            # the episode length
+            # the q shield bounds reachability over the episode length
             shield_horizon=90,
             shield_kinds=SHIELD_KINDS,
             include_inloop_rows=True,
@@ -220,9 +220,7 @@ def write_json(path, data):
 def estimate_mdp(cfg: ExperimentConfig, partition, mdp_path, report_path):
     """Estimate the safety MDP by simulation; write it and its sampling
     report."""
-    abs_cfg = AbstractionConfig(
-        samples_per_cell=cfg.samples_per_cell, seed=cfg.seed, workers=cfg.abstraction_workers
-    )
+    abs_cfg = AbstractionConfig(samples_per_cell=cfg.samples_per_cell, seed=cfg.seed)
     mdp = estimate_transitions(SpacecraftEnv(cfg.env), partition, abs_cfg)
     mdp.save(mdp_path)
     write_json(report_path, abstraction_report(mdp, abs_cfg))

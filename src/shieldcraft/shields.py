@@ -8,8 +8,8 @@ score per action, and a fallback action:
   two-step   recursively grow the unsafe set with states that have no
              allowed action, to a fixed point
   q-optimal  value-iterate the minimal probability of reaching the unsafe
-             set within a horizon and allow actions whose backup value
-             stays below p
+             set within a required horizon N and allow actions whose
+             backup value stays below p; one-step is its N = 1 case
 
 The runtime filter passes allowed actions through unchanged, replaces a
 disallowed action with the safest allowed one (lowest index on ties), and
@@ -30,10 +30,6 @@ import numpy as np
 from .mdp import ProductMdp
 
 
-class NonConvergenceError(RuntimeError):
-    pass
-
-
 class ArtifactMismatchError(ValueError):
     """A stored artifact was built for another partition or automaton."""
 
@@ -42,9 +38,7 @@ class ArtifactMismatchError(ValueError):
 class ShieldConfig:
     threshold: float = 0.05
     kind: str = "one"  # "one" | "two" | "q"
-    horizon: int | None = None  # q-optimal only; None = infinite
-    vi_tolerance: float = 1e-9
-    vi_max_iters: int = 100_000
+    horizon: int | None = None  # steps of bounded reachability; q-optimal only
 
     def __post_init__(self):
         if not 0.0 < self.threshold < 1.0:
@@ -53,6 +47,8 @@ class ShieldConfig:
             raise ValueError(f"unknown shield kind {self.kind!r}")
         if self.horizon is not None and self.horizon < 1:
             raise ValueError("horizon must be a positive step count or None")
+        if self.kind == "q" and self.horizon is None:
+            raise ValueError("a q shield needs a horizon (a positive step count), got None")
 
 
 @dataclass(frozen=True)
@@ -131,9 +127,22 @@ def _transition_tensor(pm: ProductMdp) -> np.ndarray:
     return t
 
 
-def _mass_into(t: np.ndarray, member: np.ndarray) -> np.ndarray:
-    """(S, A) probability mass into the indicated state set."""
-    return (t @ member.astype(float)).T
+def _final_member(pm: ProductMdp) -> np.ndarray:
+    """(S,) indicator of the final (violating) product states."""
+    member = np.zeros(pm.n_states, dtype=bool)
+    member[list(pm.final_states)] = True
+    return member
+
+
+def _mass_within(t: np.ndarray, member: np.ndarray, steps: int):
+    """Minimal probability of entering the indicated state set within
+    ``steps`` steps: (S, A) action scores, one step for the action itself
+    plus ``steps - 1`` backups under the minimizing action, and the (S,)
+    state values those backups produce (the indicator at ``steps = 1``)."""
+    v = member.astype(float)
+    for _ in range(steps - 1):
+        v = np.where(member, 1.0, (t @ v).min(axis=0))
+    return (t @ v).T, v
 
 
 def _region_return_fallback(pm: ProductMdp) -> np.ndarray:
@@ -175,10 +184,7 @@ def _assemble(pm, cfg, kind, scores, unsafe, values=None) -> Shield:
 def one_step(pm: ProductMdp, cfg: ShieldConfig) -> Shield:
     """Allow actions keeping the one-step mass into the final (violating)
     product states strictly below the threshold."""
-    t = _transition_tensor(pm)
-    member = np.zeros(pm.n_states, dtype=bool)
-    member[list(pm.final_states)] = True
-    scores = _mass_into(t, member)
+    scores, _ = _mass_within(_transition_tensor(pm), _final_member(pm), 1)
     return _assemble(pm, cfg, "one", scores, pm.final_states)
 
 
@@ -189,10 +195,9 @@ def two_step(pm: ProductMdp, cfg: ShieldConfig) -> Shield:
     grow.
     """
     t = _transition_tensor(pm)
-    unsafe = np.zeros(pm.n_states, dtype=bool)
-    unsafe[list(pm.final_states)] = True
+    unsafe = _final_member(pm)
     for _ in range(pm.n_states + 1):
-        scores = _mass_into(t, unsafe)
+        scores, _ = _mass_within(t, unsafe, 1)
         no_action = ~(scores < cfg.threshold).any(axis=1)
         grown = unsafe | no_action
         if (grown == unsafe).all():
@@ -200,38 +205,15 @@ def two_step(pm: ProductMdp, cfg: ShieldConfig) -> Shield:
         unsafe = grown
     else:  # pragma: no cover - guarded by the monotone-growth argument
         raise AssertionError("two-step recursion failed to reach a fixed point")
-    scores = _mass_into(t, unsafe)
+    scores, _ = _mass_within(t, unsafe, 1)
     return _assemble(pm, cfg, "two", scores, frozenset(np.flatnonzero(unsafe).tolist()))
 
 
 def q_optimal(pm: ProductMdp, cfg: ShieldConfig) -> Shield:
-    """Dynamic-programming shield on minimal unsafe-reach probability.
-
-    With a finite horizon N the action value is the exact probability of
-    reaching the unsafe set within N steps (one step for the action itself
-    plus N-1 backups); with an infinite horizon the values are iterated to
-    a sup-norm fixed point.
-    """
-    t = _transition_tensor(pm)
-    final = np.zeros(pm.n_states, dtype=bool)
-    final[list(pm.final_states)] = True
-    v = final.astype(float)
-    if cfg.horizon is not None:
-        for _ in range(max(0, cfg.horizon - 1)):
-            backup = (t @ v).min(axis=0)
-            v = np.where(final, 1.0, backup)
-    else:
-        for _ in range(cfg.vi_max_iters):
-            new = np.where(final, 1.0, (t @ v).min(axis=0))
-            if np.max(np.abs(new - v)) < cfg.vi_tolerance:
-                v = new
-                break
-            v = new
-        else:
-            raise NonConvergenceError(
-                f"value iteration did not converge within {cfg.vi_max_iters} sweeps"
-            )
-    scores = (t @ v).T
+    """Dynamic-programming shield on minimal unsafe-reach probability: the
+    action value is the exact probability of reaching the unsafe set
+    within ``cfg.horizon`` steps."""
+    scores, v = _mass_within(_transition_tensor(pm), _final_member(pm), cfg.horizon)
     return _assemble(
         pm, cfg, "q", scores, pm.final_states, values=tuple(float(x) for x in v)
     )

@@ -190,14 +190,13 @@ class TestEstimator:
         assert mdp.row(m, 0) == ((m, 1.0),)
         assert mdp.state_meta[m] == {"unsafe_exit": True}
 
-    def test_bit_identical_rerun_and_parallel(self):
+    def test_bit_identical_rerun(self):
         env = SpacecraftEnv()
         partition = make_partition()
-        a = estimate_transitions(env, partition, AbstractionConfig(300, seed=4, workers=1))
-        b = estimate_transitions(env, partition, AbstractionConfig(300, seed=4, workers=1))
-        c = estimate_transitions(env, partition, AbstractionConfig(300, seed=4, workers=4))
-        assert a.rows == b.rows == c.rows
-        assert json.dumps(a.to_json()) == json.dumps(c.to_json())
+        a = estimate_transitions(env, partition, AbstractionConfig(300, seed=4))
+        b = estimate_transitions(env, partition, AbstractionConfig(300, seed=4))
+        assert a.rows == b.rows
+        assert json.dumps(a.to_json()) == json.dumps(b.to_json())
 
     def test_simulator_failure_annotated(self):
         partition = tiny_partition()
@@ -274,7 +273,7 @@ class TestReport:
         report = abstraction_report(mdp, cfg)
         assert report["deterministic_rows"] == m + 1
         first = report["rows"][0]
-        assert first["entries"][0]["wilson_halfwidth"] == pytest.approx(0.000192, abs=1e-5)
+        assert first["max_wilson_halfwidth"] == pytest.approx(0.000192, abs=1e-5)
         assert first["entropy_bits"] == 0.0
 
     def test_half_width_of_even_split(self):
@@ -288,9 +287,23 @@ class TestReport:
         mdp = estimate_transitions(env, partition, cfg)
         report = abstraction_report(mdp, cfg)
         row = report["rows"][0]
-        for entry in row["entries"]:
-            assert entry["wilson_halfwidth"] == pytest.approx(0.0098, abs=3e-4)
+        assert row["max_wilson_halfwidth"] == pytest.approx(0.0098, abs=3e-4)
         assert row["entropy_bits"] == pytest.approx(1.0, abs=0.01)
+
+    def test_row_summary_matches_mdp_entries(self):
+        # the report repeats no entry; its per-row figures follow from mdp.json
+        partition = tiny_partition()
+        m = partition.n_cells
+        kernel = np.random.default_rng(3).dirichlet(np.ones(m + 1), size=(m, 1))
+        cfg = AbstractionConfig(500, seed=8)
+        mdp = estimate_transitions(TeleportEnv(partition, kernel), partition, cfg)
+        report = json.loads(json.dumps(abstraction_report(mdp, cfg)))
+        assert [(r["state"], r["action"]) for r in report["rows"]] == sorted(mdp.rows)
+        for r in report["rows"]:
+            assert set(r) == {"state", "action", "entropy_bits", "max_wilson_halfwidth"}
+            ps = [p for _t, p in mdp.row(r["state"], r["action"])]
+            assert r["max_wilson_halfwidth"] == max(wilson_halfwidth(p, 500) for p in ps)
+            assert r["entropy_bits"] == pytest.approx(-sum(p * np.log2(p) for p in ps), abs=1e-12)
 
     def test_empty_model(self):
         empty = FiniteMdp(

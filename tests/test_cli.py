@@ -218,6 +218,17 @@ class TestToolCommands:
         assert "shield mismatch" in err and "102 product states" in err and "make 202" in err
         assert not policy.exists()
 
+    def test_q_shield_without_horizon_fails_by_name(self, tiny_run, tmp_path, capsys):
+        _cfg, result = tiny_run
+        out = tmp_path / "shield.json"
+        code = main([
+            "shield", "--mdp", str(result.out_dir / "mdp.json"), "--spec",
+            str(SPECS / "power_wheel_safety.ltl"), "--kind", "q", "--out", str(out),
+        ])
+        assert code == 1
+        assert "horizon" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_shield_rejects_non_safe_spec(self, tmp_path, capsys):
         mdp_path = tmp_path / "mdp.json"
         main(["abstract", "--task", "simple", "--samples", "50", "--out", str(mdp_path)])
@@ -450,6 +461,11 @@ class TestConfigSerialization:
         data["learner"] = {**data["learner"], "seed": 0, "reward": data["reward"]}
         with pytest.raises(ValueError, match=r"learner: \['reward', 'seed'\]"):
             config_from_dict(data)
+        # so does an old config that still sets the deleted abstraction_workers
+        data = config_to_dict(default_config("simple"))
+        data["abstraction_workers"] = 2
+        with pytest.raises(ValueError, match=r"<root>: \['abstraction_workers'\]"):
+            config_from_dict(data)
 
     def test_episode_length_conventions(self):
         assert default_config("simple").learner.episode_length == 100
@@ -460,3 +476,8 @@ class TestConfigSerialization:
             ExperimentConfig(task="medium")
         with pytest.raises(ValueError):
             ExperimentConfig(shield_kinds=("zero",))
+
+    def test_q_shield_requires_horizon(self):
+        with pytest.raises(ValueError, match="shield_horizon"):
+            ExperimentConfig(shield_kinds=("q",))
+        assert ExperimentConfig(shield_kinds=("none", "q"), shield_horizon=5).shield_horizon == 5

@@ -16,7 +16,6 @@ from shieldcraft.dfa import (
     FragmentError,
     StateExplosionError,
     compile_cosafe,
-    dfa_step,
     eval_last,
     identify_sinks,
     monitor_product,
@@ -105,12 +104,12 @@ class TestCompile:
         d = compile_cosafe(parse("F p0", TENV), TENV)
         (acc,) = d.accepting
         assert all(d.delta[acc, s] == acc for s in range(d.n_symbols))
-        assert dfa_step(d, d.z0, 0b1) == acc  # {p0}
-        assert dfa_step(d, acc, 0) == acc
+        assert d.step(d.z0, 0b1) == acc  # {p0}
+        assert d.step(acc, 0) == acc
 
     def test_self_loop_before_accept(self):
         d = compile_cosafe(parse("F (p1 | p2)", TENV), TENV)
-        assert dfa_step(d, d.z0, 0) == d.z0
+        assert d.step(d.z0, 0) == d.z0
 
     def test_delta_total_and_reachable(self):
         rng = np.random.default_rng(5)

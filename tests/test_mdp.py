@@ -110,9 +110,11 @@ class TestProduct:
         assert pm.final_states == frozenset(
             q * d.n_states + z for q in range(3) for z in d.accepting
         )
-        assert pm.sink_states == frozenset(
-            q * d.n_states + z for q in range(3) for z in d.sinks
-        )
+        # the DFA's sinks stay absorbing in every product row
+        for (s, _a), row in pm.rows.items():
+            _q, z = pm.decompose(s)
+            if z in d.sinks:
+                assert all(pm.decompose(t)[1] == z for t, _p in row)
 
     def test_atom_mismatch(self):
         m = random_mdp(np.random.default_rng(2), 2, 1, atoms=("x", "y"))

@@ -8,7 +8,6 @@ from shieldcraft.dfa import compile_cosafe
 from shieldcraft.ltl import PropositionTable, parse
 from shieldcraft.mdp import FiniteMdp, product
 from shieldcraft.shields import (
-    NonConvergenceError,
     Shield,
     ShieldConfig,
     ShieldRuntime,
@@ -194,7 +193,7 @@ class TestQOptimal:
             (1, 1): ((0, 1.0),),
         }
         pm = product_from_rows(rows, [0, 0], 2)
-        shield = q_optimal(pm, ShieldConfig(threshold=0.05, kind="q"))
+        shield = q_optimal(pm, ShieldConfig(threshold=0.05, kind="q", horizon=50))
         # clean labels: from every reachable (state, watching) pair the
         # violation set has zero mass, so everything is allowed
         for q in (0, 1):
@@ -227,26 +226,12 @@ class TestQOptimal:
             s1 = one_step(pm, ShieldConfig(threshold=p, kind="one"))
             assert sq.allowed == s1.allowed
 
-    def test_infinite_horizon_converges_on_leaky_chain(self):
-        rows = {
-            (0, 0): ((1, 0.5), (0, 0.5)),
-            (1, 0): ((2, 0.4), (0, 0.6)),
-            (2, 0): ((2, 1.0),),
-        }
-        pm = product_from_rows(rows, [0, 0, 1], 1)
-        shield = q_optimal(pm, ShieldConfig(threshold=0.5, kind="q"))
-        # from either transient state the chain eventually leaks: value 1
-        for s in (pm.initial_state(0), pm.initial_state(1)):
-            assert shield.values[s] == pytest.approx(1.0, abs=1e-6)
-
-    def test_non_convergence_guard(self):
-        rows = {
-            (0, 0): ((1, 1e-7), (0, 1.0 - 1e-7)),
-            (1, 0): ((1, 1.0),),
-        }
-        pm = product_from_rows(rows, [0, 1], 1)
-        with pytest.raises(NonConvergenceError):
-            q_optimal(pm, ShieldConfig(kind="q", vi_max_iters=50))
+    def test_requires_horizon(self):
+        # the guarantee is a bounded-horizon reachability probability
+        with pytest.raises(ValueError, match="horizon"):
+            ShieldConfig(kind="q")
+        with pytest.raises(ValueError, match="horizon"):
+            ShieldConfig(kind="q", horizon=0)
 
 
 class TestGuaranteesAndMonotonicity:
