@@ -17,18 +17,11 @@ USING_COMPILED = False
 
 
 def step_batch(rate, wheel, charge, err, sun, action, e_w, e_r, e_a, par):
-    """Advance state arrays in place (one decision step per element)."""
-    p = par.reshape(10, 4)
-    gain = p[0][action]
-    drain = p[1][action]
-    w_drift = p[2][action]
-    w_noise = p[3][action]
-    r_pull = p[4][action]
-    r_target = p[5][action]
-    r_noise = p[6][action]
-    e_keep = p[7][action]
-    e_drift = p[8][action]
-    e_noise = p[9][action]
+    """Advance state arrays in place (one decision step per element);
+    ``action`` is an integer array with one mode per element."""
+    # one gather takes the actions' columns of the ten rows
+    (gain, drain, w_drift, w_noise, r_pull, r_target, r_noise,
+     e_keep, e_drift, e_noise) = par.reshape(10, 4).take(action, axis=1)
     charge[:] = np.minimum(1.0, (charge + gain * sun) - drain)
     wheel[:] = np.maximum(0.0, (wheel + w_drift) + w_noise * e_w)
     rate[:] = np.maximum(0.0, (rate + r_pull * (r_target - rate)) + r_noise * e_r)

@@ -8,9 +8,13 @@ hidden coordinates randomized over their full ranges), and the empirical
 landing frequencies become the transition row. Landings outside the
 domain map to one absorbing unsafe-exit state labelled {p1, p2}.
 
-Each (cell, action) row draws from its own RNG stream derived from
-(seed, stream tag, cell, action), so results are bit-identical regardless
-of the order in which rows are estimated.
+Each (cell, action) row makes all its random draws (``sample_in_cell``)
+from its own RNG stream derived from (seed, stream tag, cell, action). The
+arithmetic runs per chunk of rows: one deterministic ``step_batch`` call,
+one ``locate`` and one ``bincount`` over the chunk's samples. Every value
+is elementwise or an integer count, so results are bit-identical under
+reruns and do not depend on the chunk size or the order in which rows are
+drawn.
 """
 
 from __future__ import annotations
@@ -28,6 +32,14 @@ from .mdp import FiniteMdp
 P1_BIT = 1 << 1
 P2_BIT = 1 << 2
 _ABSTRACTION_STREAM = 1  # keeps row streams disjoint from training/eval streams
+# Samples stepped per simulator call (at least one row). Larger chunks
+# spread the per-call cost over more rows, but their temporaries can
+# outgrow what the allocator keeps for reuse: in the benchmark's process
+# (numpy 2.4, glibc malloc), 4000-sample chunks faulted in ~34k fresh
+# pages per simple_unshielded estimate and took 30% longer than stepping
+# its 2000-sample rows one by one. A chunk this size holds about as much
+# as one such row, and faulted in none.
+CHUNK_SAMPLES = 1 << 11
 
 
 class RegionMisalignmentError(ValueError):
@@ -182,32 +194,31 @@ class AbstractionConfig:
 def estimate_transitions(sim, partition: Partition, cfg: AbstractionConfig) -> FiniteMdp:
     """Estimate the safety MDP from the simulator.
 
-    ``sim`` must expose ``sample_in_cell(bounds, n, rng)``,
-    ``step_batch(batch, action, rng) -> (n, 3) coords``, ``action_names``
-    and ``atom_names``. Rows are exactly stochastic (counts / N).
+    ``sim`` exposes ``action_names``, ``atom_names`` and a two-part
+    simulator protocol:
+
+    * ``sample_in_cell(bounds, n, rng) -> batch`` makes every random draw
+      of one (cell, action) row from the row's own stream: a dict of arrays
+      whose last axis runs over the ``n`` samples;
+    * ``step_batch(batch, actions) -> (k, 3) coords`` steps a batch, element
+      ``i`` under ``actions[i]``, and draws nothing.
+
+    Rows are drawn one by one and then stepped in chunks of at most
+    ``CHUNK_SAMPLES`` samples (at least one row): the chunk's batches are
+    concatenated, stepped in one ``step_batch`` call, located and counted in
+    one ``bincount``. Every value is elementwise or an integer count, so the
+    rows do not depend on the chunk size. Rows are exactly stochastic
+    (counts / N). A failure raises `SimulatorFailureError` naming the
+    (cell, action) row it belongs to.
     """
     m = partition.n_cells
     n_actions = len(sim.action_names)
     exit_state = m
-    n = cfg.samples_per_cell
-
-    def one_row(q, a):
-        rng = np.random.default_rng([cfg.seed, _ABSTRACTION_STREAM, q, a])
-        try:
-            batch = sim.sample_in_cell(partition.cells[q].bounds, n, rng)
-            coords = sim.step_batch(batch, a, rng)
-        except Exception as exc:  # noqa: BLE001 - annotate and reraise
-            raise SimulatorFailureError(q, a, exc) from exc
-        if not np.isfinite(coords).all():
-            raise SimulatorFailureError(q, a, ValueError("non-finite state coordinates"))
-        idx = partition.locate(coords)
-        idx = np.where(idx < 0, exit_state, idx)
-        counts = np.bincount(idx, minlength=m + 1)
-        return tuple(
-            (int(j), counts[j] / n) for j in np.flatnonzero(counts)
-        )
-
-    results = {(q, a): one_row(q, a) for q in range(m) for a in range(n_actions)}
+    keys = [(q, a) for q in range(m) for a in range(n_actions)]
+    per_chunk = max(1, CHUNK_SAMPLES // cfg.samples_per_cell)
+    results = {}
+    for start in range(0, len(keys), per_chunk):
+        results.update(_estimate_chunk(sim, partition, cfg, keys[start:start + per_chunk]))
     for a in range(n_actions):
         results[(exit_state, a)] = ((exit_state, 1.0),)
 
@@ -225,6 +236,54 @@ def estimate_transitions(sim, partition: Partition, cfg: AbstractionConfig) -> F
     )
 
 
+def _estimate_chunk(sim, partition: Partition, cfg: AbstractionConfig, keys) -> dict:
+    """The transition rows of the (cell, action) pairs in ``keys``."""
+    m = partition.n_cells
+    n = cfg.samples_per_cell
+    draws = []
+    for q, a in keys:
+        rng = np.random.default_rng([cfg.seed, _ABSTRACTION_STREAM, q, a])
+        try:
+            draws.append(sim.sample_in_cell(partition.cells[q].bounds, n, rng))
+        except Exception as exc:  # noqa: BLE001 - annotate and reraise
+            raise SimulatorFailureError(q, a, exc) from exc
+    actions = np.repeat(np.array([a for _q, a in keys], dtype=np.int64), n)
+    coords = _step_chunk(sim, draws, actions, keys, n)
+    if not np.isfinite(coords).all():
+        q, a = keys[int(np.argmin(np.isfinite(coords).all(axis=1))) // n]
+        raise SimulatorFailureError(q, a, ValueError("non-finite state coordinates"))
+    idx = partition.locate(coords)
+    idx = np.where(idx < 0, m, idx)
+    idx += np.repeat(np.arange(len(keys)) * (m + 1), n)
+    counts = np.bincount(idx, minlength=len(keys) * (m + 1)).reshape(len(keys), m + 1)
+    row, target = np.nonzero(counts)
+    entries = tuple(zip(target.tolist(), (counts[row, target] / n).tolist()))
+    ends = np.searchsorted(row, np.arange(len(keys) + 1)).tolist()
+    return {key: entries[lo:hi] for key, lo, hi in zip(keys, ends, ends[1:])}
+
+
+def _step_chunk(sim, draws, actions, keys, n):
+    """One ``step_batch`` call over the batches of a chunk, concatenated
+    when it holds several rows."""
+    if len(draws) == 1:
+        batch = draws[0]
+    else:
+        batch = {name: np.concatenate([d[name] for d in draws], axis=-1) for name in draws[0]}
+    try:
+        return sim.step_batch(batch, actions)
+    except Exception as exc:  # noqa: BLE001 - annotate and reraise
+        if len(draws) > 1:
+            # stepping draws nothing, and the call left the rows' own batches
+            # untouched, so stepping the rows alone names the first that fails
+            for i, ((q, a), row_batch) in enumerate(zip(keys, draws)):
+                try:
+                    sim.step_batch(row_batch, actions[i * n:(i + 1) * n])
+                except Exception as row_exc:  # noqa: BLE001 - annotate and reraise
+                    raise SimulatorFailureError(q, a, row_exc) from row_exc
+        # a one-row chunk, or a failure that no row repeats alone
+        raise SimulatorFailureError(*keys[0], exc) from exc
+
+
 def wilson_halfwidth(p_hat: float, n: int, z: float = 1.959963984540054) -> float:
     """Half-width of the 95% Wilson score interval for a proportion."""
     z2 = z * z
@@ -239,16 +298,24 @@ def abstraction_report(m: FiniteMdp, cfg: AbstractionConfig) -> dict:
     if m.n_states == 0 or not m.rows:
         raise EmptyModelError("cannot report on an empty model")
     n = cfg.samples_per_cell
+    keys = sorted(m.rows)
+    # an estimated row holds counts / n, so at most n + 1 distinct values
+    # occur; each entry's terms are looked up, and each row still sums them
+    # in its own order
+    terms = {
+        p: (p * math.log2(p) if p > 0.0 else 0.0, wilson_halfwidth(p, n))
+        for p in {p for key in keys for _target, p in m.rows[key]}
+    }
     rows = []
     deterministic = 0
-    for (q, a) in sorted(m.rows):
+    for (q, a) in keys:
         row = m.rows[(q, a)]
         entropy = 0.0
         widest = 0.0
         for _target, p in row:
-            if p > 0.0:
-                entropy -= p * math.log2(p)
-            widest = max(widest, wilson_halfwidth(p, n))
+            plogp, halfwidth = terms[p]
+            entropy -= plogp
+            widest = max(widest, halfwidth)
         if len(row) == 1:
             deterministic += 1
         rows.append(

@@ -171,8 +171,9 @@ def observe_and_label(state: SpacecraftState) -> tuple[np.ndarray, int]:
 class SpacecraftEnv:
     """Single mutable simulation instance; run one per thread.
 
-    Also implements the abstraction sampling interface: `sample_in_cell`
-    and `step_batch` (batched through the dynamics kernel).
+    Also implements the abstraction's simulator protocol: `sample_in_cell`
+    makes a row's random draws and `step_batch` steps the rows of a chunk
+    through the dynamics kernel without drawing.
     """
 
     action_names = MODES
@@ -248,32 +249,36 @@ class SpacecraftEnv:
     # --- abstraction interface ---------------------------------------------
 
     def sample_in_cell(self, bounds, n: int, rng) -> dict:
-        """Hidden states with the three abstraction coordinates uniform in
-        the cell and everything else randomized over its full range."""
+        """Every random draw of one abstraction row: ``n`` hidden states with
+        the three abstraction coordinates uniform in the cell and everything
+        else randomized over its full range, then the ``(3, n)`` uniforms of
+        the step's truncated-normal noise. Each array's last axis runs over
+        the samples, so batches of several rows concatenate along it."""
         (r_lo, r_hi), (w_lo, w_hi), (c_lo, c_hi) = bounds
         p = self.params
-        batch = {
+        return {
             "rate": rng.uniform(r_lo, r_hi, n),
             "wheel": rng.uniform(w_lo, w_hi, n),
             "charge": rng.uniform(c_lo, c_hi, n),
             "err": rng.uniform(*p.sample_pointing_error, n),
             "minutes": rng.uniform(0.0, p.orbit_minutes, n),
             "mode": rng.integers(0, len(MODES), n),
+            "u": rng.random((3, n)),
         }
+
+    def step_batch(self, batch: dict, actions: np.ndarray) -> np.ndarray:
+        """Advance a sampled batch one step, element ``i`` under
+        ``actions[i]``, with the noise its uniforms give; draws nothing, so
+        the result depends on the batch alone. Overwrites the batch's state
+        arrays and returns the (n, 3) abstraction coordinates (rate, wheel,
+        charge)."""
+        p = self.params
         frac = batch["minutes"] / p.orbit_minutes
         lo, hi = p.sun_window
-        batch["sun"] = ((frac >= lo) & (frac < hi)).astype(np.float64)
-        return batch
-
-    def step_batch(self, batch: dict, action: int, rng) -> np.ndarray:
-        """Advance a sampled batch one step under one action; returns the
-        (n, 3) abstraction coordinates (rate, wheel, charge)."""
-        n = len(batch["rate"])
-        u = rng.random((3, n))
-        noise = ndtri(_PHI_LO + u * _PHI_WIDTH)
-        actions = np.full(n, int(action), dtype=np.int64)
+        sun = ((frac >= lo) & (frac < hi)).astype(np.float64)
+        noise = ndtri(_PHI_LO + batch["u"] * _PHI_WIDTH)
         _kernels.step_batch(
             batch["rate"], batch["wheel"], batch["charge"], batch["err"],
-            batch["sun"], actions, noise[0], noise[1], noise[2], self._par,
+            sun, actions, noise[0], noise[1], noise[2], self._par,
         )
         return np.stack([batch["rate"], batch["wheel"], batch["charge"]], axis=1)

@@ -228,15 +228,16 @@ def estimate_mdp(cfg: ExperimentConfig, partition, mdp_path, report_path):
 
 
 def synthesize_shields(mdp, violation_dfa: Dfa, targets: dict) -> dict:
-    """Build the safety product once, then synthesize and write one shield
-    per ``{path: ShieldConfig}`` entry; returns the shields by kind."""
+    """Build the safety product once, synthesize one shield per
+    ``{path: ShieldConfig}`` entry, then write them; returns the shields by
+    kind."""
     pm = product(mdp, violation_dfa)
-    shields = {}
-    for path, sh_cfg in targets.items():
-        shield = synthesize(pm, sh_cfg)
+    made = {path: synthesize(pm, sh_cfg) for path, sh_cfg in targets.items()}
+    # the product holds the dense transition tensor; free it before writing
+    del pm
+    for path, shield in made.items():
         shield.save(path)
-        shields[sh_cfg.kind] = shield
-    return shields
+    return {shield.kind: shield for shield in made.values()}
 
 
 def make_session(cfg: ExperimentConfig, partition) -> SpacecraftSession:

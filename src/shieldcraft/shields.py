@@ -118,15 +118,6 @@ class Shield:
             return cls.from_json(json.load(fh))
 
 
-def _transition_tensor(pm: ProductMdp) -> np.ndarray:
-    """Dense (A, S, S) transition probabilities of the product."""
-    t = np.zeros((pm.n_actions, pm.n_states, pm.n_states))
-    for (s, a), row in pm.rows.items():
-        for target, p in row:
-            t[a, s, target] += p
-    return t
-
-
 def _final_member(pm: ProductMdp) -> np.ndarray:
     """(S,) indicator of the final (violating) product states."""
     member = np.zeros(pm.n_states, dtype=bool)
@@ -184,7 +175,7 @@ def _assemble(pm, cfg, kind, scores, unsafe, values=None) -> Shield:
 def one_step(pm: ProductMdp, cfg: ShieldConfig) -> Shield:
     """Allow actions keeping the one-step mass into the final (violating)
     product states strictly below the threshold."""
-    scores, _ = _mass_within(_transition_tensor(pm), _final_member(pm), 1)
+    scores, _ = _mass_within(pm.transition_tensor, _final_member(pm), 1)
     return _assemble(pm, cfg, "one", scores, pm.final_states)
 
 
@@ -194,7 +185,7 @@ def two_step(pm: ProductMdp, cfg: ShieldConfig) -> Shield:
     Terminates in at most |S| iterations since the unsafe set can only
     grow.
     """
-    t = _transition_tensor(pm)
+    t = pm.transition_tensor
     unsafe = _final_member(pm)
     for _ in range(pm.n_states + 1):
         scores, _ = _mass_within(t, unsafe, 1)
@@ -205,7 +196,7 @@ def two_step(pm: ProductMdp, cfg: ShieldConfig) -> Shield:
         unsafe = grown
     else:  # pragma: no cover - guarded by the monotone-growth argument
         raise AssertionError("two-step recursion failed to reach a fixed point")
-    scores, _ = _mass_within(t, unsafe, 1)
+    # the fixed point left unsafe unchanged, so the last scores are its own
     return _assemble(pm, cfg, "two", scores, frozenset(np.flatnonzero(unsafe).tolist()))
 
 
@@ -213,7 +204,7 @@ def q_optimal(pm: ProductMdp, cfg: ShieldConfig) -> Shield:
     """Dynamic-programming shield on minimal unsafe-reach probability: the
     action value is the exact probability of reaching the unsafe set
     within ``cfg.horizon`` steps."""
-    scores, v = _mass_within(_transition_tensor(pm), _final_member(pm), cfg.horizon)
+    scores, v = _mass_within(pm.transition_tensor, _final_member(pm), cfg.horizon)
     return _assemble(
         pm, cfg, "q", scores, pm.final_states, values=tuple(float(x) for x in v)
     )

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from shieldcraft import abstraction
 from shieldcraft.abstraction import (
     AbstractionConfig,
     EmptyModelError,
@@ -20,40 +21,30 @@ from shieldcraft.mdp import FiniteMdp
 
 
 class TeleportEnv:
-    """Analytic test simulator: lands uniformly inside a target cell drawn
+    """Analytic test simulator: lands at the centre of a target cell drawn
     from a known per-(cell, action) categorical kernel. Column index
     len(cells) means 'leave the domain'."""
 
-    action_names = ("go",)
     atom_names = ATOM_NAMES
 
     def __init__(self, partition: Partition, kernel: np.ndarray):
         self.partition = partition
         self.kernel = kernel  # (cells, actions, cells+1)
+        self.action_names = tuple(f"go{a}" for a in range(kernel.shape[1]))
+        centres = [[0.5 * (lo + hi) for lo, hi in c.bounds] for c in partition.cells]
+        self.landings = np.array(centres + [[0.0, 0.0, -1.0]])  # exit: charge <= 0
 
     def sample_in_cell(self, bounds, n, rng):
         cell = next(
             c.index for c in self.partition.cells if c.bounds == tuple(bounds)
         )
-        return {"cell": np.full(n, cell), "n": n}
+        return {"cell": np.full(n, cell), "u": rng.random(n)}
 
-    def step_batch(self, batch, action, rng):
-        n = batch["n"]
-        cell = int(batch["cell"][0])
-        weights = self.kernel[cell, action]
-        targets = rng.choice(len(weights), size=n, p=weights)
-        coords = np.empty((n, 3))
-        for i, target in enumerate(targets):
-            if target == len(self.partition.cells):
-                coords[i] = (0.0, 0.0, -1.0)  # exits the domain (charge <= 0)
-            else:
-                b = self.partition.cells[target].bounds
-                coords[i] = (
-                    0.5 * (b[0][0] + b[0][1]),
-                    0.5 * (b[1][0] + b[1][1]),
-                    0.5 * (b[2][0] + b[2][1]),
-                )
-        return coords
+    def step_batch(self, batch, actions):
+        # inverse CDF of each element's kernel row
+        cdf = np.cumsum(self.kernel[batch["cell"], actions], axis=1)
+        targets = (batch["u"][:, None] >= cdf).sum(axis=1)
+        return self.landings[np.minimum(targets, cdf.shape[1] - 1)]
 
 
 def tiny_partition():
@@ -198,6 +189,17 @@ class TestEstimator:
         assert a.rows == b.rows
         assert json.dumps(a.to_json()) == json.dumps(b.to_json())
 
+    def test_chunk_size_does_not_change_the_mdp(self, monkeypatch):
+        env = SpacecraftEnv()
+        partition = make_partition()
+        cfg = AbstractionConfig(50, seed=6)
+        rows = partition.n_cells * len(env.action_names)
+        texts = []
+        for chunk in (cfg.samples_per_cell, rows * cfg.samples_per_cell):  # one row, all rows
+            monkeypatch.setattr(abstraction, "CHUNK_SAMPLES", chunk)
+            texts.append(json.dumps(estimate_transitions(env, partition, cfg).to_json()))
+        assert texts[0] == texts[1]
+
     def test_simulator_failure_annotated(self):
         partition = tiny_partition()
 
@@ -206,33 +208,59 @@ class TestEstimator:
             atom_names = ATOM_NAMES
 
             def sample_in_cell(self, bounds, n, rng):
-                return {}
+                return {"x": np.zeros(n)}
 
-            def step_batch(self, batch, action, rng):
+            def step_batch(self, batch, actions):
                 raise RuntimeError("boom")
 
         with pytest.raises(SimulatorFailureError) as err:
             estimate_transitions(Broken(), partition, AbstractionConfig(10, seed=0))
         assert err.value.state == 0 and err.value.action == 0
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_landing_raises(self, bad):
+    @pytest.mark.parametrize("rows_per_chunk", [1, 8])
+    def test_step_failure_names_its_row(self, rows_per_chunk, monkeypatch):
+        # only the batches holding cell 2 fail; with 8 rows per chunk all
+        # rows share one step_batch call
+        monkeypatch.setattr(abstraction, "CHUNK_SAMPLES", rows_per_chunk * 10)
         partition = tiny_partition()
         m = partition.n_cells
-        kernel = np.zeros((m, 1, m + 1))
+        kernel = np.zeros((m, 2, m + 1))
+        kernel[:, :, 0] = 1.0
+        env = TeleportEnv(partition, kernel)
+        step_batch = env.step_batch
+        sizes = []
+
+        def fail_on_cell_2(batch, actions):
+            sizes.append(len(actions))
+            if (batch["cell"] == 2).any():
+                raise RuntimeError("boom")
+            return step_batch(batch, actions)
+
+        env.step_batch = fail_on_cell_2
+        with pytest.raises(SimulatorFailureError, match="boom") as err:
+            estimate_transitions(env, partition, AbstractionConfig(10, seed=0))
+        assert (err.value.state, err.value.action) == (2, 0)
+        assert sizes[0] == rows_per_chunk * 10
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_landing_raises(self, bad):
+        # the bad landing sits in a middle row of the chunk: cell 2, action 1
+        partition = tiny_partition()
+        m = partition.n_cells
+        kernel = np.zeros((m, 2, m + 1))
         kernel[:, :, 0] = 1.0
         env = TeleportEnv(partition, kernel)
         step_batch = env.step_batch
 
-        def step_then_corrupt(batch, action, rng):
-            coords = step_batch(batch, action, rng)
-            coords[-1, 1] = bad
+        def step_then_corrupt(batch, actions):
+            coords = step_batch(batch, actions)
+            coords[np.flatnonzero((batch["cell"] == 2) & (actions == 1))[-1], 1] = bad
             return coords
 
         env.step_batch = step_then_corrupt
         with pytest.raises(SimulatorFailureError, match="non-finite") as err:
             estimate_transitions(env, partition, AbstractionConfig(10, seed=0))
-        assert err.value.state == 0 and err.value.action == 0
+        assert (err.value.state, err.value.action) == (2, 1)
 
     def test_refinement_sanity(self):
         # doubling the sample count (new seed) moves each entry by less

@@ -218,7 +218,12 @@ class TestSampleInCell:
         assert batch["err"].min() >= lo and batch["err"].max() <= hi
         assert batch["err"].std() > 0.01
         assert set(np.unique(batch["mode"])) == {0, 1, 2, 3}
-        assert 0.5 < batch["sun"].mean() < 0.9  # sunlit fraction of the orbit
+        minutes = batch["minutes"] / env.params.orbit_minutes
+        assert minutes.min() >= 0.0 and minutes.max() < 1.0
+        assert minutes.min() < 0.01 and minutes.max() > 0.99  # the whole orbit
+        # the step's noise uniforms are drawn here too
+        assert batch["u"].shape == (3, 2000)
+        assert 0.0 <= batch["u"].min() and batch["u"].max() < 1.0
 
 
 class TestLabelPartitionConsistency:

@@ -146,5 +146,5 @@ class TestBenchmarkContract:
         env.step(2, rng)
         assert calls == {"step_one": 1, "step_batch": 0}
         cell = ((0.0, 0.0025), (0.2, 0.4), (0.4, 0.6))
-        env.step_batch(env.sample_in_cell(cell, 8, rng), 1, rng)
+        env.step_batch(env.sample_in_cell(cell, 8, rng), np.full(8, 1))
         assert calls == {"step_one": 1, "step_batch": 1}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import min_reach_paths, min_reach_within
+from shieldcraft import mdp as mdp_module
 from shieldcraft.dfa import compile_cosafe
 from shieldcraft.ltl import PropositionTable, parse
 from shieldcraft.mdp import FiniteMdp, product
@@ -373,6 +374,31 @@ class TestSerialization:
         assert {"kind", "p", "allowed", "fallback"} <= set(data)
         assert data["p"] == 0.05
         assert len(data["allowed"]) == pm.n_states
+
+
+class TestSharedTensor:
+    CONFIGS = (
+        ShieldConfig(threshold=0.2, kind="one"),
+        ShieldConfig(threshold=0.2, kind="two"),
+        ShieldConfig(threshold=0.2, kind="q", horizon=4),
+    )
+
+    def test_one_build_shared_by_all_kinds(self, monkeypatch):
+        fresh = [
+            json.dumps(synthesize(random_product(np.random.default_rng(7), max_q=5), cfg).to_json())
+            for cfg in self.CONFIGS
+        ]
+        builds = []
+        build = mdp_module._dense_transitions
+
+        def counting(pm):
+            builds.append(pm)
+            return build(pm)
+
+        monkeypatch.setattr(mdp_module, "_dense_transitions", counting)
+        shared = random_product(np.random.default_rng(7), max_q=5)
+        assert [json.dumps(synthesize(shared, cfg).to_json()) for cfg in self.CONFIGS] == fresh
+        assert len(builds) == 1 and builds[0] is shared
 
 
 class TestRuntime:
