@@ -10,7 +10,7 @@ from .abstraction import (
     make_partition,
 )
 from .dfa import Dfa, compile_cosafe, monitor_product, progress
-from .env import EnvParams, SpacecraftEnv, observe_and_label, proposition_table
+from .env import EnvParams, SpacecraftEnv, label, observation, proposition_table
 from .learner import Discretizer, LearnerConfig, Metrics, evaluate, train
 from .ltl import Fragment, PropositionTable, classify, conjoin, negate, parse
 from .mdp import FiniteMdp, ProductMdp, check_trace, product

@@ -129,9 +129,8 @@ class Partition:
         return np.where(exited, -1, idx)
 
     def locate_one(self, rate: float, wheel: float, charge: float) -> int:
-        """Scalar twin of `locate` for the per-step shield lookup:
-        ``bisect_right`` over the interior edges gives the bins of
-        ``searchsorted(side="right")``."""
+        """Scalar twin of `locate`: ``bisect_right`` over the interior edges
+        gives the bins of ``searchsorted(side="right")``."""
         finite = math.isfinite(rate) and math.isfinite(wheel) and math.isfinite(charge)
         if not finite or rate > RATE_LIMIT or wheel >= WHEEL_LIMIT or charge <= 0.0:
             return -1

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ltl, pipeline
 from .abstraction import PartitionSpec, make_partition
-from .dfa import DEFAULT_STATE_CAP, compile_cosafe, monitor_product
+from .dfa import DEFAULT_STATE_CAP, StateExplosionError, compile_cosafe, monitor_product
 from .env import ATOM_NAMES, RATE_LIMIT, proposition_table
 from .learner import qtable_from_json
 from .ltl import Fragment, PropositionTable, classify, negate, parse
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="formula file")
     p.add_argument("--atoms", help="comma-separated atom order (default: inferred)")
     p.add_argument("--out", help="write DFA JSON here")
-    p.add_argument("--max-states", type=int, default=DEFAULT_STATE_CAP)
+    p.add_argument("--max-states", type=_positive_int, default=DEFAULT_STATE_CAP)
     p.set_defaults(fn=cmd_compile)
 
     p = sub.add_parser("abstract", parents=[run],
@@ -278,7 +278,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ltl.LtlError, CliError, FileNotFoundError, ValueError) as exc:
+    except (ltl.LtlError, CliError, FileNotFoundError, ValueError, StateExplosionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

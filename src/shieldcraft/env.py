@@ -135,12 +135,8 @@ def _in_windows(frac: float, windows) -> bool:
     return False
 
 
-def observe_and_label(state: SpacecraftState) -> tuple[np.ndarray, int]:
-    """Observation vector and the label bitmask over ATOM_NAMES.
-
-    Observation layout: (pointing_error, attitude_rate, wheel_speed,
-    charge, sun, target, mode one-hot x4).
-    """
+def label(state: SpacecraftState) -> int:
+    """The label bitmask over ATOM_NAMES."""
     good_pointing = (
         state.pointing_error < POINTING_TOL
         and state.attitude_rate < RATE_TOL
@@ -157,15 +153,19 @@ def observe_and_label(state: SpacecraftState) -> tuple[np.ndarray, int]:
         mask |= 1 << 3
     if good_pointing and state.mode == 3:
         mask |= 1 << 4
-    obs = np.zeros(10)
-    obs[0] = state.pointing_error
-    obs[1] = state.attitude_rate
-    obs[2] = state.wheel_speed
-    obs[3] = state.charge
-    obs[4] = state.sun
-    obs[5] = state.target
-    obs[6 + state.mode] = 1.0
-    return obs, mask
+    return mask
+
+
+def observation(state: SpacecraftState) -> list[float]:
+    """The observation vector of a recorded trajectory row: (pointing_error,
+    attitude_rate, wheel_speed, charge, sun, target, mode one-hot x4)."""
+    mode = [0.0] * len(MODES)
+    mode[state.mode] = 1.0
+    return [
+        float(state.pointing_error), float(state.attitude_rate),
+        float(state.wheel_speed), float(state.charge),
+        float(state.sun), float(state.target), *mode,
+    ]
 
 
 class SpacecraftEnv:
@@ -207,7 +207,8 @@ class SpacecraftEnv:
 
     # --- episode interface -------------------------------------------------
 
-    def reset(self, rng) -> tuple[np.ndarray, int]:
+    def reset(self, rng) -> int:
+        """Start an episode; returns the labels of the initial state."""
         p = self.params
         self._windows = self._draw_windows(rng)
         err = rng.uniform(*p.init_pointing_error)
@@ -219,10 +220,10 @@ class SpacecraftEnv:
             pointing_error=err, attitude_rate=rate, wheel_speed=wheel,
             charge=charge, sun=sun, target=target, mode=0, minutes=0.0,
         )
-        return observe_and_label(self.state)
+        return label(self.state)
 
-    def step(self, action: int, rng) -> tuple[np.ndarray, int, bool]:
-        """One decision step; returns (observation, labels, failed)."""
+    def step(self, action: int, rng) -> tuple[int, bool]:
+        """One decision step; returns (labels, failed)."""
         st = self.state
         e_w, e_r, e_a = truncated_normal(rng, 3).tolist()
         rate, wheel, charge, err = _kernels.step_one(
@@ -239,12 +240,7 @@ class SpacecraftEnv:
         st.target = target
         st.mode = int(action)
         st.minutes = minutes
-        obs, labels = observe_and_label(st)
-        return obs, labels, is_failure(rate, wheel, charge)
-
-    def coords(self) -> tuple[float, float, float]:
-        st = self.state
-        return st.attitude_rate, st.wheel_speed, st.charge
+        return label(st), is_failure(rate, wheel, charge)
 
     # --- abstraction interface ---------------------------------------------
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import rewards
 from .dfa import Dfa
-from .env import POINTING_TOL, SpacecraftEnv
+from .env import POINTING_TOL, SpacecraftEnv, SpacecraftState, is_failure, observation
 from .rewards import EpisodeEvent, RewardConfig
 
 _TRAIN_STREAM = 2
@@ -65,7 +65,7 @@ class Discretizer:
 
     Bins come from ``bisect_right`` over Python-float edges, which gives
     the bins of ``np.searchsorted(side="right")`` without a numpy call per
-    observation.
+    step. The same bins give the shield's partition cell.
     """
 
     def __init__(self, partition, pointing_edges=(POINTING_TOL, 0.04)):
@@ -85,24 +85,22 @@ class Discretizer:
     def capacity(self) -> int:
         return int(np.prod(self._dims))
 
-    def __call__(self, observation) -> int:
-        err, rate, wheel, charge, sun, target = observation[:6].tolist()
-        ri = bisect_right(self._rate_edges, rate)
-        wi = bisect_right(self._wheel_edges, wheel)
-        ci = bisect_right(self._charge_edges, charge)
-        pi = bisect_right(self.pointing_edges, err)
+    def __call__(self, state: SpacecraftState, failed: bool) -> tuple[int, int]:
+        """(observation index, partition cell) of a state; the cell is -1
+        when ``failed`` (the state left the safe domain)."""
+        ri = bisect_right(self._rate_edges, state.attitude_rate)
+        wi = bisect_right(self._wheel_edges, state.wheel_speed)
+        ci = bisect_right(self._charge_edges, state.charge)
+        pi = bisect_right(self.pointing_edges, state.pointing_error)
         _, nw, nc, np_, _, _ = self._dims
-        idx = ((ri * nw + wi) * nc + ci) * np_ + pi
-        return (idx * 2 + int(sun)) * 2 + int(target)
+        cell = (ri * nw + wi) * nc + ci
+        idx = (cell * np_ + pi) * 2 + state.sun
+        return idx * 2 + state.target, -1 if failed else cell
 
 
-@dataclass
-class StepOutcome:
-    obs_index: int
-    labels: int
-    failed: bool = False
-    observation: np.ndarray | None = None
-    coords: tuple | None = None
+# What the learner reads after a reset or a step: (obs_index, cell, labels,
+# failed), where cell is the shield's partition cell, -1 on domain exit.
+StepOutcome = tuple[int, int, int, bool]
 
 
 class SpacecraftSession:
@@ -113,22 +111,19 @@ class SpacecraftSession:
         self.discretizer = discretizer
         self.n_actions = len(env.action_names)
 
-    def _outcome(self, obs, labels, failed=False) -> StepOutcome:
-        return StepOutcome(
-            obs_index=self.discretizer(obs),
-            labels=labels,
-            failed=failed,
-            observation=obs,
-            coords=self.env.coords(),
-        )
-
     def reset(self, rng) -> StepOutcome:
-        obs, labels = self.env.reset(rng)
-        return self._outcome(obs, labels)
+        labels = self.env.reset(rng)
+        st = self.env.state
+        failed = is_failure(st.attitude_rate, st.wheel_speed, st.charge)
+        return (*self.discretizer(st, failed), labels, failed)
 
     def step(self, action: int, rng) -> StepOutcome:
-        obs, labels, failed = self.env.step(action, rng)
-        return self._outcome(obs, labels, failed)
+        labels, failed = self.env.step(action, rng)
+        return (*self.discretizer(self.env.state, failed), labels, failed)
+
+    def observation(self) -> list[float]:
+        """The current observation vector, for recorded trajectory rows."""
+        return observation(self.env.state)
 
 
 def _q_row(q: dict, key, init_row: list) -> list:
@@ -187,44 +182,41 @@ def train(
         rng = np.random.default_rng([seed, _TRAIN_STREAM, ep])
         anneal = min(1.0, ep / denom)
         epsilon = cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * anneal
-        out = session.reset(rng)
-        init = advance[monitor.z0][out.labels]
+        obs_idx, cell, labels, _failed = session.reset(rng)
+        init = advance[monitor.z0][labels]
         z = init.z_next
         reward_steps = [init.step]
         terminal_event = "horizon"
         if shield_runtime is not None:
-            shield_runtime.reset(out.labels)
+            shield_runtime.reset(labels)
         if init.step.event is sink:
             terminal_event = "sink"
         else:
-            obs_idx = out.obs_index
-            coords = out.coords
             for _t in range(cfg.episode_length):
                 if rng.random() < epsilon:
                     proposed = int(rng.integers(n_actions))
                 else:
                     proposed = _argmax(_q_row(q, (obs_idx, z), init_row))
                 if shield_runtime is not None:
-                    executed = shield_runtime.filter(coords, proposed).action
+                    executed = shield_runtime.filter(cell, proposed).action
                 else:
                     executed = proposed
-                out = session.step(executed, rng)
-                adv = advance[z][out.labels]
+                next_idx, cell, labels, failed = session.step(executed, rng)
+                adv = advance[z][labels]
                 step = adv.step
                 reward_steps.append(step)
-                terminal = step.event is sink or out.failed
+                terminal = step.event is sink or failed
                 target = step.reward
                 if not terminal:
-                    nxt = _q_row(q, (out.obs_index, adv.z_next), init_row)
+                    nxt = _q_row(q, (next_idx, adv.z_next), init_row)
                     target += step.discount * max(nxt)
                 update_action = proposed if credit_proposed else executed
                 row = _q_row(q, (obs_idx, z), init_row)
                 row[update_action] += alpha * (target - row[update_action])
                 if shield_runtime is not None:
-                    shield_runtime.update(out.labels)
+                    shield_runtime.update(labels)
                 z = adv.z_next
-                obs_idx = out.obs_index
-                coords = out.coords
+                obs_idx = next_idx
                 if terminal:
                     terminal_event = "sink" if step.event is sink else "failure"
                     break
@@ -302,24 +294,24 @@ def evaluate(
     trajectories = []
     for ep in range(episodes):
         rng = np.random.default_rng([seed, _EVAL_STREAM, ep])
-        out = session.reset(rng)
-        adv0 = advance[monitor.z0][out.labels]
+        obs_idx, cell, labels, _failed = session.reset(rng)
+        adv0 = advance[monitor.z0][labels]
         z = adv0.z_next
         reward_steps = [adv0.step]
-        zl = delta_l[dfa_liveness.z0][out.labels]
-        zv = delta_v[dfa_violation.z0][out.labels]
+        zl = delta_l[dfa_liveness.z0][labels]
+        zv = delta_v[dfa_violation.z0][labels]
         first_sat = 0 if zl in accept_l else None
         first_viol = 0 if zv in accept_v else None
         if shield_runtime is not None:
-            shield_runtime.reset(out.labels)
+            shield_runtime.reset(labels)
         interventions = 0
         failed = False
         steps = 0
         trajectory = None
         if ep < record_trajectories:
-            trajectory = [_trajectory_row(0, None, out, adv0.step.reward, z, False)]
-        obs_idx = out.obs_index
-        coords = out.coords
+            trajectory = [
+                _trajectory_row(0, None, session.observation(), labels, adv0.step.reward, z, False)
+            ]
         for t in range(episode_length):
             key = (obs_idx, z)
             proposed = greedy.get(key)
@@ -328,13 +320,12 @@ def evaluate(
             intervened = False
             executed = proposed
             if shield_runtime is not None:
-                decision = shield_runtime.filter(coords, proposed)
+                decision = shield_runtime.filter(cell, proposed)
                 executed = decision.action
                 intervened = decision.intervened
                 interventions += int(intervened)
-            out = session.step(executed, rng)
+            obs_idx, cell, labels, failed = session.step(executed, rng)
             steps = t + 1
-            labels = out.labels
             adv = advance[z][labels]
             reward_steps.append(adv.step)
             zl = delta_l[zl][labels]
@@ -346,14 +337,12 @@ def evaluate(
             if shield_runtime is not None:
                 shield_runtime.update(labels)
             z = adv.z_next
-            obs_idx = out.obs_index
-            coords = out.coords
             if trajectory is not None:
-                trajectory.append(
-                    _trajectory_row(steps, executed, out, adv.step.reward, z, intervened)
-                )
-            if out.failed:
-                failed = True
+                trajectory.append(_trajectory_row(
+                    steps, executed, session.observation(), labels, adv.step.reward, z,
+                    intervened,
+                ))
+            if failed:
                 break
         records.append(
             EpisodeRecord(
@@ -375,13 +364,12 @@ def evaluate(
     )
 
 
-def _trajectory_row(step, mode, out: StepOutcome, reward, z, intervened):
-    obs = out.observation
+def _trajectory_row(step, mode, obs: list[float], labels, reward, z, intervened):
     return {
         "step": step,
         "mode": mode,
-        "observation": None if obs is None else [float(x) for x in obs],
-        "labels": out.labels,
+        "observation": obs,
+        "labels": labels,
         "reward": reward,
         "dfa_state": z,
         "intervened": bool(intervened),

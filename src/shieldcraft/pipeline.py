@@ -99,8 +99,24 @@ class ExperimentConfig:
         for kind in self.shield_kinds:
             if kind not in SHIELD_KINDS:
                 raise ValueError(f"unknown shield kind {kind!r}")
-        if "q" in self.shield_kinds and self.shield_horizon is None:
-            raise ValueError("shield_kinds includes 'q', which needs a shield_horizon")
+        # ShieldConfig holds the threshold and horizon rules; "one" checks
+        # both even when the run synthesizes no shield
+        try:
+            for kind in ("one", *self.shield_kinds):
+                if kind != "none":
+                    self.shield_config(kind)
+        except ValueError as exc:
+            raise ValueError(f"shield_{exc}") from None
+        for name in ("eval_episodes", "inloop_train_episodes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.record_trajectories < 0:
+            raise ValueError(f"record_trajectories must be >= 0, got {self.record_trajectories}")
+
+    def shield_config(self, kind: str) -> ShieldConfig:
+        return ShieldConfig(
+            threshold=self.shield_threshold, kind=kind, horizon=self.shield_horizon
+        )
 
 
 def default_config(task: str, seed: int = 0) -> ExperimentConfig:
@@ -392,9 +408,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
 
     with _stage("shields"):
         targets = {
-            out_dir / f"shield_{kind}.json": ShieldConfig(
-                threshold=cfg.shield_threshold, kind=kind, horizon=cfg.shield_horizon
-            )
+            out_dir / f"shield_{kind}.json": cfg.shield_config(kind)
             for kind in cfg.shield_kinds
             if kind != "none"
         }

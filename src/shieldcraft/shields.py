@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,14 +42,16 @@ class ShieldConfig:
     horizon: int | None = None  # steps of bounded reachability; q-optimal only
 
     def __post_init__(self):
+        # the threshold and horizon messages start with the field's name;
+        # ExperimentConfig prefixes them with "shield_" to name its fields
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
         if self.kind not in ("one", "two", "q"):
             raise ValueError(f"unknown shield kind {self.kind!r}")
         if self.horizon is not None and self.horizon < 1:
-            raise ValueError("horizon must be a positive step count or None")
+            raise ValueError(f"horizon must be a positive step count or None, got {self.horizon}")
         if self.kind == "q" and self.horizon is None:
-            raise ValueError("a q shield needs a horizon (a positive step count), got None")
+            raise ValueError("horizon is required by a q shield (a positive step count), got None")
 
 
 @dataclass(frozen=True)
@@ -72,15 +75,23 @@ class Shield:
     def n_states(self) -> int:
         return len(self.allowed)
 
+    @cached_property
+    def _decisions(self) -> tuple[tuple[FilterDecision, ...], ...]:
+        """The decision per (product state, proposed action): pass an
+        allowed action through, else take the allowed action with the least
+        (score, index), else the state's fallback. Built on the first
+        filter call, not during synthesis."""
+        n_a = len(self.scores[0])
+        keep = [FilterDecision(a, False) for a in range(n_a)]
+        swap = [FilterDecision(a, True) for a in range(n_a)]
+        table = []
+        for allowed, row, fallback in zip(self.allowed, self.scores, self.fallback):
+            best = min(allowed, key=lambda a: (row[a], a)) if allowed else fallback
+            table.append(tuple(keep[a] if a in allowed else swap[best] for a in range(n_a)))
+        return tuple(table)
+
     def filter(self, s: int, proposed: int) -> FilterDecision:
-        allowed = self.allowed[s]
-        if proposed in allowed:
-            return FilterDecision(proposed, False)
-        if allowed:
-            row = self.scores[s]
-            best = min(allowed, key=lambda a: (row[a], a))
-            return FilterDecision(best, True)
-        return FilterDecision(self.fallback[s], True)
+        return self._decisions[s][proposed]
 
     def to_json(self) -> dict:
         return {
@@ -220,7 +231,8 @@ def synthesize(pm: ProductMdp, cfg: ShieldConfig) -> Shield:
 
 class ShieldRuntime:
     """Deployable filter: tracks the violation automaton alongside the
-    flight state and maps (cell, automaton state) to shield entries."""
+    flight state and maps (partition cell, automaton state) to shield
+    entries; cell -1 (domain exit) maps to the exit state."""
 
     def __init__(self, shield: Shield, violation_dfa, partition):
         expected = (partition.n_cells + 1) * violation_dfa.n_states
@@ -232,7 +244,6 @@ class ShieldRuntime:
             )
         self.shield = shield
         self.dfa = violation_dfa
-        self.partition = partition
         self.z = violation_dfa.z0
         self._delta = violation_dfa.delta.tolist()
         self._n_z = violation_dfa.n_states
@@ -244,11 +255,10 @@ class ShieldRuntime:
     def update(self, labels: int):
         self.z = self._delta[self.z][labels]
 
-    def product_state(self, rate: float, wheel: float, charge: float) -> int:
-        q = self.partition.locate_one(rate, wheel, charge)
-        if q < 0:
-            q = self._exit_cell
-        return q * self._n_z + self.z
+    def product_state(self, cell: int) -> int:
+        if cell < 0:
+            cell = self._exit_cell
+        return cell * self._n_z + self.z
 
-    def filter(self, coords, proposed: int) -> FilterDecision:
-        return self.shield.filter(self.product_state(*coords), proposed)
+    def filter(self, cell: int, proposed: int) -> FilterDecision:
+        return self.shield.filter(self.product_state(cell), proposed)

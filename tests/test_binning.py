@@ -1,8 +1,8 @@
-"""The scalar binning on the episode path (``Discretizer.__call__`` and
-``Partition.locate_one``, both ``bisect_right`` over Python floats) must
-give the bins of the vectorized ``Partition.locate`` and of
-``np.searchsorted(side="right")``, at random points and exactly on every
-interior edge."""
+"""The scalar binning on the episode path (``Discretizer.__call__``, whose
+observation index and shield cell come from ``bisect_right`` over Python
+floats) and ``Partition.locate_one`` must give the bins of the vectorized
+``Partition.locate`` and of ``np.searchsorted(side="right")``, at random
+points and exactly on every interior edge."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shieldcraft.abstraction import PartitionSpec, make_partition
+from shieldcraft.env import SpacecraftState, is_failure
 from shieldcraft.learner import Discretizer
 
 PARTITIONS = {
@@ -47,10 +48,17 @@ def searchsorted_obs_index(partition, obs) -> int:
 
 def check_point(partition, err, rate, wheel, charge, sun=1, target=0):
     obs = np.array([err, rate, wheel, charge, sun, target, 1.0, 0.0, 0.0, 0.0])
-    index = Discretizer(partition, POINTING_EDGES)(obs)
+    st = SpacecraftState(
+        pointing_error=err, attitude_rate=rate, wheel_speed=wheel, charge=charge,
+        sun=sun, target=target, mode=0, minutes=0.0,
+    )
+    index, shield_cell = Discretizer(partition, POINTING_EDGES)(
+        st, is_failure(rate, wheel, charge)
+    )
     assert index == searchsorted_obs_index(partition, obs)
     cell = int(partition.locate(np.array([[rate, wheel, charge]]))[0])
     assert partition.locate_one(rate, wheel, charge) == cell
+    assert shield_cell == cell
     if cell >= 0:
         # the discretizer's safety part is the partition cell
         assert index // (4 * (len(POINTING_EDGES) + 1)) == cell

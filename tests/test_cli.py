@@ -108,6 +108,20 @@ class TestCompileCommand:
         assert json.loads(out.read_text())["atoms"] == ["p1", "p0"]
 
 
+    def test_state_cap_exceeded_is_an_error(self, tmp_path, capsys):
+        spec = tmp_path / "chain.ltl"
+        spec.write_text("F (p3 & X F (p4 & X F p3))\n")
+        assert main(["compile", "--spec", str(spec), "--max-states", "2"]) == 1
+        assert "error: progression exceeded the configured state cap (2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_rejects_non_positive_max_states(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", "--spec", str(SPECS / "imaging_once.ltl"), "--max-states", value])
+        assert exc.value.code == 2
+        assert "--max-states" in capsys.readouterr().err
+
+
 class TestToolCommands:
     def test_abstract_then_shield(self, tmp_path, capsys):
         mdp_path = tmp_path / "mdp.json"
@@ -481,3 +495,21 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match="shield_horizon"):
             ExperimentConfig(shield_kinds=("q",))
         assert ExperimentConfig(shield_kinds=("none", "q"), shield_horizon=5).shield_horizon == 5
+
+    @pytest.mark.parametrize("overrides, name", [
+        ({"shield_threshold": 1.5, "shield_kinds": ("one",)}, "shield_threshold"),
+        ({"shield_threshold": 0.0}, "shield_threshold"),
+        ({"shield_horizon": 0}, "shield_horizon"),
+        ({"eval_episodes": 0}, "eval_episodes"),
+        ({"inloop_train_episodes": 0}, "inloop_train_episodes"),
+        ({"record_trajectories": -1}, "record_trajectories"),
+    ])
+    def test_bad_values_fail_at_construction(self, overrides, name):
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(**overrides)
+
+    def test_bad_values_in_a_loaded_config_fail_by_name(self):
+        data = config_to_dict(default_config("complex"))
+        data["shield_threshold"] = 1.5
+        with pytest.raises(ValueError, match="shield_threshold"):
+            config_from_dict(data)

@@ -7,7 +7,8 @@ from shieldcraft.env import (
     SpacecraftEnv,
     SpacecraftState,
     is_failure,
-    observe_and_label,
+    label,
+    observation,
     proposition_table,
     truncated_normal,
 )
@@ -22,34 +23,35 @@ def state(err=0.05, rate=0.001, wheel=0.5, charge=0.6, sun=1, target=1, mode=0, 
 
 class TestObserveAndLabel:
     def test_good_image_mode_a(self):
-        obs, labels = observe_and_label(state(err=0.005, rate=0.001, mode=2))
+        obs = observation(state(err=0.005, rate=0.001, mode=2))
+        labels = label(state(err=0.005, rate=0.001, mode=2))
         assert labels == (1 << 0) | (1 << 3)  # p0 and p3
         assert obs[0] == 0.005 and obs[6 + 2] == 1.0
 
     def test_good_image_mode_b(self):
-        _obs, labels = observe_and_label(state(err=0.005, rate=0.001, mode=3))
+        labels = label(state(err=0.005, rate=0.001, mode=3))
         assert labels == (1 << 0) | (1 << 4)
 
     def test_low_charge(self):
-        _obs, labels = observe_and_label(state(charge=0.15))
+        labels = label(state(charge=0.15))
         assert labels & (1 << 1)
 
     def test_high_wheel(self):
-        _obs, labels = observe_and_label(state(wheel=0.85))
+        labels = label(state(wheel=0.85))
         assert labels & (1 << 2)
 
     def test_no_target_access_blocks_imaging_labels(self):
-        _obs, labels = observe_and_label(state(err=0.005, rate=0.001, mode=2, target=0))
+        labels = label(state(err=0.005, rate=0.001, mode=2, target=0))
         assert labels & 0b11001 == 0
 
     def test_quality_gates(self):
-        _obs, labels = observe_and_label(state(err=0.009, rate=0.001, mode=2))
+        labels = label(state(err=0.009, rate=0.001, mode=2))
         assert not labels & 1
-        _obs, labels = observe_and_label(state(err=0.005, rate=0.003, mode=2))
+        labels = label(state(err=0.005, rate=0.003, mode=2))
         assert not labels & 1
 
     def test_non_imaging_mode_never_images(self):
-        _obs, labels = observe_and_label(state(err=0.001, rate=0.0001, mode=0))
+        labels = label(state(err=0.001, rate=0.0001, mode=0))
         assert not labels & 0b11001
 
 
@@ -149,8 +151,8 @@ class TestDynamics:
             env.reset(rng)
             trace = []
             for t in range(40):
-                obs, labels, failed = env.step(t % 4, rng)
-                trace.append((tuple(obs), labels, failed))
+                labels, failed = env.step(t % 4, rng)
+                trace.append((tuple(observation(env.state)), labels, failed))
             return trace
 
         assert run(7) == run(7)
@@ -241,7 +243,7 @@ class TestLabelPartitionConsistency:
                 charge=rng.uniform(1e-6, 1.0),
                 mode=int(rng.integers(4)),
             )
-            _obs, labels = observe_and_label(st)
+            labels = label(st)
             cell = partition.locate_one(st.attitude_rate, st.wheel_speed, st.charge)
             assert cell >= 0
             assert labels & safety_mask == partition.cells[cell].label

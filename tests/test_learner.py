@@ -3,12 +3,11 @@ import pytest
 
 from shieldcraft.abstraction import make_partition
 from shieldcraft.dfa import compile_cosafe
-from shieldcraft.env import SpacecraftEnv, proposition_table
+from shieldcraft.env import SpacecraftEnv, SpacecraftState, proposition_table
 from shieldcraft.learner import (
     Discretizer,
     LearnerConfig,
     SpacecraftSession,
-    StepOutcome,
     evaluate,
     qtable_from_json,
     qtable_to_json,
@@ -32,29 +31,36 @@ class ToggleEnv:
 
     def reset(self, rng):
         self.state = 0
-        return StepOutcome(obs_index=0, labels=0)
+        return 0, 0, 0, False  # (obs_index, cell, labels, failed)
 
     def step(self, action, rng):
         if action == 0:
             self.state = 1 - self.state
         labels = 1 if self.state == 1 else 0
-        return StepOutcome(obs_index=self.state, labels=labels)
+        return self.state, 0, labels, False
+
+
+def flight_state(err, rate, wheel, charge, sun, target, mode=0):
+    return SpacecraftState(
+        pointing_error=err, attitude_rate=rate, wheel_speed=wheel, charge=charge,
+        sun=sun, target=target, mode=mode, minutes=0.0,
+    )
 
 
 class TestDiscretizer:
     def test_same_bin_same_index(self):
         partition = make_partition()
         d = Discretizer(partition)
-        obs1 = np.array([0.05, 0.001, 0.45, 0.65, 1, 0, 1, 0, 0, 0])
-        obs2 = np.array([0.06, 0.0012, 0.48, 0.70, 1, 0, 0, 1, 0, 0])
-        assert d(obs1) == d(obs2)
+        obs1 = flight_state(0.05, 0.001, 0.45, 0.65, 1, 0, mode=0)
+        obs2 = flight_state(0.06, 0.0012, 0.48, 0.70, 1, 0, mode=1)
+        assert d(obs1, False) == d(obs2, False)
 
     def test_wheel_region_edge_splits_bins(self):
         partition = make_partition()
         d = Discretizer(partition)
-        low = np.array([0.05, 0.001, 0.79, 0.65, 1, 0, 1, 0, 0, 0])
-        high = np.array([0.05, 0.001, 0.81, 0.65, 1, 0, 1, 0, 0, 0])
-        assert d(low) != d(high)
+        low = flight_state(0.05, 0.001, 0.79, 0.65, 1, 0)
+        high = flight_state(0.05, 0.001, 0.81, 0.65, 1, 0)
+        assert d(low, False) != d(high, False)
 
     def test_index_range_under_capacity(self):
         partition = make_partition()
@@ -62,14 +68,15 @@ class TestDiscretizer:
         assert d.capacity == 4 * 5 * 5 * 3 * 2 * 2
         rng = np.random.default_rng(0)
         for _ in range(10_000):
-            obs = np.zeros(10)
-            obs[0] = rng.uniform(0, 0.3)
-            obs[1] = rng.uniform(0, 0.02)
-            obs[2] = rng.uniform(0, 1.2)
-            obs[3] = rng.uniform(0, 1.0)
-            obs[4] = rng.integers(0, 2)
-            obs[5] = rng.integers(0, 2)
-            idx = d(obs)
+            obs = flight_state(
+                err=rng.uniform(0, 0.3),
+                rate=rng.uniform(0, 0.02),
+                wheel=rng.uniform(0, 1.2),
+                charge=rng.uniform(0, 1.0),
+                sun=int(rng.integers(0, 2)),
+                target=int(rng.integers(0, 2)),
+            )
+            idx, _cell = d(obs, False)
             assert 0 <= idx < d.capacity
 
 
@@ -140,13 +147,13 @@ class FailingEnv:
     n_actions = 3
 
     def reset(self, rng):
-        return StepOutcome(obs_index=0, labels=0)
+        return 0, 0, 0, False  # (obs_index, cell, labels, failed)
 
     def step(self, action, rng):
         if action == 2:
-            return StepOutcome(obs_index=0, labels=0, failed=True)
+            return 0, 0, 0, True
         labels = (1 << 1) if action == 1 else 0
-        return StepOutcome(obs_index=0, labels=labels)
+        return 0, 0, labels, False
 
 
 class TestEpisodeTermination:
@@ -242,9 +249,9 @@ class TestShieldInLoop:
         executed_log = []
 
         class SpyRuntime(ShieldRuntime):
-            def filter(self, coords, proposed):
-                decision = super().filter(coords, proposed)
-                s = self.product_state(*coords)
+            def filter(self, cell, proposed):
+                decision = super().filter(cell, proposed)
+                s = self.product_state(cell)
                 executed_log.append((s, decision.action))
                 return decision
 
@@ -258,6 +265,40 @@ class TestShieldInLoop:
         for s, action in executed_log:
             assert action in shield.allowed[s] or action == shield.fallback[s]
 
+    def test_reset_outside_the_domain_gets_the_exit_cell(self):
+        from shieldcraft.env import EnvParams
+        from shieldcraft.shields import ShieldRuntime
+
+        partition, violation, shield = self._spacecraft_setup()
+        liveness = compile_cosafe(parse("F p0", proposition_table()), proposition_table())
+        env = SpacecraftEnv(EnvParams(init_rate=(0.011, 0.012)))  # above RATE_LIMIT
+        first_filters = []
+
+        class SpyRuntime(ShieldRuntime):
+            def reset(self, labels):
+                super().reset(labels)
+                self.first = True
+
+            def filter(self, cell, proposed):
+                if self.first:
+                    st = env.state
+                    coords = np.array([[st.attitude_rate, st.wheel_speed, st.charge]])
+                    located = int(partition.locate(coords)[0])
+                    first_filters.append((located, self.product_state(cell), self.z))
+                    self.first = False
+                return super().filter(cell, proposed)
+
+        session = SpacecraftSession(env, Discretizer(partition))
+        cfg = LearnerConfig(episodes=5, episode_length=3)
+        train(
+            session, liveness, cfg, RewardConfig(), seed=0,
+            shield_runtime=SpyRuntime(shield, violation, partition),
+        )
+        assert len(first_filters) == 5
+        for located, s, z in first_filters:
+            assert located == -1
+            assert s == partition.n_cells * violation.n_states + z
+
     def test_proposed_update_mode_credits_proposal(self):
         # with update_on="proposed", a corrected action's outcome is
         # credited to the proposed action's entry
@@ -270,7 +311,7 @@ class TestShieldInLoop:
             def update(self, labels):
                 pass
 
-            def filter(self, coords, proposed):
+            def filter(self, cell, proposed):
                 return FilterDecision(1, proposed != 1)  # force action 1
 
         dfa = compile_cosafe(parse("F p0", T1), T1)

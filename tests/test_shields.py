@@ -325,6 +325,61 @@ class TestFilter:
         assert shield.fallback[s_bad] == 1  # action 1 returns to the clean region
 
 
+def reference_decision(shield, s, proposed):
+    """The filter rule computed per call: pass an allowed action through,
+    else take the allowed action with the least (score, index), else the
+    state's fallback."""
+    allowed = shield.allowed[s]
+    if proposed in allowed:
+        return proposed, False
+    if allowed:
+        row = shield.scores[s]
+        return min(allowed, key=lambda a: (row[a], a)), True
+    return shield.fallback[s], True
+
+
+class TestDecisionTable:
+    def test_table_equals_the_filter_rule(self):
+        rng = np.random.default_rng(11)
+        empty = 0
+        for _ in range(100):
+            pm = random_product(rng)
+            p = float(rng.uniform(0.02, 0.5))
+            configs = (
+                ShieldConfig(threshold=p, kind="one"),
+                ShieldConfig(threshold=p, kind="two"),
+                ShieldConfig(threshold=p, kind="q", horizon=int(rng.integers(1, 5))),
+            )
+            for cfg in configs:
+                shield = synthesize(pm, cfg)
+                for s in range(shield.n_states):
+                    empty += not shield.allowed[s]
+                    for a in range(pm.n_actions):
+                        decision = shield.filter(s, a)
+                        assert (decision.action, decision.intervened) == reference_decision(
+                            shield, s, a
+                        )
+        assert empty  # the fallback branch was reached
+
+    def test_score_ties_go_to_the_lower_index(self):
+        shield = Shield(
+            kind="one", threshold=0.5, horizon=None, allowed=((1, 2),), fallback=(0,),
+            scores=((0.9, 0.1, 0.1),), unsafe_states=frozenset(),
+        )
+        assert shield.filter(0, 0).action == 1
+        assert shield.filter(0, 2).action == 2
+
+    def test_built_once_on_first_use_and_shared_by_runtimes(self):
+        rows = {(0, 0): ((1, 0.5), (0, 0.5)), (1, 0): ((1, 1.0),)}
+        pm = product_from_rows(rows, [0, 1], 1)
+        shield = one_step(pm, ShieldConfig(threshold=0.05, kind="one"))
+        assert "_decisions" not in vars(shield)  # synthesis builds no table
+        shield.filter(0, 0)
+        table = vars(shield)["_decisions"]
+        shield.filter(1, 0)
+        assert vars(shield)["_decisions"] is table
+
+
 class TestMatrixOracle:
     def test_thousand_random_instances(self, rng):
         for _ in range(1000):
@@ -419,7 +474,7 @@ class TestRuntime:
         assert runtime.z == violation.z0
         runtime.update(1 << 2)  # p2 fires
         assert runtime.z in violation.accepting
-        s = runtime.product_state(0.001, 0.9, 0.5)
+        s = runtime.product_state(int(partition.locate(np.array([[0.001, 0.9, 0.5]]))[0]))
         assert s % violation.n_states == runtime.z
 
     def test_config_validation(self):
