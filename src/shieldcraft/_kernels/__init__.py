@@ -28,11 +28,17 @@ def step_batch(rate, wheel, charge, err, sun, action, e_w, e_r, e_a, par):
     err[:] = np.maximum(0.0, (e_keep * err + e_drift) + e_noise * e_a)
 
 
-def step_one(rate, wheel, charge, err, sun, action, e_w, e_r, e_a, par):
-    """Scalar step; returns (rate, wheel, charge, err)."""
-    # one slice takes the action's column of the ten rows as Python floats
+def action_rows(par):
+    """The ten coefficients of each action, in ``par``'s row order, as the
+    tuples `step_one` takes; built once per environment."""
+    return [tuple(par[action::4].tolist()) for action in range(4)]
+
+
+def step_one(rate, wheel, charge, err, sun, coef, e_w, e_r, e_a):
+    """Scalar step under one action, whose coefficients ``coef`` are its
+    row of `action_rows`; returns (rate, wheel, charge, err)."""
     (gain, drain, w_drift, w_noise, r_pull, r_target, r_noise,
-     e_keep, e_drift, e_noise) = par[action::4].tolist()
+     e_keep, e_drift, e_noise) = coef
     charge = min(1.0, (charge + gain * sun) - drain)
     wheel = max(0.0, (wheel + w_drift) + w_noise * e_w)
     rate = max(0.0, (rate + r_pull * (r_target - rate)) + r_noise * e_r)

@@ -52,8 +52,9 @@ CHARGE_FLOOR = 0.2    # p1 region boundary
 WHEEL_CEIL = 0.8      # p2 region boundary
 
 _NOISE_CLIP = 3.0
-_PHI_LO = ndtr(-_NOISE_CLIP)
-_PHI_WIDTH = ndtr(_NOISE_CLIP) - ndtr(-_NOISE_CLIP)
+# Python floats, so the per-step scalar draw makes no numpy scalar op
+_PHI_LO = float(ndtr(-_NOISE_CLIP))
+_PHI_WIDTH = float(ndtr(_NOISE_CLIP) - ndtr(-_NOISE_CLIP))
 
 
 def proposition_table() -> PropositionTable:
@@ -114,11 +115,12 @@ class SpacecraftState:
     minutes: float
 
 
-def truncated_normal(rng, n: int) -> np.ndarray:
+def truncated_normal(rng, n: int) -> list[float]:
     """Standard normal truncated to +-3 sigma via inverse CDF; one uniform
-    draw per sample, so the stream layout is schedule-independent."""
-    u = rng.random(n)
-    return ndtri(_PHI_LO + u * _PHI_WIDTH)
+    draw per sample, so the stream layout is schedule-independent. Each
+    sample is computed on Python floats, with the same IEEE operations as
+    the array expression in `SpacecraftEnv.step_batch`."""
+    return [float(ndtri(_PHI_LO + u * _PHI_WIDTH)) for u in rng.random(n).tolist()]
 
 
 def is_failure(rate: float, wheel: float, charge: float) -> bool:
@@ -182,6 +184,7 @@ class SpacecraftEnv:
     def __init__(self, params: EnvParams | None = None):
         self.params = params or EnvParams()
         self._par = self.params.param_vector()
+        self._coef = _kernels.action_rows(self._par)
         self._windows = self.params.target_windows
         self.state: SpacecraftState | None = None
 
@@ -225,10 +228,10 @@ class SpacecraftEnv:
     def step(self, action: int, rng) -> tuple[int, bool]:
         """One decision step; returns (labels, failed)."""
         st = self.state
-        e_w, e_r, e_a = truncated_normal(rng, 3).tolist()
+        e_w, e_r, e_a = truncated_normal(rng, 3)
         rate, wheel, charge, err = _kernels.step_one(
             st.attitude_rate, st.wheel_speed, st.charge, st.pointing_error,
-            float(st.sun), int(action), e_w, e_r, e_a, self._par,
+            float(st.sun), self._coef[action], e_w, e_r, e_a,
         )
         minutes = st.minutes + self.params.step_minutes
         sun, target = self._access(minutes, self._windows)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
+from shieldcraft import env as env_mod
 from shieldcraft.abstraction import make_partition
 from shieldcraft.env import (
     EnvParams,
@@ -251,6 +253,15 @@ class TestLabelPartitionConsistency:
 
 class TestTruncatedNormal:
     def test_clipped_at_three_sigma(self):
-        draws = truncated_normal(np.random.default_rng(0), 100_000)
+        draws = np.asarray(truncated_normal(np.random.default_rng(0), 100_000))
         assert draws.min() >= -3.0 and draws.max() <= 3.0
         assert abs(draws.mean()) < 0.02
+
+    def test_scalar_draw_matches_batch_expression_bitwise(self):
+        """The per-step draw and `SpacecraftEnv.step_batch`'s array
+        expression turn the same uniforms into the same bits."""
+        n = 100_000
+        draws = truncated_normal(np.random.default_rng(5), n)
+        u = np.random.default_rng(5).random(n)
+        batch = ndtri(env_mod._PHI_LO + u * env_mod._PHI_WIDTH)
+        assert np.array_equal(np.asarray(draws).view(np.uint64), batch.view(np.uint64))

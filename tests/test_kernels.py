@@ -69,11 +69,17 @@ def _run(inputs, par):
     return rate, wheel, charge, err
 
 
+def _step_one(rate, wheel, charge, err, sun, action, e_w, e_r, e_a, par):
+    """`step_one` under ``action``, with the coefficients read from ``par``."""
+    coef = _kernels.action_rows(par)[action]
+    return _kernels.step_one(rate, wheel, charge, err, sun, coef, e_w, e_r, e_a)
+
+
 class TestHandComputedSteps:
     def test_step_one(self):
         par = EnvParams().param_vector()
         for args, expected in HAND_STEPS:
-            got = _kernels.step_one(*args, par)
+            got = _step_one(*args, par)
             assert got == pytest.approx(expected, abs=1e-15), args
             # clamped coordinates are exact
             for g, e in zip(got, expected):
@@ -98,7 +104,7 @@ class TestPureLane:
         inputs = _random_inputs(rng, 32)
         batch = _run(inputs, par)
         for i in range(32):
-            one = _kernels.step_one(
+            one = _step_one(
                 inputs["rate"][i], inputs["wheel"][i], inputs["charge"][i],
                 inputs["err"][i], inputs["sun"][i], int(inputs["action"][i]),
                 inputs["e_w"][i], inputs["e_r"][i], inputs["e_a"][i], par,
@@ -109,12 +115,12 @@ class TestPureLane:
         par = EnvParams().param_vector()
         # dumping from a low wheel speed cannot go negative; charging a
         # full battery stays at 1
-        rate, wheel, charge, err = _kernels.step_one(
+        rate, wheel, charge, err = _step_one(
             0.0, 0.01, 1.0, 0.0, 1.0, 1, 0.0, -3.0, -3.0, par,
         )
         assert wheel == 0.0
         assert rate == 0.0 and err == 0.0
-        rate, wheel, charge, err = _kernels.step_one(
+        rate, wheel, charge, err = _step_one(
             0.005, 0.5, 0.999, 0.05, 1.0, 0, 0.0, 0.0, 0.0, par,
         )
         assert charge == 1.0

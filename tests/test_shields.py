@@ -1,10 +1,18 @@
 import json
+import mmap
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import min_reach_paths, min_reach_within
+import shieldcraft
 from shieldcraft import mdp as mdp_module
+from shieldcraft import pipeline
 from shieldcraft.dfa import compile_cosafe
 from shieldcraft.ltl import PropositionTable, parse
 from shieldcraft.mdp import FiniteMdp, product
@@ -454,6 +462,91 @@ class TestSharedTensor:
         shared = random_product(np.random.default_rng(7), max_q=5)
         assert [json.dumps(synthesize(shared, cfg).to_json()) for cfg in self.CONFIGS] == fresh
         assert len(builds) == 1 and builds[0] is shared
+
+
+# Builds a 2 x 2048 x 2048 tensor (67 MB) in a fresh process and prints
+# how much of it became resident. Each base state moves to itself or a
+# neighbour, so a product row's entries fall on one or two of its four
+# 4 KiB pages.
+RSS_SCRIPT = """
+from shieldcraft.dfa import compile_cosafe
+from shieldcraft.ltl import PropositionTable, parse
+from shieldcraft.mdp import FiniteMdp, product
+
+def vm_rss():
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) * 1024
+
+n = 1024
+rows = {}
+for q in range(n):
+    targets = sorted(((q - 1) % n, q, (q + 1) % n))
+    rows[(q, 0)] = tuple(zip(targets, (0.25, 0.5, 0.25)))
+    rows[(q, 1)] = ((q, 1.0),)
+table = PropositionTable(("p0",))
+base = FiniteMdp(n, ("a0", "a1"), rows, tuple(int(q % 7 == 0) for q in range(n)), table.names)
+pm = product(base, compile_cosafe(parse("F p0", table), table))
+before = vm_rss()
+t = pm.transition_tensor
+print((vm_rss() - before) / t.nbytes, t.nbytes)
+"""
+
+
+def _mapping(t):
+    """The buffer under the tensor's views."""
+    while isinstance(t, (np.ndarray, memoryview)):
+        t = t.obj if isinstance(t, memoryview) else t.base
+    return t
+
+
+class TestMappedTensor:
+    def test_equals_zeros_scatter(self):
+        repeated = product_from_rows(
+            {(0, 0): ((0, 0.25), (0, 0.25), (1, 0.5)), (1, 0): ((1, 1.0),)}, [0, 1], 1
+        )
+        rng = np.random.default_rng(11)
+        for pm in [repeated] + [random_product(rng, max_q=5) for _ in range(20)]:
+            t = pm.transition_tensor
+            ref = np.zeros((pm.n_actions, pm.n_states, pm.n_states))
+            for (s, a), row in pm.rows.items():
+                for target, p in row:
+                    ref[a, s, target] += p
+            assert isinstance(_mapping(t), mmap.mmap)
+            assert t.shape == ref.shape and t.dtype == ref.dtype
+            assert t.flags.c_contiguous and t.flags.writeable
+            assert t.tobytes() == ref.tobytes()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads VmRSS from /proc/self/status")
+    def test_untouched_pages_stay_unbacked(self):
+        src = str(Path(shieldcraft.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        out = subprocess.run([sys.executable, "-c", RSS_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        growth, nbytes = out.split()
+        assert int(nbytes) >= 64 * 2**20
+        assert float(growth) < 0.75
+
+    def test_mapping_released_when_synthesis_drops_the_product(self, monkeypatch, tmp_path):
+        pm = random_product(np.random.default_rng(3), max_q=5)
+        mdp, dfa = pm.base, pm.dfa
+        del pm
+        mappings = []
+        build = mdp_module._dense_transitions
+
+        def recording(pm):
+            t = build(pm)
+            mappings.append(weakref.ref(_mapping(t)))
+            return t
+
+        monkeypatch.setattr(mdp_module, "_dense_transitions", recording)
+        targets = {tmp_path / f"{cfg.kind}.json": cfg for cfg in TestSharedTensor.CONFIGS}
+        shields = pipeline.synthesize_shields(mdp, dfa, targets)
+        assert set(shields) == {"one", "two", "q"} and len(mappings) == 1
+        assert mappings[0]() is None
 
 
 class TestRuntime:
