@@ -26,11 +26,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .env import CHARGE_FLOOR, RATE_LIMIT, WHEEL_CEIL, WHEEL_LIMIT
+from .env import ATOM_NAMES, CHARGE_FLOOR, RATE_LIMIT, WHEEL_CEIL, WHEEL_LIMIT
 from .mdp import FiniteMdp
 
-P1_BIT = 1 << 1
-P2_BIT = 1 << 2
+P1_BIT = 1 << ATOM_NAMES.index("p1")
+P2_BIT = 1 << ATOM_NAMES.index("p2")
 _ABSTRACTION_STREAM = 1  # keeps row streams disjoint from training/eval streams
 # Samples stepped per simulator call (at least one row). Larger chunks
 # spread the per-call cost over more rows, but their temporaries can

@@ -16,10 +16,10 @@ import numpy as np
 
 from . import ltl, pipeline
 from .abstraction import PartitionSpec, make_partition
-from .dfa import DEFAULT_STATE_CAP, StateExplosionError, compile_cosafe, monitor_product
+from .dfa import DEFAULT_STATE_CAP, StateExplosionError, compile_cosafe
 from .env import ATOM_NAMES, RATE_LIMIT, proposition_table
 from .learner import qtable_from_json
-from .ltl import Fragment, PropositionTable, classify, negate, parse
+from .ltl import Fragment, PropositionTable, classify, parse
 from .mdp import FiniteMdp
 from .shields import Shield, ShieldConfig
 
@@ -52,15 +52,16 @@ def cmd_compile(args) -> int:
         d = compile_cosafe(formula, table, max_states=args.max_states)
         print("fragment: co-safe")
     elif fragment is Fragment.SAFE:
-        d = compile_cosafe(negate(formula), table, max_states=args.max_states)
+        d = pipeline.violation_monitor(formula, table, args.max_states)
         print("fragment: safe (compiled the violation monitor for its negation)")
     else:
-        d = _compile_split_monitor(formula, table, args.max_states)
-        if d is None:
+        parts = _split_conjunction(formula)
+        if parts is None:
             raise CliError(
                 "formula is in neither fragment and does not split into "
                 "a co-safe & safe conjunction"
             )
+        _liveness, _violation, d = pipeline.training_monitor(*parts, table, args.max_states)
         print("fragment: neither (compiled the liveness-and-safety training monitor)")
     print(f"states: {d.n_states}")
     print(f"accepting: {sorted(d.accepting)}")
@@ -70,9 +71,10 @@ def cmd_compile(args) -> int:
     return 0
 
 
-def _compile_split_monitor(formula, table, max_states):
-    """Top-level conjunctions of a co-safe part and a safe part compile to
-    the combined training monitor; anything else is rejected."""
+def _split_conjunction(formula):
+    """A top-level conjunction of co-safe and safe parts as its (co-safe,
+    safe) halves, which compile to the training monitor; None for anything
+    else."""
     if not isinstance(formula, ltl.And):
         return None
     cosafe_parts, safe_parts = [], []
@@ -85,11 +87,7 @@ def _compile_split_monitor(formula, table, max_states):
             return None
     if not cosafe_parts or not safe_parts:
         return None
-    liveness = compile_cosafe(ltl.conj(cosafe_parts), table, max_states=max_states)
-    violation = compile_cosafe(
-        negate(ltl.conj(safe_parts)), table, max_states=max_states
-    )
-    return monitor_product(liveness, violation)
+    return ltl.conj(cosafe_parts), ltl.conj(safe_parts)
 
 
 def _partition_from_cells(cells: str) -> PartitionSpec:
@@ -126,7 +124,7 @@ def cmd_shield(args) -> int:
     safety = _read_formula(args.spec, table)
     if classify(safety) is not Fragment.SAFE:
         raise CliError("shield synthesis expects a safe formula")
-    violation = compile_cosafe(negate(safety), table)
+    violation = pipeline.violation_monitor(safety, table)
     sh_cfg = ShieldConfig(threshold=args.p, kind=args.kind, horizon=args.horizon)
     shield = pipeline.synthesize_shields(mdp, violation, {args.out: sh_cfg})[args.kind]
     empty = sum(1 for a in shield.allowed if not a)
@@ -173,7 +171,7 @@ def cmd_train(args) -> int:
         cfg, pipeline.build_specs(cfg), make_partition(cfg.partition), args.train_spec,
         _load_shield(args), args.out,
     )
-    print(f"trained {cfg.learner.episodes} episodes, avg value {result.avg_vf:.4f}")
+    print(f"trained {len(result.episode_log)} episodes, avg value {result.avg_vf:.4f}")
     print(f"wrote {args.out}")
     return 0
 

@@ -171,44 +171,26 @@ def identify_sinks(delta: np.ndarray, accepting: frozenset[int]) -> frozenset[in
     return frozenset(sinks)
 
 
-def _minimize(delta, accepting, z0):
-    """Moore partition refinement; deterministic block numbering by first
-    occurrence in state order."""
-    n, n_sym = delta.shape
-    block = [1 if z in accepting else 0 for z in range(n)]
-    # normalize initial block ids to first-occurrence order
+def _minimal_dfa(atom_names, delta, accepting) -> Dfa:
+    """The minimal DFA of ``delta`` started in state 0: Moore partition
+    refinement, with blocks numbered by first occurrence in state order."""
+    rows = delta.tolist()
+    block = [1 if z in accepting else 0 for z in range(len(rows))]
     while True:
-        signatures = [
-            (block[z], tuple(block[delta[z, s]] for s in range(n_sym))) for z in range(n)
-        ]
         remap: dict = {}
-        new_block = []
-        for sig in signatures:
-            if sig not in remap:
-                remap[sig] = len(remap)
-            new_block.append(remap[sig])
+        new_block = [
+            remap.setdefault((block[z], tuple(block[t] for t in row)), len(remap))
+            for z, row in enumerate(rows)
+        ]
         if new_block == block:
             break
         block = new_block
-    n_blocks = max(block) + 1
-    representative = [None] * n_blocks
-    for z in range(n):
-        if representative[block[z]] is None:
-            representative[block[z]] = z
-    new_delta = np.empty((n_blocks, n_sym), dtype=np.int64)
-    for b in range(n_blocks):
-        z = representative[b]
-        for s in range(n_sym):
-            new_delta[b, s] = block[delta[z, s]]
-    new_accepting = frozenset(block[z] for z in accepting)
-    return new_delta, frozenset(new_accepting), block[z0]
-
-
-def _finish(atom_names, delta, accepting, z0) -> Dfa:
-    delta, accepting, z0 = _minimize(delta, accepting, z0)
+    representative = [block.index(b) for b in range(max(block) + 1)]
+    delta = np.asarray(block, dtype=np.int64)[delta[representative]]
+    accepting = frozenset(block[z] for z in accepting)
     return Dfa(
         atom_names=tuple(atom_names),
-        z0=z0,
+        z0=block[0],
         delta=delta,
         accepting=accepting,
         sinks=identify_sinks(delta, accepting),
@@ -276,48 +258,54 @@ def _dnf_key(state: frozenset) -> tuple:
     return tuple(sorted(tuple(sorted(leaf.key for leaf in imp)) for imp in state))
 
 
+def _explore(start, key, successor, n_sym, max_states):
+    """Number the states reachable from ``start`` breadth-first; returns
+    them in discovery order with their (n_states, n_sym) transition table.
+
+    ``successor(state, symbol)`` gives the next state, or None for a move
+    into an absorbing accept state, written -1 and not numbered; ``key``
+    maps a state to its hashable identity. At most ``max_states`` states
+    are numbered (None: no cap)."""
+    ids = {key(start): 0}
+    states = [start]
+    rows = []
+    for state in states:  # grows while it is walked
+        row = np.empty(n_sym, dtype=np.int64)
+        for symbol in range(n_sym):
+            nxt = successor(state, symbol)
+            if nxt is None:
+                row[symbol] = -1
+                continue
+            k = key(nxt)
+            target = ids.get(k)
+            if target is None:
+                target = len(states)
+                if max_states is not None and target >= max_states:
+                    raise StateExplosionError(max_states)
+                ids[k] = target
+                states.append(nxt)
+            row[symbol] = target
+        rows.append(row)
+    return states, np.stack(rows)
+
+
 def compile_cosafe(f: Formula, table: PropositionTable, max_states: int = DEFAULT_STATE_CAP) -> Dfa:
     """Build the minimal DFA whose language is exactly the finite traces
     satisfying the co-safe formula ``f``."""
     if not is_cosafe(f):
         raise FragmentError("DFA compilation requires a co-safe formula (no G in NNF)")
+
+    def successor(g, symbol):
+        return None if _eval_last_dnf(g, symbol) else _progress_dnf(g, symbol)
+
     n_sym = table.symbol_count
-    start = _to_dnf(f)
-    ids = {_dnf_key(start): 0}
-    states = [start]
-    rows = []
-    accept_seen = False
-    frontier = 0
-    while frontier < len(states):
-        g = states[frontier]
-        frontier += 1
-        row = np.empty(n_sym, dtype=np.int64)
-        for symbol in range(n_sym):
-            if _eval_last_dnf(g, symbol):
-                accept_seen = True
-                row[symbol] = -1  # patched to the accept index below
-            else:
-                h = _progress_dnf(g, symbol)
-                key = _dnf_key(h)
-                target = ids.get(key)
-                if target is None:
-                    target = len(states)
-                    if target + 1 > max_states:
-                        raise StateExplosionError(max_states)
-                    ids[key] = target
-                    states.append(h)
-                row[symbol] = target
-        rows.append(row)
-    if accept_seen:
+    states, delta = _explore(_to_dnf(f), _dnf_key, successor, n_sym, max_states)
+    accepting = frozenset()
+    if (delta == -1).any():
         accept_id = len(states)
-        accept_row = np.full(n_sym, accept_id, dtype=np.int64)
-        rows = [np.where(r == -1, accept_id, r) for r in rows]
-        rows.append(accept_row)
+        delta = np.vstack([np.where(delta == -1, accept_id, delta), np.full(n_sym, accept_id)])
         accepting = frozenset({accept_id})
-    else:
-        accepting = frozenset()
-    delta = np.stack(rows)
-    return _finish(table.names, delta, accepting, 0)
+    return _minimal_dfa(table.names, delta, accepting)
 
 
 def monitor_product(liveness: Dfa, violation: Dfa) -> Dfa:
@@ -331,33 +319,16 @@ def monitor_product(liveness: Dfa, violation: Dfa) -> Dfa:
     """
     if liveness.atom_names != violation.atom_names:
         raise AtomTableMismatchError("monitor parts must share one proposition table")
-    n_sym = liveness.n_symbols
 
     def is_acc(pair):
         return pair[0] in liveness.accepting and pair[1] not in violation.accepting
 
+    def successor(pair, symbol):
+        if is_acc(pair):
+            return pair  # accepting states absorb
+        return int(liveness.delta[pair[0], symbol]), int(violation.delta[pair[1], symbol])
+
     start = (liveness.z0, violation.z0)
-    ids = {start: 0}
-    order = [start]
-    rows = []
-    frontier = 0
-    while frontier < len(order):
-        zl, zv = order[frontier]
-        me = frontier
-        frontier += 1
-        row = np.empty(n_sym, dtype=np.int64)
-        for symbol in range(n_sym):
-            if is_acc((zl, zv)):
-                row[symbol] = me  # accepting states absorb
-                continue
-            nxt = (int(liveness.delta[zl, symbol]), int(violation.delta[zv, symbol]))
-            target = ids.get(nxt)
-            if target is None:
-                target = len(order)
-                ids[nxt] = target
-                order.append(nxt)
-            row[symbol] = target
-        rows.append(row)
-    accepting = frozenset(i for i, pair in enumerate(order) if is_acc(pair))
-    delta = np.stack(rows)
-    return _finish(liveness.atom_names, delta, accepting, 0)
+    pairs, delta = _explore(start, lambda pair: pair, successor, liveness.n_symbols, None)
+    accepting = frozenset(i for i, pair in enumerate(pairs) if is_acc(pair))
+    return _minimal_dfa(liveness.atom_names, delta, accepting)

@@ -395,8 +395,10 @@ def _tokenize(text):
 
 
 class _Parser:
-    """Recursive descent over the raw grammar; output is a raw tree of
-    tuples that `_normalize` turns into canonical NNF."""
+    """Recursive descent that builds canonical NNF in one pass. Each rule
+    takes ``neg`` (an odd number of enclosing ``!``) and then builds the dual:
+    De Morgan, F <-> G, X self-dual, literals and atoms flipped. U has no
+    dual, so reaching one under negation raises UnsupportedOperatorError."""
 
     def __init__(self, tokens, table):
         self.tokens = tokens
@@ -418,100 +420,70 @@ class _Parser:
         return self.advance()
 
     def parse(self):
-        raw = self.parse_or()
+        f = self.parse_or(False)
         tok, pos = self.peek()
         if tok != "<eof>":
             raise LtlSyntaxError(f"unexpected token {tok!r}", pos)
-        return raw
+        return f
 
-    def parse_or(self):
-        node = self.parse_and()
+    def parse_or(self, neg):
+        make = conj if neg else disj
+        node = self.parse_and(neg)
         while self.peek()[0] == "|":
             self.advance()
-            node = ("or", node, self.parse_and())
+            node = make([node, self.parse_and(neg)])
         return node
 
-    def parse_and(self):
-        node = self.parse_until()
+    def parse_and(self, neg):
+        make = disj if neg else conj
+        node = self.parse_until(neg)
         while self.peek()[0] == "&":
             self.advance()
-            node = ("and", node, self.parse_until())
+            node = make([node, self.parse_until(neg)])
         return node
 
-    def parse_until(self):
-        node = self.parse_unary()
-        if self.peek()[0] == "U":
-            self.advance()
-            return ("until", node, self.parse_until())
-        return node
+    def parse_until(self, neg):
+        node = self.parse_unary(neg)
+        if self.peek()[0] != "U":
+            return node
+        if neg:
+            raise UnsupportedOperatorError("cannot negate U without a release operator")
+        self.advance()
+        return Until(node, self.parse_until(False))
 
-    def parse_unary(self):
-        tok, pos = self.peek()
+    def parse_unary(self, neg):
+        tok, _pos = self.peek()
         if tok == "!":
             self.advance()
-            return ("not", self.parse_unary())
+            return self.parse_unary(not neg)
         if tok == "X":
             self.advance()
-            return ("next", self.parse_unary())
-        if tok == "F":
+            return Next(self.parse_unary(neg))
+        if tok in ("F", "G"):
             self.advance()
-            return ("ev", self.parse_unary())
-        if tok == "G":
-            self.advance()
-            return ("glob", self.parse_unary())
-        return self.parse_primary()
+            child = self.parse_unary(neg)
+            return Eventually(child) if (tok == "F") != neg else Globally(child)
+        return self.parse_primary(neg)
 
-    def parse_primary(self):
+    def parse_primary(self, neg):
         tok, pos = self.advance()
         if tok == "(":
-            inner = self.parse_or()
+            inner = self.parse_or(neg)
             self.expect(")")
             return inner
-        if tok == "true":
-            return ("true",)
-        if tok == "false":
-            return ("false",)
+        if tok in ("true", "false"):
+            return TRUE if (tok == "true") != neg else FALSE
         if tok and (tok[0].isalpha() or tok[0] == "_") and tok not in _RESERVED:
             if tok not in self.table.names:
                 raise UnknownAtomError(tok, pos)
-            return ("atom", self.table.names.index(tok))
+            index = self.table.names.index(tok)
+            return NotAtom(index) if neg else Atom(index)
         raise LtlSyntaxError(f"unexpected token {tok!r}", pos)
-
-
-def _normalize(raw, negated: bool) -> Formula:
-    kind = raw[0]
-    if kind == "true":
-        return FALSE if negated else TRUE
-    if kind == "false":
-        return TRUE if negated else FALSE
-    if kind == "atom":
-        return NotAtom(raw[1]) if negated else Atom(raw[1])
-    if kind == "not":
-        return _normalize(raw[1], not negated)
-    if kind == "and":
-        make = disj if negated else conj
-        return make([_normalize(raw[1], negated), _normalize(raw[2], negated)])
-    if kind == "or":
-        make = conj if negated else disj
-        return make([_normalize(raw[1], negated), _normalize(raw[2], negated)])
-    if kind == "next":
-        return Next(_normalize(raw[1], negated))
-    if kind == "ev":
-        child = _normalize(raw[1], negated)
-        return Globally(child) if negated else Eventually(child)
-    if kind == "glob":
-        child = _normalize(raw[1], negated)
-        return Eventually(child) if negated else Globally(child)
-    if kind == "until":
-        if negated:
-            raise UnsupportedOperatorError("cannot negate U without a release operator")
-        return Until(_normalize(raw[1], False), _normalize(raw[2], False))
-    raise AssertionError(kind)
 
 
 def parse(text: str, table: PropositionTable) -> Formula:
     """Parse a formula into canonical NNF."""
-    return _normalize(_Parser(_tokenize(text), table).parse(), False)
+    return _Parser(_tokenize(text), table).parse()
 
 
 def atoms_in_text(text: str) -> list[str]:

@@ -24,10 +24,10 @@ from .abstraction import (
     estimate_transitions,
     make_partition,
 )
-from .dfa import Dfa, compile_cosafe, monitor_product
+from .dfa import DEFAULT_STATE_CAP, Dfa, compile_cosafe, monitor_product
 from .env import EnvParams, SpacecraftEnv, proposition_table
 from .learner import Discretizer, LearnerConfig, SpacecraftSession, evaluate, train
-from .ltl import negate, parse
+from .ltl import Formula, negate, parse
 from .mdp import product
 from .rewards import RewardConfig
 from .shields import ShieldConfig, ShieldRuntime, synthesize
@@ -209,16 +209,29 @@ class SpecBundle:
     monitors: dict  # train-spec selector -> Dfa
 
 
+# The monitor builders call compile_cosafe and monitor_product as globals of
+# this module, where the benchmark's probe wraps them.
+
+
+def violation_monitor(safety: Formula, table, max_states=DEFAULT_STATE_CAP) -> Dfa:
+    """The DFA accepting exactly the traces that violate the safe ``safety``."""
+    return compile_cosafe(negate(safety), table, max_states=max_states)
+
+
+def training_monitor(liveness: Formula, safety: Formula, table, max_states=DEFAULT_STATE_CAP):
+    """The liveness DFA, the violation DFA of ``safety``, and their product:
+    the liveness-and-safety training monitor."""
+    dfa_liveness = compile_cosafe(liveness, table, max_states=max_states)
+    dfa_violation = violation_monitor(safety, table, max_states)
+    return dfa_liveness, dfa_violation, monitor_product(dfa_liveness, dfa_violation)
+
+
 def build_specs(cfg: ExperimentConfig) -> SpecBundle:
     table = proposition_table()
     liveness = parse(cfg.liveness_spec, table)
     safety = parse(cfg.safety_spec, table)
-    dfa_liveness = compile_cosafe(liveness, table)
-    dfa_violation = compile_cosafe(negate(safety), table)
-    monitors = {
-        "liveness_only": dfa_liveness,
-        "liveness_and_safety": monitor_product(dfa_liveness, dfa_violation),
-    }
+    dfa_liveness, dfa_violation, monitor = training_monitor(liveness, safety, table)
+    monitors = {"liveness_only": dfa_liveness, "liveness_and_safety": monitor}
     return SpecBundle(table, liveness, safety, dfa_liveness, dfa_violation, monitors)
 
 
@@ -270,12 +283,19 @@ def make_runtime(shield, specs: SpecBundle, partition) -> ShieldRuntime | None:
 
 def train_policy(cfg: ExperimentConfig, specs: SpecBundle, partition, train_spec: str,
                  shield, policy_path) -> learner_mod.TrainResult:
-    """Train one policy against the ``train_spec`` monitor, filtered by
-    ``shield`` when given, and write its policy file."""
+    """Train one policy against the ``train_spec`` monitor and write its
+    policy file. Given a shield, training is filtered by it and runs the
+    in-loop settings: ``inloop_train_episodes`` episodes from
+    ``inloop_optimism``."""
+    learner_cfg = cfg.learner
+    if shield is not None:
+        learner_cfg = replace(
+            learner_cfg, episodes=cfg.inloop_train_episodes, optimistic_init=cfg.inloop_optimism
+        )
     result = train(
         make_session(cfg, partition),
         specs.monitors[train_spec],
-        cfg.learner,
+        learner_cfg,
         cfg.reward,
         seed=cfg.seed,
         shield_runtime=make_runtime(shield, specs, partition),
@@ -415,24 +435,15 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
         }
         shields = synthesize_shields(mdp, specs.dfa_violation, targets)
 
-    inloop_cfg = replace(
-        cfg,
-        learner=replace(
-            cfg.learner, episodes=cfg.inloop_train_episodes, optimistic_init=cfg.inloop_optimism
-        ),
-    )
     policies = {}
     with _stage("train"):
         for row in matrix_rows(cfg):
             key = row.policy_key
             if key in policies:
                 continue
-            if row.trained_with_shield:
-                row_cfg, shield = inloop_cfg, shields[row.shield]
-            else:
-                row_cfg, shield = cfg, None
+            shield = shields[row.shield] if row.trained_with_shield else None
             result = train_policy(
-                row_cfg, specs, partition, row.train_spec, shield, out_dir / f"policy_{key}.json"
+                cfg, specs, partition, row.train_spec, shield, out_dir / f"policy_{key}.json"
             )
             policies[key] = result
             lines = ["episode,value,terminal_event"]
@@ -510,7 +521,7 @@ def report(run_dirs, out_dir) -> dict:
                         episode = rec["episode"]
                     if rec["episode"] != episode:
                         break
-                    obs = rec["observation"] or [float("nan")] * 6
+                    obs = rec["observation"]
                     rows.append(
                         f"{rec['step']},{rec['mode']},{obs[2]!r},{obs[3]!r},"
                         f"{int(obs[4])},{int(obs[5])},{int(rec['intervened'])}"

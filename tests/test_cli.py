@@ -114,6 +114,18 @@ class TestCompileCommand:
         assert main(["compile", "--spec", str(spec), "--max-states", "2"]) == 1
         assert "error: progression exceeded the configured state cap (2)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, task, pick", [
+        ("imaging_once", "simple", lambda specs: specs.dfa_liveness),
+        ("alternating_images", "complex", lambda specs: specs.dfa_liveness),
+        ("power_wheel_safety", "simple", lambda specs: specs.dfa_violation),
+        ("imaging_with_safety", "simple", lambda specs: specs.monitors["liveness_and_safety"]),
+    ])
+    def test_compiles_the_pipeline_automaton(self, spec, task, pick, tmp_path, capsys):
+        out = tmp_path / "dfa.json"
+        assert main(["compile", "--spec", str(SPECS / f"{spec}.ltl"), "--out", str(out)]) == 0
+        expected = pick(pipeline.build_specs(default_config(task)))
+        assert out.read_text() == json.dumps(expected.to_json()) + "\n"
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_rejects_non_positive_max_states(self, value, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -275,7 +287,7 @@ class TestToolCommands:
 @pytest.fixture(scope="module")
 def tiny_q_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("tiny_q_run")
-    cfg = tiny_config(shield_kinds=("none", "q"))
+    cfg = tiny_config(shield_kinds=("none", "q"), include_inloop_rows=True)
     return cfg, run_pipeline(cfg, out)
 
 
@@ -305,6 +317,20 @@ class TestOneWiringPath:
         ])
         assert code == 0
         assert policy.read_bytes() == (result.out_dir / "policy_liveness_only.json").read_bytes()
+
+    def test_train_with_shield_matches_inloop_policy(self, tiny_q_run, tmp_path, capsys):
+        cfg, result = tiny_q_run
+        assert cfg.inloop_train_episodes != cfg.learner.episodes
+        policy = tmp_path / "policy.json"
+        code = main([
+            "train", "--config", write_config(cfg, tmp_path / "config.json"),
+            "--train-spec", "liveness_only", "--shield", str(result.out_dir / "shield_q.json"),
+            "--out", str(policy),
+        ])
+        assert code == 0
+        assert f"trained {cfg.inloop_train_episodes} episodes" in capsys.readouterr().out
+        inloop = result.out_dir / "policy_liveness_only__inloop_q.json"
+        assert policy.read_bytes() == inloop.read_bytes()
 
     def test_json_artifacts_are_compact(self, tiny_q_run):
         _cfg, result = tiny_q_run

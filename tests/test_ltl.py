@@ -82,6 +82,23 @@ class TestParse:
     def test_double_negation(self):
         assert parse("!!p0", TABLE) == Atom(0)
 
+    def test_negation_swaps_eventually_and_globally(self):
+        assert parse("!F p0", TABLE) == Globally(NotAtom(0))
+        assert parse("!G !p0", TABLE) == Eventually(Atom(0))
+        assert parse("!X F p0", TABLE) == Next(Globally(NotAtom(0)))
+
+    def test_until_under_an_even_number_of_negations(self):
+        # the one-pass parser cancels the negations before it reaches U
+        until = Until(Atom(0), Atom(1))
+        assert parse("!!(p0 U p1)", TABLE) == until
+        assert parse("!X!(p0 U p1)", TABLE) == Next(until)
+
+    def test_negated_until_reported_before_a_later_error(self):
+        with pytest.raises(UnsupportedOperatorError):
+            parse("!(p0 U p1", TABLE)
+        with pytest.raises(UnsupportedOperatorError):
+            parse("!(p0 U q7)", TABLE)
+
     def test_complex_chain(self):
         f = parse("F (p3 & X F (p4 & X F (p3 & X F (p4 & X F p3))))", TABLE)
         assert classify(f) is Fragment.COSAFE
