@@ -122,7 +122,7 @@ def cmd_shield(args) -> int:
     mdp = FiniteMdp.load(args.mdp)
     table = PropositionTable(mdp.atom_names)
     safety = _read_formula(args.spec, table)
-    if classify(safety) is not Fragment.SAFE:
+    if not ltl.is_safe(safety):
         raise CliError("shield synthesis expects a safe formula")
     violation = pipeline.violation_monitor(safety, table)
     sh_cfg = ShieldConfig(threshold=args.p, kind=args.kind, horizon=args.horizon)

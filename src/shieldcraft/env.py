@@ -119,8 +119,20 @@ def truncated_normal(rng, n: int) -> list[float]:
     """Standard normal truncated to +-3 sigma via inverse CDF; one uniform
     draw per sample, so the stream layout is schedule-independent. Each
     sample is computed on Python floats, with the same IEEE operations as
-    the array expression in `SpacecraftEnv.step_batch`."""
+    `_noise`, which is faster from a few dozen samples on."""
     return [float(ndtri(_PHI_LO + u * _PHI_WIDTH)) for u in rng.random(n).tolist()]
+
+
+def _noise(u: np.ndarray) -> np.ndarray:
+    """`truncated_normal`'s deviates of an array of uniforms."""
+    return ndtri(_PHI_LO + u * _PHI_WIDTH)
+
+
+def _noise_block(rng, steps: int):
+    """The (e_w, e_r, e_a) deviates of the next ``steps`` steps, drawn in
+    one call; an iterator of triples."""
+    deviates = iter(_noise(rng.random(3 * steps)).tolist())
+    return zip(deviates, deviates, deviates)
 
 
 def is_failure(rate: float, wheel: float, charge: float) -> bool:
@@ -186,6 +198,13 @@ class SpacecraftEnv:
         self._par = self.params.param_vector()
         self._coef = _kernels.action_rows(self._par)
         self._windows = self.params.target_windows
+        p = self.params
+        windows = ((0.05, 0.45), (0.55, 0.95 - p.window_width)) if p.randomize_windows else ()
+        # (lo, hi) of each value a reset draws, in stream order
+        self._reset_bounds = (
+            *windows, p.init_pointing_error, p.init_rate, p.init_wheel, p.init_charge,
+        )
+        self._noise = iter(())  # the noise block `reset` drew, see there
         self.state: SpacecraftState | None = None
 
     # --- orbit phase -----------------------------------------------------
@@ -200,24 +219,34 @@ class SpacecraftEnv:
         target = 1 if _in_windows(frac, windows) else 0
         return sun, target
 
-    def _draw_windows(self, rng):
-        if not self.params.randomize_windows:
-            return self.params.target_windows
-        w = self.params.window_width
-        first = rng.uniform(0.05, 0.45)
-        second = rng.uniform(0.55, 0.95 - w)
-        return ((first, first + w), (second, second + w))
-
     # --- episode interface -------------------------------------------------
 
-    def reset(self, rng) -> int:
-        """Start an episode; returns the labels of the initial state."""
-        p = self.params
-        self._windows = self._draw_windows(rng)
-        err = rng.uniform(*p.init_pointing_error)
-        rate = rng.uniform(*p.init_rate)
-        wheel = rng.uniform(*p.init_wheel)
-        charge = rng.uniform(*p.init_charge)
+    def reset(self, rng, noise_steps: int = 0) -> int:
+        """Start an episode; returns the labels of the initial state.
+
+        The start state takes one ``rng.random`` call: the two target
+        windows first when they are randomized, then pointing error, rate,
+        wheel and charge, each ``lo + (hi - lo) * u``. That is what
+        ``rng.uniform(lo, hi)`` computes from the same double, so the state
+        and the stream after it are those of one `Generator.uniform` call
+        per value.
+
+        ``noise_steps > 0`` draws the step noise of that many steps now, in
+        one call, as a block that `step` reads before it draws from its
+        ``rng`` again. PCG64 gives ``random(3 * k)`` the same doubles as
+        ``k`` calls of ``random(3)``, so with nothing else drawn from
+        ``rng`` during the episode the states equal those of per-step
+        draws. Greedy evaluation draws a block; training, which draws its
+        exploration from the same stream between steps, must not.
+        """
+        u = rng.random(len(self._reset_bounds)).tolist()
+        values = [lo + (hi - lo) * x for (lo, hi), x in zip(self._reset_bounds, u)]
+        if self.params.randomize_windows:
+            first, second, *values = values
+            w = self.params.window_width
+            self._windows = ((first, first + w), (second, second + w))
+        err, rate, wheel, charge = values
+        self._noise = _noise_block(rng, noise_steps) if noise_steps > 0 else iter(())
         sun, target = self._access(0.0, self._windows)
         self.state = SpacecraftState(
             pointing_error=err, attitude_rate=rate, wheel_speed=wheel,
@@ -226,9 +255,11 @@ class SpacecraftEnv:
         return label(self.state)
 
     def step(self, action: int, rng) -> tuple[int, bool]:
-        """One decision step; returns (labels, failed)."""
+        """One decision step; returns (labels, failed). The three noise
+        deviates come from the noise block while it lasts, else from
+        `truncated_normal`."""
         st = self.state
-        e_w, e_r, e_a = truncated_normal(rng, 3)
+        e_w, e_r, e_a = next(self._noise, None) or truncated_normal(rng, 3)
         rate, wheel, charge, err = _kernels.step_one(
             st.attitude_rate, st.wheel_speed, st.charge, st.pointing_error,
             float(st.sun), self._coef[action], e_w, e_r, e_a,
@@ -275,7 +306,7 @@ class SpacecraftEnv:
         frac = batch["minutes"] / p.orbit_minutes
         lo, hi = p.sun_window
         sun = ((frac >= lo) & (frac < hi)).astype(np.float64)
-        noise = ndtri(_PHI_LO + batch["u"] * _PHI_WIDTH)
+        noise = _noise(batch["u"])
         _kernels.step_batch(
             batch["rate"], batch["wheel"], batch["charge"], batch["err"],
             sun, actions, noise[0], noise[1], noise[2], self._par,

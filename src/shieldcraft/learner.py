@@ -111,8 +111,9 @@ class SpacecraftSession:
         self.discretizer = discretizer
         self.n_actions = len(env.action_names)
 
-    def reset(self, rng) -> StepOutcome:
-        labels = self.env.reset(rng)
+    def reset(self, rng, noise_steps: int = 0) -> StepOutcome:
+        """Start an episode; ``noise_steps`` is `SpacecraftEnv.reset`'s."""
+        labels = self.env.reset(rng, noise_steps)
         st = self.env.state
         failed = is_failure(st.attitude_rate, st.wheel_speed, st.charge)
         return (*self.discretizer(st, failed), labels, failed)
@@ -283,6 +284,12 @@ def evaluate(
     violation is first-accept on the violation DFA; failure is domain
     exit. The policy's own monitor keeps running (with accept-reset) so
     Q lookups stay on-distribution.
+
+    Each episode draws from its own stream: its reset, then its step noise.
+    The session's ``reset(rng, noise_steps)`` gets ``episode_length`` so
+    that it can draw the noise of the whole horizon in one call; it must
+    give the states of per-step draws. ``session.step(action, rng)`` is
+    called once per env step.
     """
     advance = rewards.advance_table(monitor, reward_cfg)
     delta_l = dfa_liveness.delta.tolist()
@@ -294,7 +301,7 @@ def evaluate(
     trajectories = []
     for ep in range(episodes):
         rng = np.random.default_rng([seed, _EVAL_STREAM, ep])
-        obs_idx, cell, labels, _failed = session.reset(rng)
+        obs_idx, cell, labels, _failed = session.reset(rng, episode_length)
         adv0 = advance[monitor.z0][labels]
         z = adv0.z_next
         reward_steps = [adv0.step]

@@ -5,7 +5,9 @@ from pathlib import Path
 import pytest
 
 import shieldcraft.pipeline as pipeline
+from shieldcraft import ltl
 from shieldcraft.cli import main
+from shieldcraft.env import proposition_table
 from shieldcraft.learner import SpacecraftSession
 from shieldcraft.mdp import FiniteMdp
 from shieldcraft.pipeline import (
@@ -265,6 +267,44 @@ class TestToolCommands:
             str(tmp_path / "s.json"),
         ])
         assert code == 1
+
+    def test_shield_accepts_boolean_safe_spec(self, tmp_path, capsys):
+        # no temporal operator: safe and co-safe at once; the shield keeps
+        # the product out of p1 | p2 from the first step on
+        mdp_path = tmp_path / "mdp.json"
+        main(["abstract", "--task", "simple", "--samples", "50", "--out", str(mdp_path)])
+        capsys.readouterr()
+        spec = tmp_path / "boolean.ltl"
+        spec.write_text("!(p1 | p2)\n")
+        out = tmp_path / "s.json"
+        code = main([
+            "shield", "--mdp", str(mdp_path), "--spec", str(spec), "--kind", "one",
+            "--out", str(out),
+        ])
+        assert code == 0
+        data = json.loads(out.read_text())
+        violation = pipeline.violation_monitor(
+            ltl.parse("!(p1 | p2)", proposition_table()), proposition_table()
+        )
+        assert violation.n_states == 3
+        # (cells + exit state) x violation monitor states
+        assert len(data["allowed"]) == 101 * violation.n_states
+        assert f"product-states={101 * violation.n_states}" in capsys.readouterr().out
+
+    def test_shield_rejects_spec_with_eventually(self, tmp_path, capsys):
+        mdp_path = tmp_path / "mdp.json"
+        main(["abstract", "--task", "simple", "--samples", "50", "--out", str(mdp_path)])
+        capsys.readouterr()
+        spec = tmp_path / "eventually.ltl"
+        spec.write_text("G !p1 & F p0\n")
+        out = tmp_path / "s.json"
+        code = main([
+            "shield", "--mdp", str(mdp_path), "--spec", str(spec), "--kind", "one",
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert "expects a safe formula" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_train_and_evaluate(self, tmp_path, capsys):
         cfg = tiny_config()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -265,3 +267,73 @@ class TestTruncatedNormal:
         u = np.random.default_rng(5).random(n)
         batch = ndtri(env_mod._PHI_LO + u * env_mod._PHI_WIDTH)
         assert np.array_equal(np.asarray(draws).view(np.uint64), batch.view(np.uint64))
+
+
+def _uniform_reset(params, rng):
+    """The start values of a reset drawn one `Generator.uniform` call each:
+    (window starts when randomized, pointing error, rate, wheel, charge)."""
+    draws = []
+    if params.randomize_windows:
+        draws.append(rng.uniform(0.05, 0.45))
+        draws.append(rng.uniform(0.55, 0.95 - params.window_width))
+    for bounds in (params.init_pointing_error, params.init_rate,
+                   params.init_wheel, params.init_charge):
+        draws.append(rng.uniform(*bounds))
+    return draws
+
+
+def _start_values(env):
+    st = env.state
+    values = [st.pointing_error, st.attitude_rate, st.wheel_speed, st.charge]
+    if env.params.randomize_windows:
+        values = [env._windows[0][0], env._windows[1][0], *values]
+    return values
+
+
+class TestResetDraw:
+    @pytest.mark.parametrize("randomize", [False, True])
+    def test_one_call_equals_uniform_calls_bitwise(self, randomize):
+        env = SpacecraftEnv(EnvParams(randomize_windows=randomize))
+        for seed in range(10_000):
+            want_rng = np.random.default_rng([seed, 3])
+            want = _uniform_reset(env.params, want_rng)
+            got_rng = np.random.default_rng([seed, 3])
+            env.reset(got_rng)
+            got = _start_values(env)
+            assert np.array_equal(np.asarray(got).view(np.uint64),
+                                  np.asarray(want).view(np.uint64)), seed
+            # the stream continues where the uniform calls left it
+            assert got_rng.random() == want_rng.random(), seed
+
+
+class TestNoiseBlock:
+    BLOCK = 10
+
+    def _rollout(self, params, seed, steps, block):
+        env = SpacecraftEnv(params)
+        rng = np.random.default_rng([seed, 3])
+        actions = np.random.default_rng(seed).integers(0, 4, steps).tolist()
+        trace = [(env.reset(rng, block), tuple(_start_values(env)))]
+        for action in actions:
+            labels, failed = env.step(action, rng)
+            trace.append((labels, failed, dataclasses.astuple(env.state)))
+        return trace
+
+    @pytest.mark.parametrize("randomize", [False, True])
+    @pytest.mark.parametrize("steps", [BLOCK - 3, BLOCK, 2 * BLOCK + 5])
+    def test_block_steps_equal_per_step_draws(self, steps, randomize):
+        # fewer steps than the block, exactly the block, and past it, where
+        # the steps draw their own noise from the episode's stream
+        params = EnvParams(randomize_windows=randomize)
+        for seed in range(20):
+            per_step = self._rollout(params, seed, steps, 0)
+            assert self._rollout(params, seed, steps, self.BLOCK) == per_step
+
+    def test_reset_without_a_block_drops_the_old_one(self):
+        env = SpacecraftEnv()
+        env.reset(np.random.default_rng(0), self.BLOCK)
+        env.reset(np.random.default_rng(1))
+        rng = np.random.default_rng(2)
+        env.step(0, rng)
+        # the step drew its noise from rng itself
+        assert rng.random() == np.random.default_rng(2).random(4)[3]

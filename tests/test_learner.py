@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from shieldcraft.abstraction import make_partition
-from shieldcraft.dfa import compile_cosafe
-from shieldcraft.env import SpacecraftEnv, SpacecraftState, proposition_table
+from shieldcraft.dfa import compile_cosafe, monitor_product
+from shieldcraft.env import EnvParams, SpacecraftEnv, SpacecraftState, proposition_table
 from shieldcraft.learner import (
     Discretizer,
     LearnerConfig,
@@ -29,7 +29,7 @@ class ToggleEnv:
     def __init__(self):
         self.state = 0
 
-    def reset(self, rng):
+    def reset(self, rng, noise_steps=0):
         self.state = 0
         return 0, 0, 0, False  # (obs_index, cell, labels, failed)
 
@@ -146,7 +146,7 @@ class FailingEnv:
 
     n_actions = 3
 
-    def reset(self, rng):
+    def reset(self, rng, noise_steps=0):
         return 0, 0, 0, False  # (obs_index, cell, labels, failed)
 
     def step(self, action, rng):
@@ -266,7 +266,6 @@ class TestShieldInLoop:
             assert action in shield.allowed[s] or action == shield.fallback[s]
 
     def test_reset_outside_the_domain_gets_the_exit_cell(self):
-        from shieldcraft.env import EnvParams
         from shieldcraft.shields import ShieldRuntime
 
         partition, violation, shield = self._spacecraft_setup()
@@ -334,6 +333,46 @@ class TestShieldInLoop:
             ToggleEnv(), dfa, cfg2, RewardConfig(), seed=0, shield_runtime=AlwaysCorrect()
         )
         assert result2.qtable[(0, dfa.z0)][1] == 0.0
+
+
+class PerStepSession(SpacecraftSession):
+    """Ignores the noise block, so every step draws its own noise."""
+
+    def reset(self, rng, noise_steps=0):
+        return super().reset(rng)
+
+
+class TestEvaluationNoiseBlock:
+    def test_records_and_trajectories_equal_per_step_draws(self):
+        table = proposition_table()
+        liveness = compile_cosafe(parse("F p0", table), table)
+        violation = compile_cosafe(negate(parse("G !(p1 | p2)", table)), table)
+        monitor = monitor_product(liveness, violation)
+        partition = make_partition()
+        discretizer = Discretizer(partition)
+        # random greedy actions: the imaging modes saturate the wheels, so
+        # some episodes fail early and others run the whole horizon
+        pick = np.random.default_rng(0)
+        q = {
+            (obs, z): pick.random(4)
+            for obs in range(discretizer.capacity) for z in range(monitor.n_states)
+        }
+        params = EnvParams(randomize_windows=True)
+        results = [
+            evaluate(
+                q, session_type(SpacecraftEnv(params), discretizer), monitor,
+                liveness, violation, RewardConfig(), episodes=40,
+                episode_length=60, seed=4, record_trajectories=5,
+            )
+            for session_type in (SpacecraftSession, PerStepSession)
+        ]
+        blocked, per_step = results
+        steps = [r.steps for r in per_step.episodes]
+        assert min(steps) < 60 and max(steps) == 60
+        assert any(r.failed for r in per_step.episodes[:5])
+        assert blocked.episodes == per_step.episodes
+        assert blocked.trajectories == per_step.trajectories
+        assert len(blocked.trajectories) == 5
 
 
 class TestPolicySerialization:
