@@ -28,6 +28,13 @@ Labelled regions over the observation:
     p2  wheel speed above 80%
     p3  p0 restricted to imaging mode A
     p4  p0 restricted to imaging mode B
+
+An episode's randomness is one `EpisodeDraws`: the raw 64-bit outputs of
+its PCG64 stream, read in the order and with the arithmetic of the
+`numpy.random.Generator` calls they replace (the reset's uniforms, then
+per step the learner's draws and the step's three noise deviates). So an
+episode depends on PCG64 and its SeedSequence seeding, not on the
+algorithms behind Generator's methods.
 """
 
 from __future__ import annotations
@@ -119,7 +126,7 @@ def truncated_normal(rng, n: int) -> list[float]:
     """Standard normal truncated to +-3 sigma via inverse CDF; one uniform
     draw per sample, so the stream layout is schedule-independent. Each
     sample is computed on Python floats, with the same IEEE operations as
-    `_noise`, which is faster from a few dozen samples on."""
+    `_noise`; the reference of `EpisodeDraws.noise`."""
     return [float(ndtri(_PHI_LO + u * _PHI_WIDTH)) for u in rng.random(n).tolist()]
 
 
@@ -128,11 +135,109 @@ def _noise(u: np.ndarray) -> np.ndarray:
     return ndtri(_PHI_LO + u * _PHI_WIDTH)
 
 
-def _noise_block(rng, steps: int):
-    """The (e_w, e_r, e_a) deviates of the next ``steps`` steps, drawn in
-    one call; an iterator of triples."""
-    deviates = iter(_noise(rng.random(3 * steps)).tolist())
-    return zip(deviates, deviates, deviates)
+# a double keeps the top 53 bits of an output, as PCG64's next_double does
+_MANTISSA_SHIFT = np.uint64(11)
+
+# the most values a reset draws: two window starts and four start values
+RESET_DRAWS = 6
+
+
+class EpisodeDraws:
+    """Every random value of one episode, from the raw outputs of
+    ``PCG64(words)`` read in stream order.
+
+    Each read returns, bit for bit, what the `numpy.random.Generator`
+    call it stands for returns from the same stream position: ``random()``
+    and ``uniforms(k)`` (``random(k)``) a double ``(x >> 11) * 2**-53`` per
+    output, ``noise()`` the three deviates of ``truncated_normal(rng, 3)``,
+    and ``integers(n)`` Lemire's multiply-shift on 32-bit halves, low half
+    first, with the high half kept for the next ``integers`` call. The
+    outputs are drawn ``size`` at a time and turned into doubles and
+    deviates once per block; a read past the block draws another.
+    """
+
+    __slots__ = (
+        "_bitgen", "_size", "_raw", "_array", "_doubles", "_listed", "_deviates",
+        "_end", "_pos", "_half",
+    )
+
+    def __init__(self, words, size: int):
+        self._bitgen = np.random.PCG64(words)
+        self._size = size
+        self._pos = 0  # outputs read so far
+        self._half = None  # the pending high half of an `integers` output
+        # the doubles become a list on the first `random` call: evaluation
+        # reads only its reset's few, as `uniforms`, from the array
+        self._doubles = []
+        self._listed = 0
+        # raw outputs stay an array: only `integers` reads them, one at a time
+        self._raw = raw = self._bitgen.random_raw(size)
+        self._array = doubles = (raw >> _MANTISSA_SHIFT) * 2.0**-53
+        self._deviates = _noise(doubles).tolist()
+        self._end = size
+
+    def _extend(self, n: int):
+        """Draw another block, of at least ``n`` outputs."""
+        raw = self._bitgen.random_raw(max(n, self._size))
+        doubles = (raw >> _MANTISSA_SHIFT) * 2.0**-53
+        self._raw = np.concatenate((self._raw, raw))
+        self._array = np.concatenate((self._array, doubles))
+        self._deviates += _noise(doubles).tolist()
+        self._end = len(self._raw)
+
+    def random(self) -> float:
+        i = self._pos
+        if i >= self._listed:
+            if i == self._end:
+                self._extend(1)
+            self._doubles = self._array.tolist()
+            self._listed = self._end
+        self._pos = i + 1
+        return self._doubles[i]
+
+    def uniforms(self, k: int) -> list[float]:
+        i = self._pos
+        j = i + k
+        if j > self._end:
+            self._extend(j - self._end)
+        self._pos = j
+        return self._array[i:j].tolist()
+
+    def noise(self) -> list[float]:
+        """The three deviates of one step, in `truncated_normal`'s order."""
+        i = self._pos
+        j = i + 3
+        if j > self._end:
+            self._extend(j - self._end)
+        self._pos = j
+        return self._deviates[i:j]
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        i = self._pos
+        if i == self._end:
+            self._extend(1)
+        self._pos = i + 1
+        x = self._raw.item(i)
+        self._half = x >> 32
+        return x & 0xFFFFFFFF
+
+    def integers(self, n: int) -> int:
+        """Uniform on ``range(n)``, as ``Generator.integers(n)``; ``n == 1``
+        draws nothing."""
+        if not 1 <= n < 1 << 32:
+            raise ValueError(f"integers(n) needs 1 <= n < 2**32, got {n}")
+        if n == 1:
+            return 0
+        m = self._uint32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (1 << 32) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * n
+        return m >> 32
 
 
 def is_failure(rate: float, wheel: float, charge: float) -> bool:
@@ -204,7 +309,6 @@ class SpacecraftEnv:
         self._reset_bounds = (
             *windows, p.init_pointing_error, p.init_rate, p.init_wheel, p.init_charge,
         )
-        self._noise = iter(())  # the noise block `reset` drew, see there
         self.state: SpacecraftState | None = None
 
     # --- orbit phase -----------------------------------------------------
@@ -221,32 +325,23 @@ class SpacecraftEnv:
 
     # --- episode interface -------------------------------------------------
 
-    def reset(self, rng, noise_steps: int = 0) -> int:
+    def reset(self, draws: EpisodeDraws) -> int:
         """Start an episode; returns the labels of the initial state.
 
-        The start state takes one ``rng.random`` call: the two target
-        windows first when they are randomized, then pointing error, rate,
-        wheel and charge, each ``lo + (hi - lo) * u``. That is what
-        ``rng.uniform(lo, hi)`` computes from the same double, so the state
-        and the stream after it are those of one `Generator.uniform` call
-        per value.
-
-        ``noise_steps > 0`` draws the step noise of that many steps now, in
-        one call, as a block that `step` reads before it draws from its
-        ``rng`` again. PCG64 gives ``random(3 * k)`` the same doubles as
-        ``k`` calls of ``random(3)``, so with nothing else drawn from
-        ``rng`` during the episode the states equal those of per-step
-        draws. Greedy evaluation draws a block; training, which draws its
-        exploration from the same stream between steps, must not.
+        The start state reads ``draws.uniforms``: the two target windows
+        first when they are randomized, then pointing error, rate, wheel
+        and charge, each ``lo + (hi - lo) * u``. That is what
+        ``Generator.uniform(lo, hi)`` computes from the same double, so the
+        state and the stream after it are those of one ``uniform`` call per
+        value.
         """
-        u = rng.random(len(self._reset_bounds)).tolist()
+        u = draws.uniforms(len(self._reset_bounds))
         values = [lo + (hi - lo) * x for (lo, hi), x in zip(self._reset_bounds, u)]
         if self.params.randomize_windows:
             first, second, *values = values
             w = self.params.window_width
             self._windows = ((first, first + w), (second, second + w))
         err, rate, wheel, charge = values
-        self._noise = _noise_block(rng, noise_steps) if noise_steps > 0 else iter(())
         sun, target = self._access(0.0, self._windows)
         self.state = SpacecraftState(
             pointing_error=err, attitude_rate=rate, wheel_speed=wheel,
@@ -254,12 +349,12 @@ class SpacecraftEnv:
         )
         return label(self.state)
 
-    def step(self, action: int, rng) -> tuple[int, bool]:
+    def step(self, action: int, draws: EpisodeDraws) -> tuple[int, bool]:
         """One decision step; returns (labels, failed). The three noise
-        deviates come from the noise block while it lasts, else from
-        `truncated_normal`."""
+        deviates are the next ones of ``draws``: `truncated_normal`'s of the
+        next three outputs of the episode's PCG64 stream."""
         st = self.state
-        e_w, e_r, e_a = next(self._noise, None) or truncated_normal(rng, 3)
+        e_w, e_r, e_a = draws.noise()
         rate, wheel, charge, err = _kernels.step_one(
             st.attitude_rate, st.wheel_speed, st.charge, st.pointing_error,
             float(st.sun), self._coef[action], e_w, e_r, e_a,

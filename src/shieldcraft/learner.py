@@ -15,6 +15,7 @@ ending early only on failure.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -22,11 +23,23 @@ import numpy as np
 
 from . import rewards
 from .dfa import Dfa
-from .env import POINTING_TOL, SpacecraftEnv, SpacecraftState, is_failure, observation
+from .env import (
+    POINTING_TOL,
+    RESET_DRAWS,
+    EpisodeDraws,
+    SpacecraftEnv,
+    SpacecraftState,
+    is_failure,
+    observation,
+)
 from .rewards import EpisodeEvent, RewardConfig
 
 _TRAIN_STREAM = 2
 _EVAL_STREAM = 3
+# values drawn per step: training's epsilon draw, exploration action (half
+# an output or less) and three noise deviates; evaluation's noise alone
+_TRAIN_STEP_DRAWS = 5
+_EVAL_STEP_DRAWS = 3
 
 QTable = dict  # (obs_index, monitor_state) -> np.ndarray of action values
 
@@ -56,7 +69,12 @@ class LearnerConfig:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.update_on not in ("executed", "proposed"):
-            raise ValueError(f"update_on must be 'executed' or 'proposed'")
+            raise ValueError(f"update_on must be 'executed' or 'proposed', got {self.update_on!r}")
+        f = self.epsilon_decay_fraction
+        if not (math.isfinite(f) and f > 0.0):
+            raise ValueError(f"epsilon_decay_fraction must be finite and > 0, got {f!r}")
+        if not math.isfinite(self.optimistic_init):
+            raise ValueError(f"optimistic_init must be finite, got {self.optimistic_init!r}")
 
 
 class Discretizer:
@@ -111,15 +129,14 @@ class SpacecraftSession:
         self.discretizer = discretizer
         self.n_actions = len(env.action_names)
 
-    def reset(self, rng, noise_steps: int = 0) -> StepOutcome:
-        """Start an episode; ``noise_steps`` is `SpacecraftEnv.reset`'s."""
-        labels = self.env.reset(rng, noise_steps)
+    def reset(self, draws: EpisodeDraws) -> StepOutcome:
+        labels = self.env.reset(draws)
         st = self.env.state
         failed = is_failure(st.attitude_rate, st.wheel_speed, st.charge)
         return (*self.discretizer(st, failed), labels, failed)
 
-    def step(self, action: int, rng) -> StepOutcome:
-        labels, failed = self.env.step(action, rng)
+    def step(self, action: int, draws: EpisodeDraws) -> StepOutcome:
+        labels, failed = self.env.step(action, draws)
         return (*self.discretizer(self.env.state, failed), labels, failed)
 
     def observation(self) -> list[float]:
@@ -132,11 +149,6 @@ def _q_row(q: dict, key, init_row: list) -> list:
     if row is None:
         row = q[key] = init_row.copy()
     return row
-
-
-def _argmax(row: list) -> int:
-    """Index of the first maximum, as ``np.argmax`` picks it."""
-    return row.index(max(row))
 
 
 def _greedy(q: QTable, key) -> int:
@@ -154,6 +166,7 @@ class TrainResult:
     # mean over the final quarter of episodes, past the exploration
     # burn-in; this is the value reported next to deployment metrics
     settled_avg_vf: float
+    steps: int  # env steps taken over all episodes
 
 
 def train(
@@ -169,6 +182,13 @@ def train(
     The executed action is the shield-corrected one when a shield runtime
     is supplied; `cfg.update_on` chooses whether the update credits the
     executed or the proposed action.
+
+    Each episode reads one `EpisodeDraws` of stream ``(seed, 2, episode)``:
+    the session's reset, then per step the epsilon draw, the exploration
+    action when it explores, and the session step's noise, in that order,
+    as the `Generator` calls ``random()``, ``integers(n_actions)`` and
+    ``random(3)`` would draw them. ``session.step(action, draws)`` is called
+    once per env step.
     """
     q = {}  # key -> list of action values; arrays only in the result
     n_actions = session.n_actions
@@ -178,12 +198,14 @@ def train(
     credit_proposed = cfg.update_on == "proposed"
     alpha = cfg.alpha
     log = []
+    total_steps = 0
+    block = RESET_DRAWS + _TRAIN_STEP_DRAWS * cfg.episode_length
     denom = max(1.0, cfg.episodes * cfg.epsilon_decay_fraction)
     for ep in range(cfg.episodes):
-        rng = np.random.default_rng([seed, _TRAIN_STREAM, ep])
+        draws = EpisodeDraws([seed, _TRAIN_STREAM, ep], block)
         anneal = min(1.0, ep / denom)
         epsilon = cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * anneal
-        obs_idx, cell, labels, _failed = session.reset(rng)
+        obs_idx, cell, labels, _failed = session.reset(draws)
         init = advance[monitor.z0][labels]
         z = init.z_next
         reward_steps = [init.step]
@@ -193,34 +215,38 @@ def train(
         if init.step.event is sink:
             terminal_event = "sink"
         else:
-            for _t in range(cfg.episode_length):
-                if rng.random() < epsilon:
-                    proposed = int(rng.integers(n_actions))
+            # the row of (obs_idx, z); each step's successor row is the
+            # next step's row
+            row = _q_row(q, (obs_idx, z), init_row)
+            for t in range(cfg.episode_length):
+                if draws.random() < epsilon:
+                    proposed = draws.integers(n_actions)
                 else:
-                    proposed = _argmax(_q_row(q, (obs_idx, z), init_row))
+                    # the first maximum, as np.argmax picks it
+                    proposed = row.index(max(row))
                 if shield_runtime is not None:
                     executed = shield_runtime.filter(cell, proposed).action
                 else:
                     executed = proposed
-                next_idx, cell, labels, failed = session.step(executed, rng)
+                obs_idx, cell, labels, failed = session.step(executed, draws)
                 adv = advance[z][labels]
                 step = adv.step
                 reward_steps.append(step)
+                z = adv.z_next
                 terminal = step.event is sink or failed
                 target = step.reward
                 if not terminal:
-                    nxt = _q_row(q, (next_idx, adv.z_next), init_row)
+                    nxt = _q_row(q, (obs_idx, z), init_row)
                     target += step.discount * max(nxt)
                 update_action = proposed if credit_proposed else executed
-                row = _q_row(q, (obs_idx, z), init_row)
                 row[update_action] += alpha * (target - row[update_action])
                 if shield_runtime is not None:
                     shield_runtime.update(labels)
-                z = adv.z_next
-                obs_idx = next_idx
                 if terminal:
                     terminal_event = "sink" if step.event is sink else "failure"
                     break
+                row = nxt
+            total_steps += t + 1
         value = rewards.cumulative_value(reward_steps)
         log.append((ep, value, terminal_event))
     values = [v for _ep, v, _event in log]
@@ -230,6 +256,7 @@ def train(
         episode_log=log,
         avg_vf=sum(values) / len(values),
         settled_avg_vf=sum(tail) / len(tail),
+        steps=total_steps,
     )
 
 
@@ -285,11 +312,10 @@ def evaluate(
     exit. The policy's own monitor keeps running (with accept-reset) so
     Q lookups stay on-distribution.
 
-    Each episode draws from its own stream: its reset, then its step noise.
-    The session's ``reset(rng, noise_steps)`` gets ``episode_length`` so
-    that it can draw the noise of the whole horizon in one call; it must
-    give the states of per-step draws. ``session.step(action, rng)`` is
-    called once per env step.
+    Each episode reads one `EpisodeDraws` of stream ``(seed, 3, episode)``:
+    the session's reset, then each step's noise; its first block covers the
+    whole horizon. ``session.step(action, draws)`` is called once per env
+    step.
     """
     advance = rewards.advance_table(monitor, reward_cfg)
     delta_l = dfa_liveness.delta.tolist()
@@ -299,9 +325,10 @@ def evaluate(
     greedy = {}  # key -> greedy action; the Q-table is fixed here
     records = []
     trajectories = []
+    block = RESET_DRAWS + _EVAL_STEP_DRAWS * episode_length
     for ep in range(episodes):
-        rng = np.random.default_rng([seed, _EVAL_STREAM, ep])
-        obs_idx, cell, labels, _failed = session.reset(rng, episode_length)
+        draws = EpisodeDraws([seed, _EVAL_STREAM, ep], block)
+        obs_idx, cell, labels, _failed = session.reset(draws)
         adv0 = advance[monitor.z0][labels]
         z = adv0.z_next
         reward_steps = [adv0.step]
@@ -331,7 +358,7 @@ def evaluate(
                 executed = decision.action
                 intervened = decision.intervened
                 interventions += int(intervened)
-            obs_idx, cell, labels, failed = session.step(executed, rng)
+            obs_idx, cell, labels, failed = session.step(executed, draws)
             steps = t + 1
             adv = advance[z][labels]
             reward_steps.append(adv.step)

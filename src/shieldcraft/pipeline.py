@@ -436,27 +436,34 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
         shields = synthesize_shields(mdp, specs.dfa_violation, targets)
 
     policies = {}
+    train_info = {}  # policy key -> steps and throughput
     with _stage("train"):
         for row in matrix_rows(cfg):
             key = row.policy_key
             if key in policies:
                 continue
             shield = shields[row.shield] if row.trained_with_shield else None
+            t0 = time.perf_counter()
             result = train_policy(
                 cfg, specs, partition, row.train_spec, shield, out_dir / f"policy_{key}.json"
             )
+            train_info[key] = _throughput("train", result.steps, time.perf_counter() - t0)
             policies[key] = result
             lines = ["episode,value,terminal_event"]
             lines += [f"{ep},{val!r},{event}" for ep, val, event in result.episode_log]
             (out_dir / f"trainlog_{key}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     rows = []
+    eval_info = {}  # row id -> steps and throughput
     with _stage("evaluate"):
         for row in matrix_rows(cfg):
             trained = policies[row.policy_key]
+            t0 = time.perf_counter()
             result = evaluate_policy(
                 cfg, specs, partition, trained.qtable, row.train_spec, shields.get(row.shield)
             )
+            steps = sum(r.steps for r in result.episodes)
+            eval_info[row.row_id] = _throughput("eval", steps, time.perf_counter() - t0)
             rows.append(RowResult(row, trained.settled_avg_vf, result.metrics))
             _write_episode_records(out_dir / f"episodes_{row.row_id}.jsonl", result.episodes)
             _write_trajectories(
@@ -466,11 +473,28 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
     write_metrics_csv(rows, out_dir / "metrics.csv")
     write_json(
         out_dir / "run_info.json",
-        {"task": cfg.task, "seed": cfg.seed, "elapsed_s": time.time() - started},
+        {
+            "task": cfg.task,
+            "seed": cfg.seed,
+            "elapsed_s": time.time() - started,
+            "policies": train_info,
+            "rows": eval_info,
+        },
     )
     return PipelineResult(
         config=cfg, out_dir=out_dir, mdp=mdp, shields=shields, policies=policies, rows=rows
     )
+
+
+def _throughput(stage: str, steps: int, seconds: float) -> dict:
+    """A stage's env steps, wall seconds and steps per second, under the
+    benchmark's field names. Training's seconds include writing the policy
+    file."""
+    return {
+        f"{stage}_steps": steps,
+        f"{stage}_s": seconds,
+        f"{stage}_steps_per_s": steps / seconds if seconds > 0 else 0.0,
+    }
 
 
 def _write_episode_records(path: Path, records):

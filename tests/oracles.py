@@ -7,7 +7,9 @@ progression-based DFA compiler they are used to check.
 
 Likewise the reachability oracle evaluates the defining recursion for
 minimal N-step reach probability without any of the value-iteration
-machinery under test.
+machinery under test, and the episode-randomness oracle draws each value
+with the `numpy.random.Generator` call that `EpisodeDraws` reproduces from
+raw PCG64 outputs.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import itertools
 import numpy as np
 
 from shieldcraft import ltl
+from shieldcraft.env import truncated_normal
 from shieldcraft.ltl import (
     And,
     Atom,
@@ -213,3 +216,27 @@ def min_reach_paths(pm, s: int, steps: int) -> float:
         if best is None or total < best:
             best = total
     return best
+
+
+# --- episode randomness -----------------------------------------------------
+
+
+class GeneratorDraws:
+    """`EpisodeDraws` through the `numpy.random.Generator` calls it stands
+    for, one call per read: the reference its values must equal bit for
+    bit."""
+
+    def __init__(self, words, size: int = 0):
+        self.rng = np.random.default_rng(words)
+
+    def random(self) -> float:
+        return self.rng.random()
+
+    def uniforms(self, k: int) -> list[float]:
+        return self.rng.random(k).tolist()
+
+    def integers(self, n: int) -> int:
+        return int(self.rng.integers(n))
+
+    def noise(self) -> list[float]:
+        return truncated_normal(self.rng, 3)

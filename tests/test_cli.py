@@ -440,6 +440,22 @@ class TestPipeline:
         rows = (out / "metrics.csv").read_text().strip().split("\n")
         assert len(rows) == 1 + len(result.rows)
 
+    def test_run_info_counts_steps(self, tiny_run):
+        _cfg, result = tiny_run
+        out = result.out_dir
+        info = json.loads((out / "run_info.json").read_text())
+        assert set(info["policies"]) == set(result.policies)
+        for key, policy in info["policies"].items():
+            assert policy["train_steps"] == result.policies[key].steps > 0
+            assert policy["train_steps_per_s"] == pytest.approx(
+                policy["train_steps"] / policy["train_s"]
+            )
+        assert set(info["rows"]) == {row.spec.row_id for row in result.rows}
+        for row_id, row in info["rows"].items():
+            lines = (out / f"episodes_{row_id}.jsonl").read_text().splitlines()
+            assert row["eval_steps"] == sum(json.loads(line)["steps"] for line in lines) > 0
+            assert row["eval_steps_per_s"] == pytest.approx(row["eval_steps"] / row["eval_s"])
+
     def test_rerun_byte_identical(self, tiny_run, tmp_path):
         cfg, result = tiny_run
         again = run_pipeline(cfg, tmp_path / "again")

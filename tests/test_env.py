@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from oracles import GeneratorDraws
 from shieldcraft import env as env_mod
 from shieldcraft.abstraction import make_partition
 from shieldcraft.env import (
+    RESET_DRAWS,
     EnvParams,
+    EpisodeDraws,
     SpacecraftEnv,
     SpacecraftState,
     is_failure,
@@ -87,51 +90,51 @@ class TestDynamics:
         # the (3-sigma truncated) noise band
         params = EnvParams(wheel_drift=(0.001, -0.25, 0.07, 0.07))
         env = SpacecraftEnv(params)
-        rng = np.random.default_rng(0)
-        env.reset(rng)
+        draws = EpisodeDraws(0, 64)
+        env.reset(draws)
         for _ in range(50):
             env.state.wheel_speed = 0.9
-            env.step(1, rng)
+            env.step(1, draws)
             assert abs(env.state.wheel_speed - 0.65) <= 3 * params.wheel_noise[1] + 1e-12
 
     def test_charging_in_eclipse_strictly_drains(self):
         env = SpacecraftEnv()
-        rng = np.random.default_rng(1)
-        env.reset(rng)
+        draws = EpisodeDraws(1, 64)
+        env.reset(draws)
         env.state.minutes = 0.8 * env.params.orbit_minutes  # eclipse phase
         env.state.sun = 0
         before = env.state.charge
-        env.step(0, rng)
+        env.step(0, draws)
         assert env.state.charge < before
 
     def test_charging_in_sun_gains(self):
         env = SpacecraftEnv()
-        rng = np.random.default_rng(2)
-        env.reset(rng)
+        draws = EpisodeDraws(2, 64)
+        env.reset(draws)
         env.state.sun = 1
         env.state.charge = 0.5
-        env.step(0, rng)
+        env.step(0, draws)
         assert env.state.charge == pytest.approx(0.5 + 0.06 - 0.006)
 
     def test_charge_clamped_at_top_only(self):
         env = SpacecraftEnv()
-        rng = np.random.default_rng(3)
-        env.reset(rng)
+        draws = EpisodeDraws(3, 64)
+        env.reset(draws)
         env.state.sun = 1
         env.state.charge = 0.99
-        env.step(0, rng)
+        env.step(0, draws)
         assert env.state.charge == 1.0
 
     def test_sustained_imaging_saturates_wheels(self):
         # alternating imaging with no dumping drives the wheels up
         # monotonically to saturation within 50 steps
         env = SpacecraftEnv()
-        rng = np.random.default_rng(4)
-        env.reset(rng)
+        draws = EpisodeDraws(4, 64)
+        env.reset(draws)
         env.state.wheel_speed = 0.3
         history = [env.state.wheel_speed]
         for t in range(50):
-            env.step(2 + t % 2, rng)
+            env.step(2 + t % 2, draws)
             history.append(env.state.wheel_speed)
         diffs = np.diff(history)
         assert (diffs > 0).all()
@@ -139,23 +142,23 @@ class TestDynamics:
 
     def test_imaging_converges_pointing(self):
         env = SpacecraftEnv()
-        rng = np.random.default_rng(5)
-        env.reset(rng)
+        draws = EpisodeDraws(5, 64)
+        env.reset(draws)
         env.state.pointing_error = 0.1
         env.state.attitude_rate = 0.004
         for _ in range(6):
-            env.step(2, rng)
+            env.step(2, draws)
         assert env.state.pointing_error < 0.008
         assert env.state.attitude_rate < 0.002
 
     def test_determinism(self):
         def run(seed):
             env = SpacecraftEnv()
-            rng = np.random.default_rng(seed)
-            env.reset(rng)
+            draws = EpisodeDraws(seed, 64)
+            env.reset(draws)
             trace = []
             for t in range(40):
-                labels, failed = env.step(t % 4, rng)
+                labels, failed = env.step(t % 4, draws)
                 trace.append((tuple(observation(env.state)), labels, failed))
             return trace
 
@@ -164,17 +167,17 @@ class TestDynamics:
 
     def test_mode_recorded(self):
         env = SpacecraftEnv()
-        rng = np.random.default_rng(6)
-        env.reset(rng)
-        env.step(3, rng)
+        draws = EpisodeDraws(6, 64)
+        env.reset(draws)
+        env.step(3, draws)
         assert env.state.mode == 3
 
 
 class TestAccessWindows:
     def test_fixed_windows(self):
         env = SpacecraftEnv()
-        rng = np.random.default_rng(0)
-        env.reset(rng)
+        draws = EpisodeDraws(0, 64)
+        env.reset(draws)
         orbit = env.params.orbit_minutes
         assert env._access(0.30 * orbit, env.params.target_windows)[1] == 1
         assert env._access(0.50 * orbit, env.params.target_windows)[1] == 0
@@ -183,10 +186,10 @@ class TestAccessWindows:
 
     def test_randomized_windows_differ_between_episodes(self):
         env = SpacecraftEnv(EnvParams(randomize_windows=True))
-        rng = np.random.default_rng(0)
-        env.reset(rng)
+        draws = EpisodeDraws(0, 64)
+        env.reset(draws)
         w1 = env._windows
-        env.reset(rng)
+        env.reset(draws)
         w2 = env._windows
         assert w1 != w2
         for lo, hi in w1:
@@ -297,25 +300,24 @@ class TestResetDraw:
         for seed in range(10_000):
             want_rng = np.random.default_rng([seed, 3])
             want = _uniform_reset(env.params, want_rng)
-            got_rng = np.random.default_rng([seed, 3])
-            env.reset(got_rng)
+            draws = EpisodeDraws([seed, 3], RESET_DRAWS)
+            env.reset(draws)
             got = _start_values(env)
             assert np.array_equal(np.asarray(got).view(np.uint64),
                                   np.asarray(want).view(np.uint64)), seed
             # the stream continues where the uniform calls left it
-            assert got_rng.random() == want_rng.random(), seed
+            assert draws.random() == want_rng.random(), seed
 
 
 class TestNoiseBlock:
-    BLOCK = 10
+    BLOCK = 10  # steps of noise in the first block
 
-    def _rollout(self, params, seed, steps, block):
+    def _rollout(self, params, seed, steps, draws):
         env = SpacecraftEnv(params)
-        rng = np.random.default_rng([seed, 3])
         actions = np.random.default_rng(seed).integers(0, 4, steps).tolist()
-        trace = [(env.reset(rng, block), tuple(_start_values(env)))]
+        trace = [(env.reset(draws), tuple(_start_values(env)))]
         for action in actions:
-            labels, failed = env.step(action, rng)
+            labels, failed = env.step(action, draws)
             trace.append((labels, failed, dataclasses.astuple(env.state)))
         return trace
 
@@ -323,17 +325,10 @@ class TestNoiseBlock:
     @pytest.mark.parametrize("steps", [BLOCK - 3, BLOCK, 2 * BLOCK + 5])
     def test_block_steps_equal_per_step_draws(self, steps, randomize):
         # fewer steps than the block, exactly the block, and past it, where
-        # the steps draw their own noise from the episode's stream
+        # the draws take further blocks from the episode's stream
         params = EnvParams(randomize_windows=randomize)
         for seed in range(20):
-            per_step = self._rollout(params, seed, steps, 0)
-            assert self._rollout(params, seed, steps, self.BLOCK) == per_step
-
-    def test_reset_without_a_block_drops_the_old_one(self):
-        env = SpacecraftEnv()
-        env.reset(np.random.default_rng(0), self.BLOCK)
-        env.reset(np.random.default_rng(1))
-        rng = np.random.default_rng(2)
-        env.step(0, rng)
-        # the step drew its noise from rng itself
-        assert rng.random() == np.random.default_rng(2).random(4)[3]
+            words = [seed, 3]
+            per_step = self._rollout(params, seed, steps, GeneratorDraws(words))
+            block = EpisodeDraws(words, RESET_DRAWS + 3 * self.BLOCK)
+            assert self._rollout(params, seed, steps, block) == per_step

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from shieldcraft import _kernels
-from shieldcraft.env import EnvParams, SpacecraftEnv
+from shieldcraft.env import EnvParams, EpisodeDraws, SpacecraftEnv
 
 # One step per action under the default EnvParams coefficients, worked by
 # hand from the update rules in env.py. Each case drives one coordinate
@@ -147,10 +147,11 @@ class TestBenchmarkContract:
         monkeypatch.setattr(_kernels, "step_one", counting("step_one"))
         monkeypatch.setattr(_kernels, "step_batch", counting("step_batch"))
         env = SpacecraftEnv()
-        rng = np.random.default_rng(0)
-        env.reset(rng)
-        env.step(2, rng)
+        draws = EpisodeDraws(0, 16)
+        env.reset(draws)
+        env.step(2, draws)
         assert calls == {"step_one": 1, "step_batch": 0}
         cell = ((0.0, 0.0025), (0.2, 0.4), (0.4, 0.6))
+        rng = np.random.default_rng(0)
         env.step_batch(env.sample_in_cell(cell, 8, rng), np.full(8, 1))
         assert calls == {"step_one": 1, "step_batch": 1}

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import GeneratorDraws
+from shieldcraft import learner as learner_mod
 from shieldcraft.abstraction import make_partition
 from shieldcraft.dfa import compile_cosafe, monitor_product
 from shieldcraft.env import EnvParams, SpacecraftEnv, SpacecraftState, proposition_table
@@ -28,12 +30,14 @@ class ToggleEnv:
 
     def __init__(self):
         self.state = 0
+        self.steps = 0  # step calls, over all episodes
 
-    def reset(self, rng, noise_steps=0):
+    def reset(self, draws):
         self.state = 0
         return 0, 0, 0, False  # (obs_index, cell, labels, failed)
 
-    def step(self, action, rng):
+    def step(self, action, draws):
+        self.steps += 1
         if action == 0:
             self.state = 1 - self.state
         labels = 1 if self.state == 1 else 0
@@ -129,6 +133,13 @@ class TestToyConvergence:
             assert np.array_equal(r1.qtable[key], r2.qtable[key])
         assert r1.episode_log == r2.episode_log
 
+    def test_steps_count_env_steps(self):
+        dfa = compile_cosafe(parse("F p0", T1), T1)
+        cfg = LearnerConfig(episodes=25, episode_length=7)
+        env = ToggleEnv()
+        result = train(env, dfa, cfg, RewardConfig(), seed=4)
+        assert result.steps == env.steps == 25 * 7
+
     def test_training_log_shape(self):
         dfa = compile_cosafe(parse("F p0", T1), T1)
         cfg = LearnerConfig(episodes=10, episode_length=5)
@@ -146,10 +157,10 @@ class FailingEnv:
 
     n_actions = 3
 
-    def reset(self, rng, noise_steps=0):
+    def reset(self, draws):
         return 0, 0, 0, False  # (obs_index, cell, labels, failed)
 
-    def step(self, action, rng):
+    def step(self, action, draws):
         if action == 2:
             return 0, 0, 0, True
         labels = (1 << 1) if action == 1 else 0
@@ -225,25 +236,24 @@ class TestMetricsIdentities:
             assert r.satisfied_liveness and r.first_liveness == 1
 
 
+def _spacecraft_shield():
+    from shieldcraft.abstraction import AbstractionConfig, estimate_transitions
+    from shieldcraft.mdp import product
+    from shieldcraft.shields import ShieldConfig, one_step
+
+    table = proposition_table()
+    partition = make_partition()
+    violation = compile_cosafe(negate(parse("G !(p1 | p2)", table)), table)
+    mdp = estimate_transitions(SpacecraftEnv(), partition, AbstractionConfig(500, seed=0))
+    shield = one_step(product(mdp, violation), ShieldConfig(threshold=0.05, kind="one"))
+    return partition, violation, shield
+
+
 class TestShieldInLoop:
-    def _spacecraft_setup(self):
-        from shieldcraft.abstraction import AbstractionConfig, estimate_transitions
-        from shieldcraft.mdp import product
-        from shieldcraft.shields import ShieldConfig, ShieldRuntime, one_step
-
-        table = proposition_table()
-        partition = make_partition()
-        violation = compile_cosafe(negate(parse("G !(p1 | p2)", table)), table)
-        env = SpacecraftEnv()
-        mdp = estimate_transitions(env, partition, AbstractionConfig(500, seed=0))
-        pm = product(mdp, violation)
-        shield = one_step(pm, ShieldConfig(threshold=0.05, kind="one"))
-        return partition, violation, shield
-
     def test_executed_actions_always_shield_approved(self):
         from shieldcraft.shields import ShieldRuntime
 
-        partition, violation, shield = self._spacecraft_setup()
+        partition, violation, shield = _spacecraft_shield()
         liveness = compile_cosafe(parse("F p0", proposition_table()), proposition_table())
 
         executed_log = []
@@ -268,7 +278,7 @@ class TestShieldInLoop:
     def test_reset_outside_the_domain_gets_the_exit_cell(self):
         from shieldcraft.shields import ShieldRuntime
 
-        partition, violation, shield = self._spacecraft_setup()
+        partition, violation, shield = _spacecraft_shield()
         liveness = compile_cosafe(parse("F p0", proposition_table()), proposition_table())
         env = SpacecraftEnv(EnvParams(init_rate=(0.011, 0.012)))  # above RATE_LIMIT
         first_filters = []
@@ -335,44 +345,72 @@ class TestShieldInLoop:
         assert result2.qtable[(0, dfa.z0)][1] == 0.0
 
 
-class PerStepSession(SpacecraftSession):
-    """Ignores the noise block, so every step draws its own noise."""
+class TestEpisodeDrawsInLoop:
+    """`train` and `evaluate` on `EpisodeDraws` against the same loops on
+    a reference that makes one `Generator` call per read."""
 
-    def reset(self, rng, noise_steps=0):
-        return super().reset(rng)
+    @pytest.fixture(scope="class")
+    def setup(self):
+        from shieldcraft.shields import ShieldRuntime
 
-
-class TestEvaluationNoiseBlock:
-    def test_records_and_trajectories_equal_per_step_draws(self):
+        partition, violation, shield = _spacecraft_shield()
         table = proposition_table()
         liveness = compile_cosafe(parse("F p0", table), table)
-        violation = compile_cosafe(negate(parse("G !(p1 | p2)", table)), table)
         monitor = monitor_product(liveness, violation)
-        partition = make_partition()
-        discretizer = Discretizer(partition)
+
+        def session():
+            params = EnvParams(randomize_windows=True)
+            return SpacecraftSession(SpacecraftEnv(params), Discretizer(partition))
+
+        def runtime():
+            return ShieldRuntime(shield, violation, partition)
+
+        return session, runtime, monitor, liveness, violation
+
+    def _run(self, setup, shielded):
+        session, runtime, monitor, liveness, violation = setup
+        # epsilon anneals from 0.9 to 0.2: exploration and greedy steps mix
+        cfg = LearnerConfig(
+            episodes=40, episode_length=60, epsilon_start=0.9, epsilon_end=0.2,
+            optimistic_init=0.5 if shielded else 0.0,
+        )
+        trained = train(
+            session(), monitor, cfg, RewardConfig(), seed=4,
+            shield_runtime=runtime() if shielded else None,
+        )
         # random greedy actions: the imaging modes saturate the wheels, so
         # some episodes fail early and others run the whole horizon
         pick = np.random.default_rng(0)
-        q = {
-            (obs, z): pick.random(4)
-            for obs in range(discretizer.capacity) for z in range(monitor.n_states)
-        }
-        params = EnvParams(randomize_windows=True)
-        results = [
-            evaluate(
-                q, session_type(SpacecraftEnv(params), discretizer), monitor,
-                liveness, violation, RewardConfig(), episodes=40,
-                episode_length=60, seed=4, record_trajectories=5,
-            )
-            for session_type in (SpacecraftSession, PerStepSession)
-        ]
-        blocked, per_step = results
-        steps = [r.steps for r in per_step.episodes]
-        assert min(steps) < 60 and max(steps) == 60
-        assert any(r.failed for r in per_step.episodes[:5])
-        assert blocked.episodes == per_step.episodes
-        assert blocked.trajectories == per_step.trajectories
-        assert len(blocked.trajectories) == 5
+        capacity = session().discretizer.capacity
+        q = {(obs, z): pick.random(4) for obs in range(capacity) for z in range(monitor.n_states)}
+        evaluated = evaluate(
+            q, session(), monitor, liveness, violation, RewardConfig(),
+            episodes=40, episode_length=60, seed=4,
+            shield_runtime=runtime() if shielded else None, record_trajectories=5,
+        )
+        return trained, evaluated
+
+    @pytest.mark.parametrize("shielded", [False, True])
+    def test_equal_to_generator_draws(self, setup, shielded, monkeypatch):
+        trained, evaluated = self._run(setup, shielded)
+        monkeypatch.setattr(learner_mod, "EpisodeDraws", GeneratorDraws)
+        ref_trained, ref_evaluated = self._run(setup, shielded)
+
+        assert list(trained.qtable) and set(trained.qtable) == set(ref_trained.qtable)
+        for key, row in ref_trained.qtable.items():
+            assert trained.qtable[key].tobytes() == row.tobytes(), key
+        assert trained.episode_log == ref_trained.episode_log
+        assert trained.steps == ref_trained.steps
+        assert evaluated.episodes == ref_evaluated.episodes
+        assert evaluated.trajectories == ref_evaluated.trajectories
+        assert len(evaluated.trajectories) == 5
+        events = {event for _ep, _v, event in trained.episode_log}
+        assert "horizon" in events
+        assert max(r.steps for r in evaluated.episodes) == 60
+        if not shielded:
+            # early ends in training, and in recorded evaluation episodes
+            assert len(events) > 1
+            assert any(r.failed for r in evaluated.episodes[:5])
 
 
 class TestPolicySerialization:
@@ -392,5 +430,27 @@ class TestConfigValidation:
             LearnerConfig(alpha=0.0)
         with pytest.raises(ValueError):
             LearnerConfig(epsilon_start=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="update_on .*'both'"):
             LearnerConfig(update_on="both")
+
+    BAD = [
+        ("epsilon_decay_fraction", 0.0),
+        ("epsilon_decay_fraction", -0.5),
+        ("epsilon_decay_fraction", float("nan")),
+        ("epsilon_decay_fraction", float("inf")),
+        ("optimistic_init", float("nan")),
+        ("optimistic_init", float("inf")),
+        ("optimistic_init", float("-inf")),
+    ]
+
+    @pytest.mark.parametrize(("field", "value"), BAD)
+    def test_bad_value_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LearnerConfig(**{field: value})
+
+    @pytest.mark.parametrize(("field", "value"), BAD)
+    def test_bad_value_named_through_config_from_dict(self, field, value):
+        from shieldcraft.pipeline import config_from_dict
+
+        with pytest.raises(ValueError, match=field):
+            config_from_dict({"learner": {field: value}})
