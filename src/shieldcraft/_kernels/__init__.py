@@ -39,8 +39,15 @@ def step_one(rate, wheel, charge, err, sun, coef, e_w, e_r, e_a):
     row of `action_rows`; returns (rate, wheel, charge, err)."""
     (gain, drain, w_drift, w_noise, r_pull, r_target, r_noise,
      e_keep, e_drift, e_noise) = coef
-    charge = min(1.0, (charge + gain * sun) - drain)
-    wheel = max(0.0, (wheel + w_drift) + w_noise * e_w)
-    rate = max(0.0, (rate + r_pull * (r_target - rate)) + r_noise * e_r)
-    err = max(0.0, (e_keep * err + e_drift) + e_noise * e_a)
+    # ``x if x < 1.0 else 1.0`` is what ``min(1.0, x)`` returns, NaN and
+    # signed zero included, and ``x if x > 0.0 else 0.0`` is ``max(0.0, x)``;
+    # the expressions skip the builtins' call overhead
+    charge = (charge + gain * sun) - drain
+    charge = charge if charge < 1.0 else 1.0
+    wheel = (wheel + w_drift) + w_noise * e_w
+    wheel = wheel if wheel > 0.0 else 0.0
+    rate = (rate + r_pull * (r_target - rate)) + r_noise * e_r
+    rate = rate if rate > 0.0 else 0.0
+    err = (e_keep * err + e_drift) + e_noise * e_a
+    err = err if err > 0.0 else 0.0
     return rate, wheel, charge, err

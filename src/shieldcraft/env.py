@@ -68,6 +68,19 @@ def proposition_table() -> PropositionTable:
     return PropositionTable(ATOM_NAMES)
 
 
+# the per-mode coefficient rows, in the kernel's parameter order
+_PER_MODE = (
+    "solar_gain", "power_drain", "wheel_drift", "wheel_noise",
+    "rate_pull", "rate_target", "rate_noise",
+    "error_keep", "error_drift", "error_noise",
+)
+# the (lo, hi) ranges the start and cell states are drawn from
+_RANGES = (
+    "init_pointing_error", "init_rate", "init_wheel", "init_charge",
+    "sample_pointing_error",
+)
+
+
 @dataclass(frozen=True)
 class EnvParams:
     """All tunables of the surrogate; per-mode tuples are ordered as MODES."""
@@ -97,20 +110,38 @@ class EnvParams:
     # hidden-coordinate ranges used when sampling inside an abstraction cell
     sample_pointing_error: tuple[float, float] = (0.0, 0.15)
 
+    def __post_init__(self):
+        for name in ("orbit_minutes", "step_minutes"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+        for name, windows in (("sun_window", (self.sun_window,)),
+                              ("target_windows", self.target_windows)):
+            if not all(0.0 <= lo < hi <= 1.0 for lo, hi in windows):
+                raise ValueError(
+                    f"{name} needs 0 <= lo < hi <= 1 per window, got {getattr(self, name)!r}"
+                )
+        # a randomized second window starts in [0.55, 0.95 - width)
+        if self.randomize_windows and not 0.0 < self.window_width < 0.4:
+            raise ValueError(
+                f"window_width must be in (0, 0.4) when randomize_windows, "
+                f"got {self.window_width!r}"
+            )
+        for name in _RANGES:
+            lo, hi = value = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                raise ValueError(f"{name} needs finite lo <= hi, got {value!r}")
+        for name in _PER_MODE:
+            value = getattr(self, name)
+            if len(value) != len(MODES):
+                raise ValueError(f"{name} needs one entry per mode, got {value!r}")
+
     def param_vector(self) -> np.ndarray:
-        rows = (
-            self.solar_gain, self.power_drain,
-            self.wheel_drift, self.wheel_noise,
-            self.rate_pull, self.rate_target, self.rate_noise,
-            self.error_keep, self.error_drift, self.error_noise,
-        )
-        for row in rows:
-            if len(row) != len(MODES):
-                raise ValueError("per-mode coefficient tuples must have 4 entries")
-        return np.asarray([v for row in rows for v in row], dtype=np.float64)
+        return np.asarray([v for name in _PER_MODE for v in getattr(self, name)],
+                          dtype=np.float64)
 
 
-@dataclass
+@dataclass(slots=True)
 class SpacecraftState:
     pointing_error: float
     attitude_rate: float
@@ -352,7 +383,11 @@ class SpacecraftEnv:
     def step(self, action: int, draws: EpisodeDraws) -> tuple[int, bool]:
         """One decision step; returns (labels, failed). The three noise
         deviates are the next ones of ``draws``: `truncated_normal`'s of the
-        next three outputs of the episode's PCG64 stream."""
+        next three outputs of the episode's PCG64 stream.
+
+        This is the reference step. The learner steps episodes through
+        `learner.SpacecraftSession.step`, which computes the same step in
+        one frame; a property test holds the two equal bit for bit."""
         st = self.state
         e_w, e_r, e_a = draws.noise()
         rate, wheel, charge, err = _kernels.step_one(

@@ -21,11 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rewards
+from . import _kernels, rewards
 from .dfa import Dfa
 from .env import (
+    CHARGE_FLOOR,
     POINTING_TOL,
+    RATE_LIMIT,
+    RATE_TOL,
     RESET_DRAWS,
+    WHEEL_CEIL,
+    WHEEL_LIMIT,
     EpisodeDraws,
     SpacecraftEnv,
     SpacecraftState,
@@ -40,6 +45,13 @@ _EVAL_STREAM = 3
 # an output or less) and three noise deviates; evaluation's noise alone
 _TRAIN_STEP_DRAWS = 5
 _EVAL_STEP_DRAWS = 3
+
+# label bits of `env.label`: p0 with p3 or p4, p1, p2
+_IMAGE_A = 0b01001
+_IMAGE_B = 0b10001
+_LOW_CHARGE = 0b00010
+_HIGH_WHEEL = 0b00100
+_INF = math.inf
 
 QTable = dict  # (obs_index, monitor_state) -> np.ndarray of action values
 
@@ -128,6 +140,16 @@ class SpacecraftSession:
         self.env = env
         self.discretizer = discretizer
         self.n_actions = len(env.action_names)
+        d = discretizer
+        _, nw, nc, n_pointing, _, _ = d._dims
+        # everything `step` reads besides the state, the windows and the
+        # draws, fixed for the session's life
+        self._frame = (
+            env._coef, env.params.step_minutes, env.params.orbit_minutes,
+            *env.params.sun_window,
+            d._rate_edges, d._wheel_edges, d._charge_edges, d.pointing_edges,
+            nw, nc, n_pointing,
+        )
 
     def reset(self, draws: EpisodeDraws) -> StepOutcome:
         labels = self.env.reset(draws)
@@ -136,8 +158,65 @@ class SpacecraftSession:
         return (*self.discretizer(st, failed), labels, failed)
 
     def step(self, action: int, draws: EpisodeDraws) -> StepOutcome:
-        labels, failed = self.env.step(action, draws)
-        return (*self.discretizer(self.env.state, failed), labels, failed)
+        """The episode step: one env step and its outcome, in one frame.
+
+        It computes what ``SpacecraftEnv.step`` followed by
+        ``Discretizer.__call__`` computes, with the same arithmetic, so the
+        outcome and the next state are theirs bit for bit: the three
+        deviates of ``draws.noise()``, one ``_kernels.step_one`` call (looked
+        up on the module, where a tracer may replace it), the access of
+        `SpacecraftEnv._access`, the bits of `label`, the test of
+        `is_failure` and the discretizer's bins. Those stay the reference
+        implementations, and `reset` uses them. ``state.minutes`` stays the
+        clock, so a caller may set the state between steps.
+        """
+        env = self.env
+        st = env.state
+        (coef, step_minutes, orbit, sun_lo, sun_hi,
+         rate_edges, wheel_edges, charge_edges, pointing_edges, nw, nc, n_pointing) = self._frame
+        e_w, e_r, e_a = draws.noise()
+        # an int sun multiplies to the same bits as float(sun)
+        rate, wheel, charge, err = _kernels.step_one(
+            st.attitude_rate, st.wheel_speed, st.charge, st.pointing_error,
+            st.sun, coef[action], e_w, e_r, e_a,
+        )
+        minutes = st.minutes + step_minutes
+        frac = (minutes % orbit) / orbit
+        sun = 1 if sun_lo <= frac < sun_hi else 0
+        target = 0
+        for lo, hi in env._windows:
+            if lo <= frac < hi:
+                target = 1
+                break
+        mode = int(action)
+        st.pointing_error = err
+        st.attitude_rate = rate
+        st.wheel_speed = wheel
+        st.charge = charge
+        st.sun = sun
+        st.target = target
+        st.mode = mode
+        st.minutes = minutes
+        labels = 0
+        if err < POINTING_TOL and rate < RATE_TOL and target:
+            if mode == 2:
+                labels = _IMAGE_A
+            elif mode == 3:
+                labels = _IMAGE_B
+        if charge < CHARGE_FLOOR:
+            labels |= _LOW_CHARGE
+        if wheel > WHEEL_CEIL:
+            labels |= _HIGH_WHEEL
+        # a comparison with NaN is false, and the infinite bounds exclude
+        # the infinities, so this is `is_failure`
+        failed = not (
+            0.0 < charge < _INF and -_INF < wheel < WHEEL_LIMIT and -_INF < rate <= RATE_LIMIT
+        )
+        cell = (
+            bisect_right(rate_edges, rate) * nw + bisect_right(wheel_edges, wheel)
+        ) * nc + bisect_right(charge_edges, charge)
+        idx = ((cell * n_pointing + bisect_right(pointing_edges, err)) * 2 + sun) * 2 + target
+        return idx, -1 if failed else cell, labels, failed
 
     def observation(self) -> list[float]:
         """The current observation vector, for recorded trajectory rows."""

@@ -332,3 +332,80 @@ class TestNoiseBlock:
             per_step = self._rollout(params, seed, steps, GeneratorDraws(words))
             block = EpisodeDraws(words, RESET_DRAWS + 3 * self.BLOCK)
             assert self._rollout(params, seed, steps, block) == per_step
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+class TestEnvParamsValidation:
+    """Degenerate orbit, window and range values fail at construction with
+    the field and its value named; before this check they raised mid-episode
+    or silently gave an episode without sun or target."""
+
+    BAD = [
+        ("orbit_minutes", 0.0),
+        ("orbit_minutes", -271.0),
+        ("orbit_minutes", NAN),
+        ("orbit_minutes", INF),
+        ("step_minutes", 0.0),
+        ("step_minutes", -3.0),
+        ("step_minutes", NAN),
+        ("step_minutes", INF),
+        ("sun_window", (0.72, 0.0)),
+        ("sun_window", (0.5, 0.5)),
+        ("sun_window", (-0.1, 0.5)),
+        ("sun_window", (0.2, 1.2)),
+        ("sun_window", (NAN, 0.5)),
+        ("target_windows", ((0.25, 0.35), (0.80, 0.70))),
+        ("target_windows", ((0.9, 1.1),)),
+        ("init_pointing_error", (0.10, 0.02)),
+        ("init_rate", (NAN, 0.004)),
+        ("init_wheel", (0.3, INF)),
+        ("init_charge", (0.95, 0.55)),
+        ("sample_pointing_error", (0.15, 0.0)),
+        ("solar_gain", (0.06, 0.0, 0.0)),
+        ("error_noise", (0.0015, 0.002, 0.002, 0.002, 0.002)),
+    ]
+    BAD_RANDOMIZED_WIDTH = [0.6, 0.4, 0.0, -0.1, NAN]
+
+    @staticmethod
+    def _raises(make, field, value):
+        with pytest.raises(ValueError, match=field) as info:
+            make()
+        assert repr(value) in str(info.value)
+
+    @pytest.mark.parametrize(("field", "value"), BAD)
+    def test_bad_value_named(self, field, value):
+        self._raises(lambda: EnvParams(**{field: value}), field, value)
+
+    @pytest.mark.parametrize(("field", "value"), BAD)
+    def test_bad_value_named_through_config_from_dict(self, field, value):
+        from shieldcraft.pipeline import config_from_dict
+
+        # a JSON config gives lists where the dataclass holds tuples
+        def listed(v):
+            return [listed(x) for x in v] if isinstance(v, tuple) else v
+
+        self._raises(lambda: config_from_dict({"env": {field: listed(value)}}), field, value)
+
+    @pytest.mark.parametrize("width", BAD_RANDOMIZED_WIDTH)
+    def test_randomized_window_width(self, width):
+        from shieldcraft.pipeline import config_from_dict
+
+        self._raises(
+            lambda: EnvParams(randomize_windows=True, window_width=width), "window_width", width
+        )
+        self._raises(
+            lambda: config_from_dict({"env": {"randomize_windows": True, "window_width": width}}),
+            "window_width", width,
+        )
+
+    def test_fixed_windows_ignore_width(self):
+        # the width only sizes randomized windows
+        assert EnvParams(window_width=0.6).window_width == 0.6
+
+    def test_edge_values_accepted(self):
+        EnvParams(sun_window=(0.0, 1.0), target_windows=((0.0, 0.01), (0.99, 1.0)),
+                  init_rate=(0.004, 0.004), randomize_windows=True, window_width=0.39)
+        EnvParams(target_windows=())

@@ -1,11 +1,18 @@
-"""The dynamics kernel: hand-computed steps, scalar/batch agreement, and
-the module names the benchmark's tracer wraps."""
+"""The dynamics kernel: hand-computed steps, scalar/batch agreement, the
+scalar clamps against ``min``/``max``, and the module names the
+benchmark's tracer wraps."""
+
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shieldcraft import _kernels
+from shieldcraft.abstraction import make_partition
 from shieldcraft.env import EnvParams, EpisodeDraws, SpacecraftEnv
+from shieldcraft.learner import Discretizer, SpacecraftSession
 
 # One step per action under the default EnvParams coefficients, worked by
 # hand from the update rules in env.py. Each case drives one coordinate
@@ -126,10 +133,41 @@ class TestPureLane:
         assert charge == 1.0
 
 
+def _step_one_builtins(rate, wheel, charge, err, sun, coef, e_w, e_r, e_a):
+    """`step_one` written with the builtins ``min`` and ``max``."""
+    (gain, drain, w_drift, w_noise, r_pull, r_target, r_noise,
+     e_keep, e_drift, e_noise) = coef
+    charge = min(1.0, (charge + gain * sun) - drain)
+    wheel = max(0.0, (wheel + w_drift) + w_noise * e_w)
+    rate = max(0.0, (rate + r_pull * (r_target - rate)) + r_noise * e_r)
+    err = max(0.0, (e_keep * err + e_drift) + e_noise * e_a)
+    return rate, wheel, charge, err
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, 1.0, float("nan"), float("inf"), float("-inf")])
+VALUE = st.one_of(st.floats(-2.0, 2.0), SPECIAL)
+# the four actions' rows, and one of negative zeros under which the
+# updates can produce -0.0
+COEFS = st.sampled_from([*_kernels.action_rows(EnvParams().param_vector()), (-0.0,) * 10])
+
+
+@settings(max_examples=500, deadline=None)
+@given(state=st.tuples(VALUE, VALUE, VALUE, VALUE), sun=st.sampled_from([0, 1, 0.0, 1.0]),
+       coef=COEFS, noise=st.tuples(VALUE, VALUE, VALUE))
+@example(state=(-0.0,) * 4, sun=0, coef=(-0.0,) * 10, noise=(1.0, 1.0, 1.0))
+def test_clamps_equal_min_max_bitwise(state, sun, coef, noise):
+    """The kernel's conditional clamps give the bits ``min(1.0, x)`` and
+    ``max(0.0, x)`` give, NaN, infinities and signed zeros included, and an
+    int sun the bits of a float one."""
+    got = _kernels.step_one(*state, sun, coef, *noise)
+    want = _step_one_builtins(*state, float(sun), coef, *noise)
+    assert struct.pack("<4d", *got) == struct.pack("<4d", *want)
+
+
 class TestBenchmarkContract:
     """perfbench reads ``USING_COMPILED`` and times the kernel by replacing
-    ``step_one`` and ``step_batch`` on the module, so the environment must
-    call them through the module attribute."""
+    ``step_one`` and ``step_batch`` on the module, so the environment and
+    the session must call them through the module attribute."""
 
     def test_env_calls_through_module(self, monkeypatch):
         assert _kernels.USING_COMPILED is False
@@ -155,3 +193,8 @@ class TestBenchmarkContract:
         rng = np.random.default_rng(0)
         env.step_batch(env.sample_in_cell(cell, 8, rng), np.full(8, 1))
         assert calls == {"step_one": 1, "step_batch": 1}
+        # the session's one-frame episode step calls the kernel once too
+        session = SpacecraftSession(SpacecraftEnv(), Discretizer(make_partition()))
+        session.reset(draws)
+        session.step(3, draws)
+        assert calls == {"step_one": 2, "step_batch": 1}
