@@ -8,13 +8,15 @@ hidden coordinates randomized over their full ranges), and the empirical
 landing frequencies become the transition row. Landings outside the
 domain map to one absorbing unsafe-exit state labelled {p1, p2}.
 
-Each (cell, action) row makes all its random draws (``sample_in_cell``)
-from its own RNG stream derived from (seed, stream tag, cell, action). The
-arithmetic runs per chunk of rows: one deterministic ``step_batch`` call,
-one ``locate`` and one ``bincount`` over the chunk's samples. Every value
-is elementwise or an integer count, so results are bit-identical under
-reruns and do not depend on the chunk size or the order in which rows are
-drawn.
+Each (cell, action) row makes all its random draws from its own PCG64
+stream, seeded from (seed, stream tag, cell, action) as
+``np.random.PCG64([seed, 1, cell, action])`` is; every row's stream is
+seeded in one vectorized call (`env.pcg64_states`). The work runs per
+chunk of rows: one ``sample_in_cell`` call reads each row's raw outputs
+and converts them in one pass, then one deterministic ``step_batch``
+call, one ``locate`` and one ``bincount`` run over the chunk's samples.
+Every value is elementwise or an integer count, so results are
+bit-identical under reruns and do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -26,19 +28,21 @@ from functools import cached_property
 
 import numpy as np
 
-from .env import ATOM_NAMES, CHARGE_FLOOR, RATE_LIMIT, WHEEL_CEIL, WHEEL_LIMIT
+from .env import ATOM_NAMES, CHARGE_FLOOR, RATE_LIMIT, WHEEL_CEIL, WHEEL_LIMIT, RowStreams
 from .mdp import FiniteMdp
 
 P1_BIT = 1 << ATOM_NAMES.index("p1")
 P2_BIT = 1 << ATOM_NAMES.index("p2")
 _ABSTRACTION_STREAM = 1  # keeps row streams disjoint from training/eval streams
-# Samples stepped per simulator call (at least one row). Larger chunks
-# spread the per-call cost over more rows, but their temporaries can
-# outgrow what the allocator keeps for reuse: in the benchmark's process
-# (numpy 2.4, glibc malloc), 4000-sample chunks faulted in ~34k fresh
-# pages per simple_unshielded estimate and took 30% longer than stepping
-# its 2000-sample rows one by one. A chunk this size holds about as much
-# as one such row, and faulted in none.
+# Samples drawn and stepped per simulator call (at least one row).
+# Larger chunks spread the per-call cost over more rows, but their
+# temporaries can outgrow what the allocator keeps for reuse. Measured
+# again with the chunk sampler (numpy 2.4, glibc malloc, 2-core host,
+# median of 7 in-process estimates): at 4096 samples per chunk the
+# benchmark's simple_unshielded abstraction (2000 samples per row) faulted
+# in ~30k fresh pages and took 0.13 s against 0.11 s, and complex_fine's
+# (200 per row) ~48k pages and 0.26 s against 0.24 s; 1024 took 0.27 s
+# on complex_fine. A chunk this size faulted in almost none on either.
 CHUNK_SAMPLES = 1 << 11
 
 
@@ -112,6 +116,11 @@ class Partition:
         """(rate, wheel, charge) bin edges without the domain bounds."""
         s = self.spec
         return s.attitude_rate_edges[1:-1], s.wheel_edges[1:-1], s.charge_edges[1:-1]
+
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        """Each cell's (lo, hi) per coordinate, as a (cells, 3, 2) array."""
+        return np.array([c.bounds for c in self.cells], dtype=np.float64)
 
     def locate(self, coords: np.ndarray) -> np.ndarray:
         """Cell index per (n, 3) coordinate row; -1 marks domain exit,
@@ -196,28 +205,38 @@ def estimate_transitions(sim, partition: Partition, cfg: AbstractionConfig) -> F
     ``sim`` exposes ``action_names``, ``atom_names`` and a two-part
     simulator protocol:
 
-    * ``sample_in_cell(bounds, n, rng) -> batch`` makes every random draw
-      of one (cell, action) row from the row's own stream: a dict of arrays
-      whose last axis runs over the ``n`` samples;
+    * ``sample_in_cell(bounds, n, streams) -> batch`` makes every random
+      draw of a chunk of (cell, action) rows, ``n`` samples each: row ``i``
+      lies in the cell of ``bounds[i]`` (a ``(rows, 3, 2)`` array) and draws
+      from its own PCG64 stream, whose doubles ``streams.doubles`` reads (an
+      `env.RowStreams`). The batch is a dict of arrays whose last axis runs
+      over the chunk's samples, row by row;
     * ``step_batch(batch, actions) -> (k, 3) coords`` steps a batch, element
       ``i`` under ``actions[i]``, and draws nothing.
 
-    Rows are drawn one by one and then stepped in chunks of at most
-    ``CHUNK_SAMPLES`` samples (at least one row): the chunk's batches are
-    concatenated, stepped in one ``step_batch`` call, located and counted in
-    one ``bincount``. Every value is elementwise or an integer count, so the
-    rows do not depend on the chunk size. Rows are exactly stochastic
-    (counts / N). A failure raises `SimulatorFailureError` naming the
-    (cell, action) row it belongs to.
+    Row (q, a) draws from ``PCG64([seed, 1, q, a])``; every row's stream is
+    seeded at once (`env.pcg64_states`). Rows are then sampled and stepped
+    in chunks of at most ``CHUNK_SAMPLES`` samples (at least one row): one
+    ``sample_in_cell`` and one ``step_batch`` call per chunk, whose landings
+    are located and counted in one ``bincount``. Every value is elementwise
+    or an integer count, so the rows do not depend on the chunk size. Rows
+    are exactly stochastic (counts / N). A failure raises
+    `SimulatorFailureError` naming the (cell, action) row it belongs to.
     """
     m = partition.n_cells
     n_actions = len(sim.action_names)
     exit_state = m
-    keys = [(q, a) for q in range(m) for a in range(n_actions)]
-    per_chunk = max(1, CHUNK_SAMPLES // cfg.samples_per_cell)
+    n = cfg.samples_per_cell
+    cells = np.repeat(np.arange(m), n_actions)
+    actions = np.tile(np.arange(n_actions), m)
+    streams = RowStreams.seeded(cfg.seed, _ABSTRACTION_STREAM, cells, actions)
+    per_chunk = max(1, CHUNK_SAMPLES // n)
     results = {}
-    for start in range(0, len(keys), per_chunk):
-        results.update(_estimate_chunk(sim, partition, cfg, keys[start:start + per_chunk]))
+    for start in range(0, m * n_actions, per_chunk):
+        rows = slice(start, start + per_chunk)
+        results.update(_estimate_chunk(
+            sim, partition, n, cells[rows], actions[rows], streams[rows],
+        ))
     for a in range(n_actions):
         results[(exit_state, a)] = ((exit_state, 1.0),)
 
@@ -235,19 +254,25 @@ def estimate_transitions(sim, partition: Partition, cfg: AbstractionConfig) -> F
     )
 
 
-def _estimate_chunk(sim, partition: Partition, cfg: AbstractionConfig, keys) -> dict:
-    """The transition rows of the (cell, action) pairs in ``keys``."""
+def _estimate_chunk(sim, partition: Partition, n: int, cells, actions, streams) -> dict:
+    """The transition rows of the chunk's (cell, action) pairs."""
     m = partition.n_cells
-    n = cfg.samples_per_cell
-    draws = []
-    for q, a in keys:
-        rng = np.random.default_rng([cfg.seed, _ABSTRACTION_STREAM, q, a])
-        try:
-            draws.append(sim.sample_in_cell(partition.cells[q].bounds, n, rng))
-        except Exception as exc:  # noqa: BLE001 - annotate and reraise
-            raise SimulatorFailureError(q, a, exc) from exc
-    actions = np.repeat(np.array([a for _q, a in keys], dtype=np.int64), n)
-    coords = _step_chunk(sim, draws, actions, keys, n)
+    keys = list(zip(cells.tolist(), actions.tolist()))
+    bounds = partition.bounds[cells]
+    sample_actions = np.repeat(actions, n)
+    try:
+        coords = sim.step_batch(sim.sample_in_cell(bounds, n, streams), sample_actions)
+    except Exception as exc:  # noqa: BLE001 - annotate and reraise
+        # sampling draws from the rows' own streams and stepping draws
+        # nothing, so running the rows alone names the first that fails
+        for i, key in enumerate(keys):
+            try:
+                sim.step_batch(sim.sample_in_cell(bounds[i:i + 1], n, streams[i:i + 1]),
+                               sample_actions[i * n:(i + 1) * n])
+            except Exception as row_exc:  # noqa: BLE001 - annotate and reraise
+                raise SimulatorFailureError(*key, row_exc) from row_exc
+        # a failure that no row repeats alone
+        raise SimulatorFailureError(*keys[0], exc) from exc
     if not np.isfinite(coords).all():
         q, a = keys[int(np.argmin(np.isfinite(coords).all(axis=1))) // n]
         raise SimulatorFailureError(q, a, ValueError("non-finite state coordinates"))
@@ -259,28 +284,6 @@ def _estimate_chunk(sim, partition: Partition, cfg: AbstractionConfig, keys) -> 
     entries = tuple(zip(target.tolist(), (counts[row, target] / n).tolist()))
     ends = np.searchsorted(row, np.arange(len(keys) + 1)).tolist()
     return {key: entries[lo:hi] for key, lo, hi in zip(keys, ends, ends[1:])}
-
-
-def _step_chunk(sim, draws, actions, keys, n):
-    """One ``step_batch`` call over the batches of a chunk, concatenated
-    when it holds several rows."""
-    if len(draws) == 1:
-        batch = draws[0]
-    else:
-        batch = {name: np.concatenate([d[name] for d in draws], axis=-1) for name in draws[0]}
-    try:
-        return sim.step_batch(batch, actions)
-    except Exception as exc:  # noqa: BLE001 - annotate and reraise
-        if len(draws) > 1:
-            # stepping draws nothing, and the call left the rows' own batches
-            # untouched, so stepping the rows alone names the first that fails
-            for i, ((q, a), row_batch) in enumerate(zip(keys, draws)):
-                try:
-                    sim.step_batch(row_batch, actions[i * n:(i + 1) * n])
-                except Exception as row_exc:  # noqa: BLE001 - annotate and reraise
-                    raise SimulatorFailureError(q, a, row_exc) from row_exc
-        # a one-row chunk, or a failure that no row repeats alone
-        raise SimulatorFailureError(*keys[0], exc) from exc
 
 
 def wilson_halfwidth(p_hat: float, n: int, z: float = 1.959963984540054) -> float:

@@ -35,6 +35,13 @@ its PCG64 stream, read in the order and with the arithmetic of the
 per step the learner's draws and the step's three noise deviates). So an
 episode depends on PCG64 and its SeedSequence seeding, not on the
 algorithms behind Generator's methods.
+
+The abstraction reads its rows the same way: `pcg64_states` computes the
+PCG64 state of every row's ``[seed, 1, cell, action]`` stream in one
+vectorized pass of SeedSequence's hash, `RowStreams` reads each row's
+block of raw outputs through one shared bit generator, and
+`SpacecraftEnv.sample_in_cell` converts a chunk of rows at once, skipping
+by position the flight-mode draw that the step never reads.
 """
 
 from __future__ import annotations
@@ -221,7 +228,11 @@ class EpisodeDraws:
         if i >= self._listed:
             if i == self._end:
                 self._extend(1)
-            self._doubles = self._array.tolist()
+            # after the first listing, list only what the last one left out
+            if self._listed:
+                self._doubles += self._array[self._listed:].tolist()
+            else:
+                self._doubles = self._array.tolist()
             self._listed = self._end
         self._pos = i + 1
         return self._doubles[i]
@@ -269,6 +280,153 @@ class EpisodeDraws:
             while m & 0xFFFFFFFF < threshold:
                 m = self._uint32() * n
         return m >> 32
+
+
+# SeedSequence's uint32 hash constants, pool size and shift, and PCG64's
+# 128-bit LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL_SIZE = 4
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _entropy(words) -> list:
+    """SeedSequence's entropy words of every row: the uint32 words of its
+    seed words in order, low word first (0 is one word). An int word may
+    have any size; an array word gives one word per row, so it must lie in
+    ``[0, 2**32)``."""
+    entropy = []
+    for w in words:
+        if isinstance(w, (int, np.integer)):
+            w = int(w)
+            if w < 0:
+                raise ValueError(f"expected non-negative integer, got {w}")
+            entropy.append(np.uint32(w & _MASK32))
+            while w > _MASK32:
+                w >>= 32
+                entropy.append(np.uint32(w & _MASK32))
+        else:
+            w = np.asarray(w)
+            if w.dtype.kind not in "iu":
+                raise TypeError(f"seed words must be integers, got {w.dtype}")
+            if (w < 0).any():
+                raise ValueError("expected non-negative integer")
+            if (w > _MASK32).any():
+                raise ValueError("an array seed word must be below 2**32")
+            entropy.append(w.astype(np.uint32))
+    return entropy
+
+
+def _pool(entropy: list[np.ndarray], n_rows: int) -> list[np.ndarray]:
+    """SeedSequence's mixed pool of four uint32 words per row, from the
+    rows' entropy words (one array per word position); missing words hash
+    as 0."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    zero = np.zeros(n_rows, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    return pool
+
+
+def pcg64_states(*words) -> tuple[list[int], list[int]]:
+    """The ``state`` and the ``inc`` of ``np.random.PCG64([w0, w1, ...])``
+    for every row of the words, as two lists of ints (no tuple per row for
+    the cyclic GC to track). The words broadcast together: each is a
+    non-negative int of any size, or a 1-D integer array below 2**32 with
+    one entry per row.
+
+    SeedSequence's hash and mix run over all rows at once as uint32 array
+    arithmetic, ``generate_state(4, uint64)`` gives each row's seed words,
+    and PCG64's ``srandom`` takes its two LCG steps on Python ints. A
+    negative word raises ``ValueError``, as numpy does.
+    """
+    entropy = _entropy(words)
+    shape = np.broadcast_shapes(*(np.shape(w) for w in entropy))
+    if len(shape) > 1:
+        raise ValueError(f"seed words must be ints or 1-D arrays, got shape {shape}")
+    n_rows = shape[0] if shape else 1
+    pool = _pool([np.broadcast_to(w, (n_rows,)) for w in entropy], n_rows)
+    hash_const = _INIT_B
+    state = []  # generate_state's eight uint32 words
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    # uint64 word j is uint32 words 2j (low) and 2j + 1 (high)
+    seed_hi, seed_lo, seq_hi, seq_lo = (
+        (state[2 * j] | state[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)
+    )
+    incs = [((hi << 64 | lo) << 1 | 1) & _MASK128 for hi, lo in zip(seq_hi, seq_lo)]
+    states = [((inc + (hi << 64 | lo)) * _PCG_MULT + inc) & _MASK128
+              for inc, hi, lo in zip(incs, seed_hi, seed_lo)]
+    return states, incs
+
+
+class RowStreams:
+    """The PCG64 streams of a set of rows, row ``i`` at ``states[i]`` with
+    increment ``incs[i]``, read through one shared bit generator; slicing
+    keeps the generator."""
+
+    __slots__ = ("states", "incs", "_bitgen", "_setting")
+
+    def __init__(self, states: list[int], incs: list[int], bitgen=None):
+        self.states = states
+        self.incs = incs
+        self._bitgen = bitgen or np.random.PCG64(0)
+        # one state dict, refilled per row
+        self._setting = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0},
+                         "has_uint32": 0, "uinteger": 0}
+
+    @classmethod
+    def seeded(cls, *words) -> "RowStreams":
+        """The streams of ``PCG64([w0, w1, ...])`` per row of the words."""
+        return cls(*pcg64_states(*words))
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __getitem__(self, rows: slice) -> "RowStreams":
+        return RowStreams(self.states[rows], self.incs[rows], self._bitgen)
+
+    def doubles(self, size: int) -> np.ndarray:
+        """The doubles ``Generator.random(size)`` returns from each row's
+        stream, ``(x >> 11) * 2**-53`` of its first ``size`` outputs, as a
+        ``(rows, size)`` array."""
+        bitgen, setting = self._bitgen, self._setting
+        current = setting["state"]
+        blocks = []
+        for state, inc in zip(self.states, self.incs):
+            current["state"] = state
+            current["inc"] = inc
+            bitgen.state = setting
+            blocks.append(bitgen.random_raw(size))
+        # one row's block is used as drawn; large ones are costly to copy
+        raw = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        raw >>= _MANTISSA_SHIFT
+        return (raw * 2.0**-53).reshape(len(blocks), size)
 
 
 def is_failure(rate: float, wheel: float, charge: float) -> bool:
@@ -322,8 +480,8 @@ class SpacecraftEnv:
     """Single mutable simulation instance; run one per thread.
 
     Also implements the abstraction's simulator protocol: `sample_in_cell`
-    makes a row's random draws and `step_batch` steps the rows of a chunk
-    through the dynamics kernel without drawing.
+    makes the random draws of a chunk of rows from their `RowStreams` and
+    `step_batch` steps them through the dynamics kernel without drawing.
     """
 
     action_names = MODES
@@ -408,22 +566,46 @@ class SpacecraftEnv:
 
     # --- abstraction interface ---------------------------------------------
 
-    def sample_in_cell(self, bounds, n: int, rng) -> dict:
-        """Every random draw of one abstraction row: ``n`` hidden states with
-        the three abstraction coordinates uniform in the cell and everything
-        else randomized over its full range, then the ``(3, n)`` uniforms of
-        the step's truncated-normal noise. Each array's last axis runs over
-        the samples, so batches of several rows concatenate along it."""
-        (r_lo, r_hi), (w_lo, w_hi), (c_lo, c_hi) = bounds
+    def sample_in_cell(self, bounds: np.ndarray, n: int, streams: RowStreams) -> dict:
+        """Every random draw of a chunk of abstraction rows. Row ``i`` reads
+        its stream ``streams[i]`` for ``n`` hidden states, with the three
+        abstraction coordinates uniform in its cell ``bounds[i]`` (``bounds``
+        is a ``(rows, 3, 2)`` array of (lo, hi) per coordinate) and pointing
+        error and orbit time uniform over their full ranges, then for the
+        ``(3, n)`` uniforms of the step's truncated-normal noise. Each
+        array's last axis runs over the chunk's samples, row by row, so
+        ``step_batch`` takes the batch as it is.
+
+        A row reads the first ``8n + ceil(n/2)`` outputs of its stream, laid
+        out as the `numpy.random.Generator` calls of a one-row sampler: five
+        ``uniform(lo, hi, n)`` (rate, wheel, charge, error, minutes), each
+        ``lo + (hi - lo) * u``; then ``integers(0, 4, n)``, a flight mode per
+        sample that takes ``ceil(n/2)`` outputs (Lemire's method on 32-bit
+        halves never rejects for 4) and that the step never reads, so it is
+        skipped by position; then ``random((3, n))``. The doubles are made
+        once per chunk."""
+        rows = len(streams)
+        noise_start = 5 * n + (n + 1) // 2
+        u = streams.doubles(noise_start + 3 * n)
         p = self.params
+        ranges = np.empty((rows, 5, 2))  # (lo, hi) per row and field
+        ranges[:, :3] = bounds
+        ranges[:, 3] = p.sample_pointing_error
+        ranges[:, 4] = (0.0, p.orbit_minutes)
+        lo, hi = ranges[:, :, :1], ranges[:, :, 1:]
+        # u * (hi - lo) + lo in place, as (row, field, sample): IEEE products
+        # and sums commute, so these are the bits of lo + (hi - lo) * u
+        fields = u[:, :5 * n].reshape(rows, 5, n)
+        fields *= hi - lo
+        fields += lo
+        rate, wheel, charge, err, minutes = fields.transpose(1, 0, 2).reshape(5, rows * n)
         return {
-            "rate": rng.uniform(r_lo, r_hi, n),
-            "wheel": rng.uniform(w_lo, w_hi, n),
-            "charge": rng.uniform(c_lo, c_hi, n),
-            "err": rng.uniform(*p.sample_pointing_error, n),
-            "minutes": rng.uniform(0.0, p.orbit_minutes, n),
-            "mode": rng.integers(0, len(MODES), n),
-            "u": rng.random((3, n)),
+            "rate": rate,
+            "wheel": wheel,
+            "charge": charge,
+            "err": err,
+            "minutes": minutes,
+            "u": u[:, noise_start:].reshape(rows, 3, n).transpose(1, 0, 2).reshape(3, rows * n),
         }
 
     def step_batch(self, batch: dict, actions: np.ndarray) -> np.ndarray:

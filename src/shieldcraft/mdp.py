@@ -25,6 +25,15 @@ class AtomMismatchError(ValueError):
     pass
 
 
+class CorruptMdpError(ValueError):
+    """An MDP read from JSON that breaks stochasticity or totality; holds
+    every defect `FiniteMdp.validate` found."""
+
+    def __init__(self, defects: list):
+        super().__init__(f"corrupt MDP: {len(defects)} defect(s), first: {defects[0]}")
+        self.defects = defects
+
+
 @dataclass(frozen=True)
 class RowSumError:
     state: int
@@ -106,6 +115,8 @@ class FiniteMdp:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteMdp":
+        """The MDP of a `to_json` dict; raises `CorruptMdpError` when it
+        fails `validate`."""
         atom_names = tuple(data["atoms"])
         atom_index = {name: i for i, name in enumerate(atom_names)}
         n = int(data["states"]["count"])
@@ -120,7 +131,7 @@ class FiniteMdp:
                 mask |= 1 << atom_index[name]
             labels[int(q)] = mask
         meta = data["states"].get("metadata")
-        return cls(
+        mdp = cls(
             n_states=n,
             action_names=tuple(data["actions"]),
             rows=frozen,
@@ -128,6 +139,10 @@ class FiniteMdp:
             atom_names=atom_names,
             state_meta=tuple(meta) if meta is not None else None,
         )
+        defects = mdp.validate()
+        if defects:
+            raise CorruptMdpError(defects)
+        return mdp
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:

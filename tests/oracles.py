@@ -7,9 +7,9 @@ progression-based DFA compiler they are used to check.
 
 Likewise the reachability oracle evaluates the defining recursion for
 minimal N-step reach probability without any of the value-iteration
-machinery under test, and the episode-randomness oracle draws each value
-with the `numpy.random.Generator` call that `EpisodeDraws` reproduces from
-raw PCG64 outputs.
+machinery under test, and the randomness oracles draw each value with the
+`numpy.random.Generator` call that `EpisodeDraws` and
+`SpacecraftEnv.sample_in_cell` reproduce from raw PCG64 outputs.
 """
 
 from __future__ import annotations
@@ -240,3 +240,32 @@ class GeneratorDraws:
 
     def noise(self) -> list[float]:
         return truncated_normal(self.rng, 3)
+
+
+# --- abstraction row sampling -------------------------------------------------
+
+
+def generator_sample_in_cell(params, bounds, n: int, rng) -> dict:
+    """One abstraction row drawn with `numpy.random.Generator` calls from
+    ``rng``: the single-row sampler that `SpacecraftEnv.sample_in_cell`
+    replaced, and the reference of its rows. ``bounds`` is the cell's
+    ((lo, hi),) * 3 and ``params`` the `EnvParams`; ``mode`` is the flight
+    mode the chunk sampler skips."""
+    (r_lo, r_hi), (w_lo, w_hi), (c_lo, c_hi) = bounds
+    return {
+        "rate": rng.uniform(r_lo, r_hi, n),
+        "wheel": rng.uniform(w_lo, w_hi, n),
+        "charge": rng.uniform(c_lo, c_hi, n),
+        "err": rng.uniform(*params.sample_pointing_error, n),
+        "minutes": rng.uniform(0.0, params.orbit_minutes, n),
+        "mode": rng.integers(0, 4, n),
+        "u": rng.random((3, n)),
+    }
+
+
+def lemire_modes(raw: np.ndarray, n: int) -> np.ndarray:
+    """The ``n`` values of ``Generator.integers(0, 4, n)`` read from the raw
+    outputs ``raw``: Lemire's multiply-shift on 32-bit halves, low half
+    first, which for a bound of 4 never rejects."""
+    halves = np.stack([raw & 0xFFFFFFFF, raw >> np.uint64(32)], axis=1).reshape(-1)
+    return ((halves * np.uint64(4)) >> np.uint64(32)).astype(np.int64)[:n]

@@ -16,7 +16,7 @@ from shieldcraft.abstraction import (
     make_partition,
     wilson_halfwidth,
 )
-from shieldcraft.env import ATOM_NAMES, MODES, SpacecraftEnv
+from shieldcraft.env import ATOM_NAMES, MODES, RowStreams, SpacecraftEnv
 from shieldcraft.mdp import FiniteMdp
 
 
@@ -34,11 +34,12 @@ class TeleportEnv:
         centres = [[0.5 * (lo + hi) for lo, hi in c.bounds] for c in partition.cells]
         self.landings = np.array(centres + [[0.0, 0.0, -1.0]])  # exit: charge <= 0
 
-    def sample_in_cell(self, bounds, n, rng):
-        cell = next(
-            c.index for c in self.partition.cells if c.bounds == tuple(bounds)
-        )
-        return {"cell": np.full(n, cell), "u": rng.random(n)}
+    def sample_in_cell(self, bounds, n, streams):
+        # each row's cell is the one holding its centre; its first n draws
+        # are what Generator.random(n) returns from its stream
+        cells = self.partition.locate(bounds.mean(axis=2))
+        assert (self.partition.bounds[cells] == bounds).all()
+        return {"cell": np.repeat(cells, n), "u": streams.doubles(n).reshape(-1)}
 
     def step_batch(self, batch, actions):
         # inverse CDF of each element's kernel row
@@ -207,8 +208,8 @@ class TestEstimator:
             action_names = ("go",)
             atom_names = ATOM_NAMES
 
-            def sample_in_cell(self, bounds, n, rng):
-                return {"x": np.zeros(n)}
+            def sample_in_cell(self, bounds, n, streams):
+                return {"x": np.zeros(len(streams) * n)}
 
             def step_batch(self, batch, actions):
                 raise RuntimeError("boom")
@@ -241,6 +242,29 @@ class TestEstimator:
             estimate_transitions(env, partition, AbstractionConfig(10, seed=0))
         assert (err.value.state, err.value.action) == (2, 0)
         assert sizes[0] == rows_per_chunk * 10
+
+    @pytest.mark.parametrize("rows_per_chunk", [1, 8])
+    def test_sample_failure_names_its_row(self, rows_per_chunk, monkeypatch):
+        # sampling fails for any chunk that holds cell 2's row of action 1;
+        # with 8 rows per chunk the rows are sampled alone to find it
+        monkeypatch.setattr(abstraction, "CHUNK_SAMPLES", rows_per_chunk * 10)
+        partition = tiny_partition()
+        m = partition.n_cells
+        kernel = np.zeros((m, 2, m + 1))
+        kernel[:, :, 0] = 1.0
+        env = TeleportEnv(partition, kernel)
+        sample_in_cell = env.sample_in_cell
+        row = RowStreams.seeded(0, 1, 2, 1).states[0]
+
+        def fail_on_row(bounds, n, streams):
+            if row in streams.states:
+                raise RuntimeError("bad draw")
+            return sample_in_cell(bounds, n, streams)
+
+        env.sample_in_cell = fail_on_row
+        with pytest.raises(SimulatorFailureError, match="bad draw") as err:
+            estimate_transitions(env, partition, AbstractionConfig(10, seed=0))
+        assert (err.value.state, err.value.action) == (2, 1)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_landing_raises(self, bad):
@@ -342,6 +366,16 @@ class TestReport:
 
 
 class TestSpacecraftAbstraction:
+    def test_draws_without_generator(self, monkeypatch):
+        # rows read raw PCG64 outputs; no Generator is built on the way
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Generator was built")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(np.random, "Generator", refuse)
+        mdp = estimate_transitions(SpacecraftEnv(), make_partition(), AbstractionConfig(20, seed=1))
+        assert mdp.validate() == []
+
     def test_full_pipeline_shape(self):
         env = SpacecraftEnv()
         partition = make_partition()

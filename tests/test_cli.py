@@ -246,6 +246,28 @@ class TestToolCommands:
         assert "shield mismatch" in err and "102 product states" in err and "make 202" in err
         assert not policy.exists()
 
+    def test_corrupt_mdp_fails_by_name(self, tmp_path, capsys):
+        # one row dropped and one probability of another row tripled: the
+        # shield command refuses the file, naming the first defect
+        cfg = default_config("simple")
+        mdp_path, shield_path = tmp_path / "mdp.json", tmp_path / "shield.json"
+        code = main([
+            "abstract", "--task", "simple", "--cells", "2,5,5", "--samples", "20",
+            "--out", str(mdp_path),
+        ])
+        assert code == 0
+        data = json.loads(mdp_path.read_text())
+        data["transitions"] = [t for t in data["transitions"] if t[:2] != [3, 2]]
+        tripled = next(t for t in data["transitions"] if t[:2] == [7, 1] and t[3] < 1 / 3)
+        tripled[3] *= 3
+        mdp_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(shield_args(cfg, mdp_path, shield_path, kind="one")) == 1
+        err = capsys.readouterr().err
+        assert "corrupt MDP: 2 defect(s)" in err
+        assert "first: MissingActionError(state=3, action=2)" in err
+        assert not shield_path.exists()
+
     def test_q_shield_without_horizon_fails_by_name(self, tiny_run, tmp_path, capsys):
         _cfg, result = tiny_run
         out = tmp_path / "shield.json"

@@ -77,3 +77,36 @@ def test_one_value_draws_nothing():
 def test_out_of_range_bound_raises(n):
     with pytest.raises(ValueError, match="integers"):
         EpisodeDraws([0], 4).integers(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**63), size=st.integers(1, 4), reads=READS)
+def test_extended_blocks_equal_one_block(seed, size, reads):
+    # each kind of read, then the drawn reads, then each kind again: a block
+    # of at most 4 outputs is extended three or more times on the way
+    reads = [("random",), ("uniforms", 5), ("noise",), ("integers", 7),
+             *reads, ("random",), ("noise",), ("uniforms", 3), ("integers", 1000)]
+    draws = EpisodeDraws([seed, 2, 9], size)
+    whole = EpisodeDraws([seed, 2, 9], 4096)
+    ends = {draws._end}  # a read extends the block at most once
+    for name, *args in reads:
+        got = getattr(draws, name)(*args)
+        want = getattr(whole, name)(*args)
+        if name == "integers":
+            assert got == want
+        else:
+            assert _bits(got) == _bits(want)
+        ends.add(draws._end)
+    assert len(ends) - 1 >= 3
+
+
+def test_random_lists_each_output_once():
+    # after each extension `random` appends the new outputs to its list
+    # rather than listing the whole block again
+    draws = EpisodeDraws([5], 2)
+    draws.random()
+    listed = draws._doubles
+    for _ in range(8):
+        draws.random()
+        assert draws._doubles is listed and len(listed) == draws._end
+    assert listed == EpisodeDraws([5], 16)._array[:draws._end].tolist()

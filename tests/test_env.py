@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from oracles import GeneratorDraws
+from oracles import GeneratorDraws, lemire_modes
 from shieldcraft import env as env_mod
 from shieldcraft.abstraction import make_partition
 from shieldcraft.env import (
     RESET_DRAWS,
     EnvParams,
     EpisodeDraws,
+    RowStreams,
     SpacecraftEnv,
     SpacecraftState,
     is_failure,
@@ -199,34 +200,39 @@ class TestAccessWindows:
 class TestSampleInCell:
     BOUNDS = ((0.0, 0.0025), (0.0, 0.2), (0.4, 0.6))
 
+    def sample(self, n, seed):
+        """One row in BOUNDS, from the stream of ``default_rng(seed)``."""
+        return SpacecraftEnv().sample_in_cell(np.array([self.BOUNDS]), n, RowStreams.seeded(seed))
+
     def test_bounds_respected(self):
-        env = SpacecraftEnv()
-        batch = env.sample_in_cell(self.BOUNDS, 5000, np.random.default_rng(0))
+        batch = self.sample(5000, 0)
         assert (batch["wheel"] >= 0.0).all() and (batch["wheel"] < 0.2).all()
         assert (batch["charge"] >= 0.4).all() and (batch["charge"] < 0.6).all()
         assert (batch["rate"] >= 0.0).all() and (batch["rate"] < 0.0025).all()
 
     def test_uniform_mean(self):
-        env = SpacecraftEnv()
-        batch = env.sample_in_cell(self.BOUNDS, 10_000, np.random.default_rng(1))
+        batch = self.sample(10_000, 1)
         # mean within 3 standard errors of the cell midpoint
         se = (0.6 - 0.4) / np.sqrt(12) / np.sqrt(10_000)
         assert abs(batch["charge"].mean() - 0.5) < 3 * se
 
     def test_seed_reproducible(self):
-        env = SpacecraftEnv()
-        b1 = env.sample_in_cell(self.BOUNDS, 100, np.random.default_rng(3))
-        b2 = env.sample_in_cell(self.BOUNDS, 100, np.random.default_rng(3))
+        b1 = self.sample(100, 3)
+        b2 = self.sample(100, 3)
         for key in b1:
             assert np.array_equal(b1[key], b2[key])
 
     def test_hidden_coordinates_randomized(self):
         env = SpacecraftEnv()
-        batch = env.sample_in_cell(self.BOUNDS, 2000, np.random.default_rng(4))
+        n = 2000
+        batch = self.sample(n, 4)
         lo, hi = env.params.sample_pointing_error
         assert batch["err"].min() >= lo and batch["err"].max() <= hi
         assert batch["err"].std() > 0.01
-        assert set(np.unique(batch["mode"])) == {0, 1, 2, 3}
+        # the flight mode is drawn but skipped: the step never reads it
+        assert "mode" not in batch
+        skipped = np.random.PCG64([4]).random_raw(6 * n)[5 * n:]
+        assert set(np.unique(lemire_modes(skipped, n))) == {0, 1, 2, 3}
         minutes = batch["minutes"] / env.params.orbit_minutes
         assert minutes.min() >= 0.0 and minutes.max() < 1.0
         assert minutes.min() < 0.01 and minutes.max() > 0.99  # the whole orbit

@@ -3,9 +3,12 @@ outputs byte for byte.
 
 The digests pin the determinism contract inside the suite, so an
 optimisation of the episode loop, the abstraction or the shields can show
-that it changes no output. They depend on the numpy and scipy versions
-(RNG streams, special functions, BLAS reductions), so the test skips
-when either differs from the versions the digests were taken with.
+that it changes no output. Each pipeline's ``mdp.json`` and
+``mdp_report.json`` are pinned too, and so is one abstraction alone on the
+benchmark's fine partition (10 x 10 x 15 cells, 200 samples per cell),
+whose chunks hold ten rows each. The digests depend on the numpy and
+scipy versions (RNG streams, special functions, BLAS reductions), so the
+tests skip when either differs from the versions they were taken with.
 
 After an intended output change, print the new digests with
 
@@ -25,7 +28,8 @@ import numpy as np
 import pytest
 import scipy
 
-from shieldcraft.pipeline import default_config, run_pipeline
+from shieldcraft.abstraction import PartitionSpec, make_partition
+from shieldcraft.pipeline import default_config, estimate_mdp, run_pipeline
 
 NUMPY_VERSION = "2.4.6"
 SCIPY_VERSION = "1.17.1"
@@ -37,6 +41,7 @@ DIGESTED = (
     "episodes_*.jsonl",
     "trajectories_*.jsonl",
 )
+MDP_DIGESTED = ("mdp.json", "mdp_report.json")
 
 
 def golden_config(name: str):
@@ -59,6 +64,18 @@ def golden_config(name: str):
             eval_episodes=20,
         )
     raise ValueError(name)
+
+
+def fine_abstraction_config():
+    """The complex preset's dynamics on a 10 x 10 x 15 partition, 200
+    samples per cell: 6,000 rows, ten to a chunk."""
+    cfg = default_config("complex", seed=0)
+    spec = PartitionSpec(
+        attitude_rate_edges=tuple(np.linspace(0.0, 0.01, 11)),
+        wheel_edges=tuple(np.linspace(0.0, 1.0, 11)),
+        charge_edges=tuple(np.linspace(0.0, 1.0, 16)),
+    )
+    return replace(cfg, partition=spec, samples_per_cell=200)
 
 
 GOLDEN = {
@@ -99,34 +116,80 @@ GOLDEN = {
 }
 
 
-def digests(run_dir: Path) -> dict:
+MDP_GOLDEN = {
+    'complex': {
+        'mdp.json': '1b483ddf907cc895651603a0d4ba500ce91151e0d8c103c8dfff8bec1681fa84',
+        'mdp_report.json': '5e201d7b708ec54ceca2df21b25fe40ccfaaa18031870e79974c95bd677ba695',
+    },
+    'simple': {
+        'mdp.json': '352f1d0ff686683a5327c0b0a8fab4303fd1623a06fee44ca421e04aad47268c',
+        'mdp_report.json': '6a2057f08d0e79037fd5ce59a6448d7a6f523aac415d8fabfc6bde27738feca6',
+    },
+    'fine_abstraction': {
+        'mdp.json': '81d322c1260fb99eadd8b8920531275c5a020c0f1e0850983f2348a83dd62b9c',
+        'mdp_report.json': '4fd498132e5ccf11dfa6c4d44b02dbc0ae0b43197b0b82572c3a0c4e059f2101',
+    },
+}
+
+
+def digests(run_dir: Path, patterns=DIGESTED) -> dict:
     out = {}
-    for pattern in DIGESTED:
+    for pattern in patterns:
         for path in sorted(run_dir.glob(pattern)):
             out[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     return out
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_outputs_match_golden_digests(name, tmp_path):
+def fine_abstraction_digests(out_dir: Path) -> dict:
+    cfg = fine_abstraction_config()
+    estimate_mdp(cfg, make_partition(cfg.partition),
+                 out_dir / "mdp.json", out_dir / "mdp_report.json")
+    return digests(out_dir, MDP_DIGESTED)
+
+
+def _require_pinned_versions():
     if (np.__version__, scipy.__version__) != (NUMPY_VERSION, SCIPY_VERSION):
         pytest.skip(
             f"golden digests were taken with numpy {NUMPY_VERSION} and scipy "
             f"{SCIPY_VERSION}; installed are numpy {np.__version__} and scipy "
             f"{scipy.__version__}"
         )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_outputs_match_golden_digests(name, tmp_path):
+    _require_pinned_versions()
     run_pipeline(golden_config(name), tmp_path)
     assert digests(tmp_path) == GOLDEN[name]
+    assert digests(tmp_path, MDP_DIGESTED) == MDP_GOLDEN[name]
+
+
+def test_fine_abstraction_matches_golden_digests(tmp_path):
+    _require_pinned_versions()
+    assert fine_abstraction_digests(tmp_path) == MDP_GOLDEN["fine_abstraction"]
 
 
 if __name__ == "__main__":
     import tempfile
 
     print(f"numpy {np.__version__}, scipy {scipy.__version__}", file=sys.stderr)
+    mdp_digests = {}
+    print("GOLDEN = {")
     for name in sorted(GOLDEN):
         with tempfile.TemporaryDirectory() as tmp:
             run_pipeline(golden_config(name), tmp)
+            mdp_digests[name] = digests(Path(tmp), MDP_DIGESTED)
             print(f"    {name!r}: {{")
             for file, digest in digests(Path(tmp)).items():
                 print(f"        {file!r}: {digest!r},")
             print("    },")
+    print("}")
+    with tempfile.TemporaryDirectory() as tmp:
+        mdp_digests["fine_abstraction"] = fine_abstraction_digests(Path(tmp))
+    print("MDP_GOLDEN = {")
+    for name, files in mdp_digests.items():
+        print(f"    {name!r}: {{")
+        for file, digest in files.items():
+            print(f"        {file!r}: {digest!r},")
+        print("    },")
+    print("}")

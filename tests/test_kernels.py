@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from shieldcraft import _kernels
 from shieldcraft.abstraction import make_partition
-from shieldcraft.env import EnvParams, EpisodeDraws, SpacecraftEnv
+from shieldcraft.env import EnvParams, EpisodeDraws, RowStreams, SpacecraftEnv
 from shieldcraft.learner import Discretizer, SpacecraftSession
 
 # One step per action under the default EnvParams coefficients, worked by
@@ -190,8 +190,8 @@ class TestBenchmarkContract:
         env.step(2, draws)
         assert calls == {"step_one": 1, "step_batch": 0}
         cell = ((0.0, 0.0025), (0.2, 0.4), (0.4, 0.6))
-        rng = np.random.default_rng(0)
-        env.step_batch(env.sample_in_cell(cell, 8, rng), np.full(8, 1))
+        env.step_batch(env.sample_in_cell(np.array([cell]), 8, RowStreams.seeded(0)),
+                       np.full(8, 1))
         assert calls == {"step_one": 1, "step_batch": 1}
         # the session's one-frame episode step calls the kernel once too
         session = SpacecraftSession(SpacecraftEnv(), Discretizer(make_partition()))

@@ -8,6 +8,7 @@ from shieldcraft.dfa import compile_cosafe
 from shieldcraft.ltl import PropositionTable, parse
 from shieldcraft.mdp import (
     AtomMismatchError,
+    CorruptMdpError,
     FiniteMdp,
     MissingActionError,
     ProbabilityError,
@@ -244,6 +245,21 @@ class TestJsonRoundTrip:
         m2 = FiniteMdp.load(path)
         m2.save(tmp_path / "m2.json")
         assert (tmp_path / "m.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
+
+    def test_corrupt_rows_rejected_on_load(self, rng):
+        # one row dropped, one probability tripled: both defects are found,
+        # and the message gives their count and the first
+        data = random_mdp(rng, 4, 2).to_json()
+        data["transitions"] = [t for t in data["transitions"] if t[:2] != [0, 1]]
+        tripled = next(t for t in data["transitions"] if t[:2] == [2, 0])
+        tripled[3] *= 3
+        with pytest.raises(CorruptMdpError) as err:
+            FiniteMdp.from_json(data)
+        assert err.value.defects[0] == MissingActionError(0, 1)
+        assert any(isinstance(d, (RowSumError, ProbabilityError)) and d.state == 2
+                   for d in err.value.defects)
+        assert str(err.value).startswith(f"corrupt MDP: {len(err.value.defects)} defect(s), ")
+        assert "first: MissingActionError(state=0, action=1)" in str(err.value)
 
     def test_schema(self, rng):
         m = random_mdp(rng, 3, 2)
