@@ -2,7 +2,10 @@
 
 `step_batch` advances a batch of continuous spacecraft states one decision
 step; `step_one` is the scalar twin used on the sequential episode path.
-Both apply exactly the same arithmetic, in the same association order.
+Both apply exactly the same arithmetic, in the same association order, and
+clamp alike: a NaN coordinate stays NaN in both, as ``np.minimum`` and
+``np.maximum`` keep it, so a non-finite state leaves the safe domain on
+either path.
 
 Parameter vector layout (``par``, 40 float64): ten per-mode rows of four,
 in order: solar gain, power drain, wheel drift, wheel noise scale, rate
@@ -39,15 +42,17 @@ def step_one(rate, wheel, charge, err, sun, coef, e_w, e_r, e_a):
     row of `action_rows`; returns (rate, wheel, charge, err)."""
     (gain, drain, w_drift, w_noise, r_pull, r_target, r_noise,
      e_keep, e_drift, e_noise) = coef
-    # ``x if x < 1.0 else 1.0`` is what ``min(1.0, x)`` returns, NaN and
-    # signed zero included, and ``x if x > 0.0 else 0.0`` is ``max(0.0, x)``;
-    # the expressions skip the builtins' call overhead
+    # ``x if not x >= 1.0 else 1.0`` is what ``np.minimum(1.0, x)`` gives,
+    # and ``x if not x < 0.0 else 0.0`` what ``np.maximum(0.0, x)`` gives,
+    # NaN and signed zero included: a NaN passes through, as in
+    # `step_batch`, where the builtins ``min`` and ``max`` would clamp it,
+    # and a tie at zero keeps ``x``, as numpy's maximum does
     charge = (charge + gain * sun) - drain
-    charge = charge if charge < 1.0 else 1.0
+    charge = charge if not charge >= 1.0 else 1.0
     wheel = (wheel + w_drift) + w_noise * e_w
-    wheel = wheel if wheel > 0.0 else 0.0
+    wheel = wheel if not wheel < 0.0 else 0.0
     rate = (rate + r_pull * (r_target - rate)) + r_noise * e_r
-    rate = rate if rate > 0.0 else 0.0
+    rate = rate if not rate < 0.0 else 0.0
     err = (e_keep * err + e_drift) + e_noise * e_a
-    err = err if err > 0.0 else 0.0
+    err = err if not err < 0.0 else 0.0
     return rate, wheel, charge, err

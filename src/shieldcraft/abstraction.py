@@ -17,11 +17,20 @@ and converts them in one pass, then one deterministic ``step_batch``
 call, one ``locate`` and one ``bincount`` run over the chunk's samples.
 Every value is elementwise or an integer count, so results are
 bit-identical under reruns and do not depend on the chunk size.
+
+The chunks are split into contiguous blocks, one per usable CPU. The
+parent forks a child per block after the first and computes the first
+itself; each child sends its rows back through a pipe, and the parent
+merges them in block order. Results do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import os
+import pickle
+import signal
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -195,8 +204,14 @@ class AbstractionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples_per_cell < 1:
-            raise ValueError("samples_per_cell must be >= 1")
+        # the messages start with the field's name, which ExperimentConfig
+        # shares; a float or a bool would only fail inside the sampler
+        for name, least in (("samples_per_cell", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def estimate_transitions(sim, partition: Partition, cfg: AbstractionConfig) -> FiniteMdp:
@@ -222,6 +237,10 @@ def estimate_transitions(sim, partition: Partition, cfg: AbstractionConfig) -> F
     or an integer count, so the rows do not depend on the chunk size. Rows
     are exactly stochastic (counts / N). A failure raises
     `SimulatorFailureError` naming the (cell, action) row it belongs to.
+
+    The chunks run in contiguous blocks, one per usable CPU and at most one
+    per chunk (`_in_workers`). Without ``os.fork``, on one usable CPU or
+    with a single chunk, they run in this process in order.
     """
     m = partition.n_cells
     n_actions = len(sim.action_names)
@@ -231,12 +250,21 @@ def estimate_transitions(sim, partition: Partition, cfg: AbstractionConfig) -> F
     actions = np.tile(np.arange(n_actions), m)
     streams = RowStreams.seeded(cfg.seed, _ABSTRACTION_STREAM, cells, actions)
     per_chunk = max(1, CHUNK_SAMPLES // n)
-    results = {}
-    for start in range(0, m * n_actions, per_chunk):
-        rows = slice(start, start + per_chunk)
-        results.update(_estimate_chunk(
-            sim, partition, n, cells[rows], actions[rows], streams[rows],
-        ))
+    starts = range(0, m * n_actions, per_chunk)
+    k = len(starts)
+
+    def estimate_block(block) -> dict:
+        rows = {}
+        for start in block:
+            span = slice(start, start + per_chunk)
+            rows.update(_estimate_chunk(
+                sim, partition, n, cells[span], actions[span], streams[span],
+            ))
+        return rows
+
+    workers = min(_usable_cpus(), k) if hasattr(os, "fork") else 1
+    blocks = [starts[k * b // workers:k * (b + 1) // workers] for b in range(workers)]
+    results = _in_workers(estimate_block, blocks)
     for a in range(n_actions):
         results[(exit_state, a)] = ((exit_state, 1.0),)
 
@@ -252,6 +280,73 @@ def estimate_transitions(sim, partition: Partition, cfg: AbstractionConfig) -> F
         atom_names=tuple(sim.atom_names),
         state_meta=meta,
     )
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _in_workers(compute, blocks) -> dict:
+    """``compute(block)`` of every block, merged in block order.
+
+    The parent forks one child per block after the first, then computes
+    the first itself. Each child pickles its dict to a pipe and leaves with
+    ``os._exit``; the parent reads the pipes in block order. A child that
+    fails, dies or sends nothing, or that could not be forked, has its
+    block computed again here, so an exception is the one the blocks raise
+    in order. Every child is reaped before this returns or raises; if the
+    parent raises, it kills them first.
+    """
+    if len(blocks) == 1:
+        return compute(blocks[0])
+    children = []  # [pid, read end of its pipe] per later block; None once done
+    try:
+        for block in blocks[1:]:
+            read_fd, write_fd = os.pipe()
+            children.append([None, read_fd])
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the pipe stays empty
+                pid = None
+            if pid == 0:  # child
+                status = 1
+                try:
+                    os.close(read_fd)
+                    with os.fdopen(write_fd, "wb") as out:
+                        pickle.dump(compute(block), out, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children[-1][0] = pid
+            os.close(write_fd)
+        results = compute(blocks[0])
+        for child, block in zip(children, blocks[1:]):
+            pid, read_fd = child
+            with os.fdopen(read_fd, "rb") as pipe:
+                child[1] = None
+                data = pipe.read()
+            status = 1 if pid is None else os.waitpid(pid, 0)[1]
+            child[0] = None
+            results.update(
+                pickle.loads(data) if status == 0 and data else compute(block)
+            )
+        return results
+    except BaseException:
+        for pid, _ in children:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read_fd in children:
+            if read_fd is not None:
+                os.close(read_fd)
+            if pid is not None:
+                os.waitpid(pid, 0)
 
 
 def _estimate_chunk(sim, partition: Partition, n: int, cells, actions, streams) -> dict:

@@ -107,11 +107,17 @@ class ExperimentConfig:
                     self.shield_config(kind)
         except ValueError as exc:
             raise ValueError(f"shield_{exc}") from None
+        # AbstractionConfig holds the sample count and seed rules; its
+        # messages name the fields this config shares with it
+        self.abstraction_config()
         for name in ("eval_episodes", "inloop_train_episodes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.record_trajectories < 0:
             raise ValueError(f"record_trajectories must be >= 0, got {self.record_trajectories}")
+
+    def abstraction_config(self) -> AbstractionConfig:
+        return AbstractionConfig(samples_per_cell=self.samples_per_cell, seed=self.seed)
 
     def shield_config(self, kind: str) -> ShieldConfig:
         return ShieldConfig(
@@ -249,7 +255,7 @@ def write_json(path, data):
 def estimate_mdp(cfg: ExperimentConfig, partition, mdp_path, report_path):
     """Estimate the safety MDP by simulation; write it and its sampling
     report."""
-    abs_cfg = AbstractionConfig(samples_per_cell=cfg.samples_per_cell, seed=cfg.seed)
+    abs_cfg = cfg.abstraction_config()
     mdp = estimate_transitions(SpacecraftEnv(cfg.env), partition, abs_cfg)
     mdp.save(mdp_path)
     write_json(report_path, abstraction_report(mdp, abs_cfg))

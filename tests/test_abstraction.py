@@ -1,4 +1,7 @@
 import json
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -124,6 +127,36 @@ class TestPartition:
         assert partition.cells[q_high].label & (1 << 2)
 
 
+def force_workers(monkeypatch, workers):
+    """Run the estimator as if ``workers`` CPUs were usable."""
+    monkeypatch.setattr(abstraction, "_usable_cpus", lambda: workers)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("samples_per_cell", 2.5),
+        ("samples_per_cell", True),
+        ("samples_per_cell", "10"),
+        ("samples_per_cell", 0),
+        ("seed", 1.0),
+        ("seed", False),
+        ("seed", None),
+        ("seed", -1),
+    ])
+    def test_bad_value_fails_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AbstractionConfig(**{field: value})
+
+    def test_numpy_ints_are_ints(self):
+        cfg = AbstractionConfig(np.int64(10), seed=np.uint32(3))
+        assert (cfg.samples_per_cell, cfg.seed) == (10, 3)
+
+
 class TestEstimator:
     def test_analytic_kernel_recovered(self):
         partition = tiny_partition()
@@ -201,6 +234,112 @@ class TestEstimator:
             texts.append(json.dumps(estimate_transitions(env, partition, cfg).to_json()))
         assert texts[0] == texts[1]
 
+    @pytest.mark.parametrize("rows_per_chunk", ["one", "all"])
+    def test_worker_count_does_not_change_the_mdp(self, rows_per_chunk, monkeypatch):
+        env = SpacecraftEnv()
+        partition = make_partition()
+        cfg = AbstractionConfig(50, seed=6)
+        rows = partition.n_cells * len(env.action_names) if rows_per_chunk == "all" else 1
+        monkeypatch.setattr(abstraction, "CHUNK_SAMPLES", rows * cfg.samples_per_cell)
+        texts, orders = [], []
+        for workers in (1, 2, 3):
+            force_workers(monkeypatch, workers)
+            mdp = estimate_transitions(env, partition, cfg)
+            texts.append(json.dumps(mdp.to_json()))
+            orders.append(list(mdp.rows))  # the rows keep their serial order too
+            assert_no_child_left()
+        assert texts[1] == texts[0] and texts[2] == texts[0]
+        assert orders[1] == orders[0] and orders[2] == orders[0]
+
+    @pytest.mark.parametrize("workers, rows_per_chunk, forks", [
+        (3, 1, 2),  # a child per block after the first
+        (9, 1, 7),  # never more blocks than the 8 chunks
+        (3, 8, 0),  # a single chunk
+        (1, 1, 0),  # one usable CPU
+    ])
+    def test_forks_once_per_block_after_the_first(self, workers, rows_per_chunk, forks,
+                                                  monkeypatch):
+        monkeypatch.setattr(abstraction, "CHUNK_SAMPLES", rows_per_chunk * 10)
+        force_workers(monkeypatch, workers)
+        calls = []
+        fork = os.fork
+
+        def counting_fork():
+            calls.append(1)  # lands in the parent's list, and in the child's copy
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        partition = tiny_partition()
+        kernel = np.full((partition.n_cells, 2, partition.n_cells + 1), 0.2)
+        mdp = estimate_transitions(TeleportEnv(partition, kernel), partition,
+                                   AbstractionConfig(10, seed=0))
+        assert len(calls) == forks
+        assert mdp.validate() == []
+        assert_no_child_left()
+
+    def test_serial_without_fork(self, monkeypatch):
+        env = SpacecraftEnv()
+        partition = make_partition()
+        cfg = AbstractionConfig(50, seed=6)
+        monkeypatch.setattr(abstraction, "CHUNK_SAMPLES", cfg.samples_per_cell)
+        force_workers(monkeypatch, 2)
+        forked = json.dumps(estimate_transitions(env, partition, cfg).to_json())
+        monkeypatch.delattr(os, "fork")
+        assert json.dumps(estimate_transitions(env, partition, cfg).to_json()) == forked
+
+    @pytest.mark.parametrize("fault", ["raises", "dies", "sends nothing", "cannot fork"])
+    def test_failed_child_block_is_recomputed(self, fault, monkeypatch):
+        # each child fails on its first sample call, or is never forked; the
+        # parent computes the child's block itself and gets the serial MDP
+        monkeypatch.setattr(abstraction, "CHUNK_SAMPLES", 10)
+        partition = tiny_partition()
+        kernel = np.random.default_rng(4).dirichlet(np.ones(partition.n_cells + 1),
+                                                    size=(partition.n_cells, 2))
+        env = TeleportEnv(partition, kernel)
+        cfg = AbstractionConfig(10, seed=0)
+        force_workers(monkeypatch, 1)
+        serial = json.dumps(estimate_transitions(env, partition, cfg).to_json())
+        parent = os.getpid()
+        sample_in_cell = env.sample_in_cell
+
+        def fail_in_child(bounds, n, streams):
+            if os.getpid() != parent:
+                if fault == "raises":
+                    raise RuntimeError("child only")
+                if fault == "dies":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(0)  # sends nothing
+            return sample_in_cell(bounds, n, streams)
+
+        env.sample_in_cell = fail_in_child
+        if fault == "cannot fork":
+            def no_fork():
+                raise BlockingIOError("Resource temporarily unavailable")
+
+            monkeypatch.setattr(os, "fork", no_fork)
+        force_workers(monkeypatch, 3)
+        assert json.dumps(estimate_transitions(env, partition, cfg).to_json()) == serial
+        assert_no_child_left()
+
+    def test_interrupted_parent_kills_its_children(self, monkeypatch):
+        monkeypatch.setattr(abstraction, "CHUNK_SAMPLES", 10)
+        force_workers(monkeypatch, 3)
+        partition = tiny_partition()
+        env = TeleportEnv(partition, np.full((partition.n_cells, 2, partition.n_cells + 1), 0.2))
+        parent = os.getpid()
+
+        def interrupt_parent(bounds, n, streams):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # a child still busy when the parent stops
+
+        env.sample_in_cell = interrupt_parent
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            estimate_transitions(env, partition, AbstractionConfig(10, seed=0))
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
     def test_simulator_failure_annotated(self):
         partition = tiny_partition()
 
@@ -218,11 +357,14 @@ class TestEstimator:
             estimate_transitions(Broken(), partition, AbstractionConfig(10, seed=0))
         assert err.value.state == 0 and err.value.action == 0
 
-    @pytest.mark.parametrize("rows_per_chunk", [1, 8])
-    def test_step_failure_names_its_row(self, rows_per_chunk, monkeypatch):
+    @pytest.mark.parametrize("rows_per_chunk, workers", [(1, 1), (8, 1), (1, 2), (2, 2), (1, 3)])
+    def test_step_failure_names_its_row(self, rows_per_chunk, workers, monkeypatch):
         # only the batches holding cell 2 fail; with 8 rows per chunk all
-        # rows share one step_batch call
+        # rows share one step_batch call. With 2 or 3 workers cell 2's rows
+        # (rows 4 and 5 of 8) are in children's blocks; with 3 they are in
+        # two different children's, and the first in row order is named
         monkeypatch.setattr(abstraction, "CHUNK_SAMPLES", rows_per_chunk * 10)
+        force_workers(monkeypatch, workers)
         partition = tiny_partition()
         m = partition.n_cells
         kernel = np.zeros((m, 2, m + 1))
@@ -242,12 +384,15 @@ class TestEstimator:
             estimate_transitions(env, partition, AbstractionConfig(10, seed=0))
         assert (err.value.state, err.value.action) == (2, 0)
         assert sizes[0] == rows_per_chunk * 10
+        assert_no_child_left()
 
-    @pytest.mark.parametrize("rows_per_chunk", [1, 8])
-    def test_sample_failure_names_its_row(self, rows_per_chunk, monkeypatch):
-        # sampling fails for any chunk that holds cell 2's row of action 1;
-        # with 8 rows per chunk the rows are sampled alone to find it
+    @pytest.mark.parametrize("rows_per_chunk, workers", [(1, 1), (8, 1), (1, 2), (2, 2), (1, 3)])
+    def test_sample_failure_names_its_row(self, rows_per_chunk, workers, monkeypatch):
+        # sampling fails for any chunk that holds cell 2's row of action 1
+        # (row 5 of 8, in a child's block when there are workers); with 8
+        # rows per chunk the rows are sampled alone to find it
         monkeypatch.setattr(abstraction, "CHUNK_SAMPLES", rows_per_chunk * 10)
+        force_workers(monkeypatch, workers)
         partition = tiny_partition()
         m = partition.n_cells
         kernel = np.zeros((m, 2, m + 1))
@@ -265,10 +410,15 @@ class TestEstimator:
         with pytest.raises(SimulatorFailureError, match="bad draw") as err:
             estimate_transitions(env, partition, AbstractionConfig(10, seed=0))
         assert (err.value.state, err.value.action) == (2, 1)
+        assert_no_child_left()
 
+    @pytest.mark.parametrize("rows_per_chunk, workers", [(8, 1), (1, 2), (1, 3)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_landing_raises(self, bad):
-        # the bad landing sits in a middle row of the chunk: cell 2, action 1
+    def test_non_finite_landing_raises(self, bad, rows_per_chunk, workers, monkeypatch):
+        # the bad landing sits in cell 2's row of action 1: a middle row of
+        # the chunk with 8 rows per chunk, a child's row with workers
+        monkeypatch.setattr(abstraction, "CHUNK_SAMPLES", rows_per_chunk * 10)
+        force_workers(monkeypatch, workers)
         partition = tiny_partition()
         m = partition.n_cells
         kernel = np.zeros((m, 2, m + 1))
@@ -278,13 +428,16 @@ class TestEstimator:
 
         def step_then_corrupt(batch, actions):
             coords = step_batch(batch, actions)
-            coords[np.flatnonzero((batch["cell"] == 2) & (actions == 1))[-1], 1] = bad
+            hits = np.flatnonzero((batch["cell"] == 2) & (actions == 1))
+            if hits.size:
+                coords[hits[-1], 1] = bad
             return coords
 
         env.step_batch = step_then_corrupt
         with pytest.raises(SimulatorFailureError, match="non-finite") as err:
             estimate_transitions(env, partition, AbstractionConfig(10, seed=0))
         assert (err.value.state, err.value.action) == (2, 1)
+        assert_no_child_left()
 
     def test_refinement_sanity(self):
         # doubling the sample count (new seed) moves each entry by less

@@ -607,6 +607,10 @@ class TestConfigSerialization:
         ({"eval_episodes": 0}, "eval_episodes"),
         ({"inloop_train_episodes": 0}, "inloop_train_episodes"),
         ({"record_trajectories": -1}, "record_trajectories"),
+        ({"samples_per_cell": 0}, "samples_per_cell"),
+        ({"samples_per_cell": 2.5}, "samples_per_cell"),
+        ({"seed": True}, "seed"),
+        ({"seed": -1}, "seed"),
     ])
     def test_bad_values_fail_at_construction(self, overrides, name):
         with pytest.raises(ValueError, match=name):

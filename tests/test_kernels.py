@@ -1,5 +1,5 @@
 """The dynamics kernel: hand-computed steps, scalar/batch agreement, the
-scalar clamps against ``min``/``max``, and the module names the
+scalar clamps against ``np.minimum``/``np.maximum``, and the module names the
 benchmark's tracer wraps."""
 
 import struct
@@ -133,15 +133,22 @@ class TestPureLane:
         assert charge == 1.0
 
 
-def _step_one_builtins(rate, wheel, charge, err, sun, coef, e_w, e_r, e_a):
-    """`step_one` written with the builtins ``min`` and ``max``."""
-    (gain, drain, w_drift, w_noise, r_pull, r_target, r_noise,
-     e_keep, e_drift, e_noise) = coef
-    charge = min(1.0, (charge + gain * sun) - drain)
-    wheel = max(0.0, (wheel + w_drift) + w_noise * e_w)
-    rate = max(0.0, (rate + r_pull * (r_target - rate)) + r_noise * e_r)
-    err = max(0.0, (e_keep * err + e_drift) + e_noise * e_a)
-    return rate, wheel, charge, err
+def _step_batch_one(rate, wheel, charge, err, sun, coef, e_w, e_r, e_a):
+    """`step_batch` on one-element arrays, under the action whose row of
+    `action_rows` is ``coef``."""
+    par = np.array(coef, dtype=np.float64).repeat(4)  # every action has these
+    state = [np.array([x], dtype=np.float64) for x in (rate, wheel, charge, err)]
+    with np.errstate(all="ignore"):  # the inputs hold infinities and NaNs on purpose
+        _kernels.step_batch(
+            *state, np.array([sun], dtype=np.float64), np.zeros(1, dtype=np.int64),
+            *(np.array([x], dtype=np.float64) for x in (e_w, e_r, e_a)), par,
+        )
+    return tuple(float(x[0]) for x in state)
+
+
+def _same(a: float, b: float) -> bool:
+    """Equal bits, or both NaN (whose payload numpy need not keep)."""
+    return struct.pack("<d", a) == struct.pack("<d", b) or (a != a and b != b)
 
 
 SPECIAL = st.sampled_from([0.0, -0.0, 1.0, float("nan"), float("inf"), float("-inf")])
@@ -156,12 +163,23 @@ COEFS = st.sampled_from([*_kernels.action_rows(EnvParams().param_vector()), (-0.
        coef=COEFS, noise=st.tuples(VALUE, VALUE, VALUE))
 @example(state=(-0.0,) * 4, sun=0, coef=(-0.0,) * 10, noise=(1.0, 1.0, 1.0))
 def test_clamps_equal_min_max_bitwise(state, sun, coef, noise):
-    """The kernel's conditional clamps give the bits ``min(1.0, x)`` and
-    ``max(0.0, x)`` give, NaN, infinities and signed zeros included, and an
-    int sun the bits of a float one."""
+    """The scalar kernel's conditional clamps give the bits `step_batch`'s
+    ``np.minimum`` and ``np.maximum`` give, infinities and signed zeros
+    included, and a NaN wherever they give one; an int sun gives the bits
+    of a float one."""
     got = _kernels.step_one(*state, sun, coef, *noise)
-    want = _step_one_builtins(*state, float(sun), coef, *noise)
-    assert struct.pack("<4d", *got) == struct.pack("<4d", *want)
+    want = _step_batch_one(*state, sun, coef, *noise)
+    assert all(map(_same, got, want)), (got, want)
+
+
+def test_nan_state_stays_nan():
+    """A NaN state stays NaN on both paths; it does not clamp to a safe,
+    fully charged state."""
+    coef = _kernels.action_rows(EnvParams().param_vector())[0]
+    nan = float("nan")
+    for got in (_kernels.step_one(nan, nan, nan, nan, 1.0, coef, 0.0, 0.0, 0.0),
+                _step_batch_one(nan, nan, nan, nan, 1.0, coef, 0.0, 0.0, 0.0)):
+        assert all(x != x for x in got), got
 
 
 class TestBenchmarkContract:
