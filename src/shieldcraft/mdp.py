@@ -2,16 +2,22 @@
 
 Transition rows are sparse ``(target, probability)`` lists in canonical
 (target-sorted) order; labels are bitmasks over the proposition table, so
-a state's label is directly a DFA input symbol.
+a state's label is directly a DFA input symbol. For shield synthesis a
+product also holds its rows as two dense tensors, split by source state
+into the rows of live (non-final) and of final states, each in its own
+zero-page-backed mapping (`ProductMdp.transition_tensors`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import mmap
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress
 from typing import Sequence
 
 import numpy as np
@@ -161,7 +167,9 @@ class ProductMdp:
     Product state (q, z) is flattened as ``q * n_z + z``. Stepping into
     base state q' advances the DFA on the label of q' (the label of the
     newly entered state), and runs are initialized by first consuming the
-    label of the start state, see `initial_state`.
+    label of the start state, see `initial_state`. The cached properties
+    below are what every shield kind reads; the first synthesis computes
+    them once for the product.
     """
 
     base: FiniteMdp
@@ -195,15 +203,74 @@ class ProductMdp:
         return self.rows[(s, a)]
 
     @cached_property
-    def transition_tensor(self) -> np.ndarray:
-        """Dense (A, S, S) transition probabilities, built on first use and
-        then shared by every shield synthesized from this product."""
+    def final_member(self) -> np.ndarray:
+        """(S,) read-only indicator of the final (violating) states."""
+        member = np.zeros(self.n_states, dtype=bool)
+        member[list(self.final_states)] = True
+        member.flags.writeable = False
+        return member
+
+    @cached_property
+    def transition_tensors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense (A, S, S) transition probabilities split by source state
+        into ``(live, final)``: ``live`` holds the rows of the non-final
+        states and zeros elsewhere, ``final`` the rows of the final ones.
+        Built on first use and then shared by every shield synthesized from
+        this product.
+
+        The full tensor is ``live + final``, and ``live @ v + final @ v``
+        equals its ``@ v`` bit for bit for a non-negative ``v``: both
+        tensors have the full tensor's shape, so each row keeps its
+        position, BLAS thread split and kernel path; a matrix-vector
+        product's entry depends only on its own row and ``v``; and the
+        other tensor's row is zero, which adds ``0.0``."""
         return _dense_transitions(self)
 
+    def step_mass(self, v: np.ndarray) -> np.ndarray:
+        """(A, S) expectation of the non-negative (S,) ``v`` one step on,
+        per action and source state: ``live @ v + final @ v``, which is
+        the full tensor's ``@ v`` bit for bit."""
+        live, final = self.transition_tensors
+        return live @ v + final @ v
 
-def _dense_transitions(pm: ProductMdp) -> np.ndarray:
-    """Scatter the row entries into a zero float64 tensor held in a private
-    anonymous mapping, with huge pages switched off.
+    @cached_property
+    def final_mass(self) -> np.ndarray:
+        """(A, S) read-only one-step probability of entering a final state,
+        per action and source state."""
+        mass = self.step_mass(self.final_member.astype(float))
+        mass.flags.writeable = False
+        return mass
+
+    @cached_property
+    def fresh_violation_mass(self) -> np.ndarray:
+        """(Q, A) read-only probability, per base state and action, that
+        the next region entered is freshly violating: its label takes the
+        automaton from its start state to an accepting one."""
+        d, base = self.dfa, self.base
+        bad_region = [int(d.delta[d.z0, label]) in d.accepting for label in base.labels]
+        mass = np.zeros((base.n_states, base.n_actions))
+        for (q, a), row in base.rows.items():
+            mass[q, a] = sum(p for target, p in row if bad_region[target])
+        mass.flags.writeable = False
+        return mass
+
+
+# MADV_POPULATE_READ (Linux 5.14), which Python 3.11's mmap does not name
+_MADV_POPULATE_READ = 22
+
+
+def _dense_transitions(pm: ProductMdp) -> tuple[np.ndarray, np.ndarray]:
+    """The product's ``(live, final)`` transition tensors."""
+    shape = (pm.n_actions, pm.n_states, pm.n_states)
+    final = [s in pm.final_states for s, _a in pm.rows]
+    live = [not f for f in final]
+    return _mapped_tensor(shape, pm.rows, live), _mapped_tensor(shape, pm.rows, final)
+
+
+def _mapped_tensor(shape: tuple[int, int, int], rows: dict, selected: list) -> np.ndarray:
+    """The ``(A, S, S)`` float64 tensor of the ``selected`` entries of
+    ``rows``, zero elsewhere, in a private anonymous mapping with huge
+    pages switched off.
 
     Most of the tensor is zero. A 4 KiB page that no entry is written to
     reads as the kernel's shared zero page, so it costs no resident memory
@@ -211,20 +278,42 @@ def _dense_transitions(pm: ProductMdp) -> np.ndarray:
     asks for 2 MiB transparent huge pages on an allocation this large, and
     the first write into each makes all of it resident.) Values, dtype and
     C layout equal those of ``np.zeros``, so the matmuls over the tensor
-    give the same bits. The mapping is unmapped with its last view.
+    give the same bits. After the fill, ``MADV_POPULATE_READ`` maps the
+    zero page over the untouched pages in one call, so the first backup
+    takes no page faults; a kernel without it leaves them to that backup.
+    The mapping is unmapped with its last view.
 
-    The loop adds no large temporaries, which would stay in the heap under
-    the tensor (index arrays for one ``np.add.at`` call: ~5 MB on a
-    3002-state product, and no faster). ``+=`` sums repeated entries of a
-    row, as `FiniteMdp.validate` does."""
-    shape = (pm.n_actions, pm.n_states, pm.n_states)
+    The entries are written in one indexed assignment from flat index
+    arrays. Rows are target-sorted, so a repeated target sits next to its
+    twin; only then does the fill use ``np.add.at``, which adds in entry
+    order and so sums a repeated target as `FiniteMdp.validate` does."""
     buf = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE)
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         buf.madvise(mmap.MADV_NOHUGEPAGE)
     t = np.frombuffer(buf, dtype=np.float64).reshape(shape)
-    for (s, a), row in pm.rows.items():
-        for target, p in row:
-            t[a, s, target] += p
+    n_states = shape[1]
+    picked = list(compress(rows.values(), selected))
+    lengths = np.fromiter(map(len, picked), dtype=np.intp, count=len(picked))
+    keys = np.fromiter(chain.from_iterable(compress(rows, selected)), dtype=np.intp,
+                       count=2 * len(picked))
+    entries = np.fromiter(chain.from_iterable(chain.from_iterable(picked)),
+                          dtype=np.float64, count=2 * int(lengths.sum()))
+    del picked
+    # flat index of (a, s, target): the row's start, plus the target; the
+    # temporaries are freed before the write faults in the tensor's pages
+    index = np.repeat((keys[1::2] * n_states + keys[0::2]) * n_states, lengths)
+    del keys, lengths
+    index += entries[0::2].astype(np.intp)
+    probs = entries[1::2].copy()
+    del entries
+    flat = t.reshape(-1)
+    if (index[1:] == index[:-1]).any():
+        np.add.at(flat, index, probs)
+    else:
+        flat[index] = probs
+    if sys.platform.startswith("linux"):
+        with contextlib.suppress(OSError):  # before Linux 5.14
+            buf.madvise(_MADV_POPULATE_READ)
     return t
 
 

@@ -11,6 +11,13 @@ score per action, and a fallback action:
              set within a required horizon N and allow actions whose
              backup value stays below p; one-step is its N = 1 case
 
+All three read the product's transition tensors, split by source state into
+a live (non-final) and a final tensor of the full shape, and the one-step
+mass into the final states, each computed once per product. A backup keeps
+1.0 at the final states, so q-optimal's backups multiply only the live
+tensor; every score is ``live @ v + final @ v``, which equals the full
+tensor's ``@ v`` bit for bit (see `ProductMdp.transition_tensors`).
+
 The runtime filter passes allowed actions through unchanged, replaces a
 disallowed action with the safest allowed one (lowest index on ties), and
 falls back to the stored per-state fallback action when nothing is
@@ -25,6 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -129,55 +137,46 @@ class Shield:
             return cls.from_json(json.load(fh))
 
 
-def _final_member(pm: ProductMdp) -> np.ndarray:
-    """(S,) indicator of the final (violating) product states."""
-    member = np.zeros(pm.n_states, dtype=bool)
-    member[list(pm.final_states)] = True
-    return member
+def _mass_within(pm: ProductMdp, steps: int):
+    """Minimal probability of entering the final states within ``steps``
+    steps: (S, A) action scores, one step for the action itself plus
+    ``steps - 1`` backups under the minimizing action, and the (S,) state
+    values those backups produce (the final indicator at ``steps = 1``).
+
+    A backup keeps 1.0 at the final states, so it reads only the live
+    tensor; the scores read both (see `ProductMdp.transition_tensors`)."""
+    member = pm.final_member
+    if steps == 1:
+        return pm.final_mass.T, member.astype(float)
+    live = pm.transition_tensors[0]
+    v = np.where(member, 1.0, pm.final_mass.min(axis=0))
+    for _ in range(steps - 2):
+        v = np.where(member, 1.0, (live @ v).min(axis=0))
+    return pm.step_mass(v).T, v
 
 
-def _mass_within(t: np.ndarray, member: np.ndarray, steps: int):
-    """Minimal probability of entering the indicated state set within
-    ``steps`` steps: (S, A) action scores, one step for the action itself
-    plus ``steps - 1`` backups under the minimizing action, and the (S,)
-    state values those backups produce (the indicator at ``steps = 1``)."""
-    v = member.astype(float)
-    for _ in range(steps - 1):
-        v = np.where(member, 1.0, (t @ v).min(axis=0))
-    return (t @ v).T, v
-
-
-def _region_return_fallback(pm: ProductMdp) -> np.ndarray:
-    """Per (q, a): probability that the next region entered is freshly
-    violating (its label fires the violation automaton from its start)."""
-    d = pm.dfa
-    base = pm.base
-    bad_region = np.array(
-        [int(d.delta[d.z0, base.labels[q]]) in d.accepting for q in range(base.n_states)]
-    )
-    mass = np.zeros((base.n_states, base.n_actions))
-    for (q, a), row in base.rows.items():
-        mass[q, a] = sum(p for target, p in row if bad_region[target])
-    return mass
+def _row_tuples(a: np.ndarray) -> zip:
+    """The rows of the 2-D ``a`` as tuples of Python scalars, grouped from
+    one flat list: per-row lists would add thousands of short-lived
+    GC-tracked objects per shield and run the collector more often."""
+    return zip(*[iter(a.ravel().tolist())] * a.shape[1])
 
 
 def _assemble(pm, cfg, kind, scores, unsafe, values=None) -> Shield:
-    n_s, n_a = scores.shape
-    allowed = tuple(
-        tuple(a for a in range(n_a) if scores[s, a] < cfg.threshold) for s in range(n_s)
-    )
-    fallback = list(np.argmin(scores, axis=1))
-    region_mass = _region_return_fallback(pm)
-    for s in pm.final_states:
-        q, _z = pm.decompose(s)
-        fallback[s] = int(np.argmin(region_mass[q]))
+    actions = range(scores.shape[1])
+    allowed = tuple(tuple(compress(actions, row)) for row in _row_tuples(scores < cfg.threshold))
+    fallback = np.argmin(scores, axis=1)
+    # a final state falls back to the action least likely to enter a
+    # freshly violating region next
+    final = np.flatnonzero(pm.final_member)
+    fallback[final] = np.argmin(pm.fresh_violation_mass, axis=1)[final // pm.n_z]
     return Shield(
         kind=kind,
         threshold=cfg.threshold,
         horizon=cfg.horizon if kind == "q" else None,
         allowed=allowed,
-        fallback=tuple(int(a) for a in fallback),
-        scores=tuple(tuple(float(x) for x in row) for row in scores),
+        fallback=tuple(fallback.tolist()),
+        scores=tuple(_row_tuples(scores)),
         unsafe_states=frozenset(unsafe),
         values=values,
     )
@@ -186,7 +185,7 @@ def _assemble(pm, cfg, kind, scores, unsafe, values=None) -> Shield:
 def one_step(pm: ProductMdp, cfg: ShieldConfig) -> Shield:
     """Allow actions keeping the one-step mass into the final (violating)
     product states strictly below the threshold."""
-    scores, _ = _mass_within(pm.transition_tensor, _final_member(pm), 1)
+    scores, _ = _mass_within(pm, 1)
     return _assemble(pm, cfg, "one", scores, pm.final_states)
 
 
@@ -196,15 +195,15 @@ def two_step(pm: ProductMdp, cfg: ShieldConfig) -> Shield:
     Terminates in at most |S| iterations since the unsafe set can only
     grow.
     """
-    t = pm.transition_tensor
-    unsafe = _final_member(pm)
+    unsafe = pm.final_member
+    scores = pm.final_mass.T
     for _ in range(pm.n_states + 1):
-        scores, _ = _mass_within(t, unsafe, 1)
         no_action = ~(scores < cfg.threshold).any(axis=1)
         grown = unsafe | no_action
         if (grown == unsafe).all():
             break
         unsafe = grown
+        scores = pm.step_mass(unsafe.astype(float)).T
     else:  # pragma: no cover - guarded by the monotone-growth argument
         raise AssertionError("two-step recursion failed to reach a fixed point")
     # the fixed point left unsafe unchanged, so the last scores are its own
@@ -215,10 +214,8 @@ def q_optimal(pm: ProductMdp, cfg: ShieldConfig) -> Shield:
     """Dynamic-programming shield on minimal unsafe-reach probability: the
     action value is the exact probability of reaching the unsafe set
     within ``cfg.horizon`` steps."""
-    scores, v = _mass_within(pm.transition_tensor, _final_member(pm), cfg.horizon)
-    return _assemble(
-        pm, cfg, "q", scores, pm.final_states, values=tuple(float(x) for x in v)
-    )
+    scores, v = _mass_within(pm, cfg.horizon)
+    return _assemble(pm, cfg, "q", scores, pm.final_states, values=tuple(v.tolist()))
 
 
 def synthesize(pm: ProductMdp, cfg: ShieldConfig) -> Shield:

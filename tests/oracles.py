@@ -7,7 +7,9 @@ progression-based DFA compiler they are used to check.
 
 Likewise the reachability oracle evaluates the defining recursion for
 minimal N-step reach probability without any of the value-iteration
-machinery under test, and the randomness oracles draw each value with the
+machinery under test, the shield oracle synthesizes over one scattered
+transition tensor and assembles each shield entry by entry, and the
+randomness oracles draw each value with the
 `numpy.random.Generator` call that `EpisodeDraws` and
 `SpacecraftEnv.sample_in_cell` reproduce from raw PCG64 outputs.
 """
@@ -216,6 +218,68 @@ def min_reach_paths(pm, s: int, steps: int) -> float:
         if best is None or total < best:
             best = total
     return best
+
+
+# --- shield synthesis over one tensor ---------------------------------------
+
+
+def scatter_tensor(pm) -> np.ndarray:
+    """The product's dense (A, S, S) transition tensor, one ``+=`` per row
+    entry into ``np.zeros``, so a repeated target sums in row order."""
+    t = np.zeros((pm.n_actions, pm.n_states, pm.n_states))
+    for (s, a), row in pm.rows.items():
+        for target, p in row:
+            t[a, s, target] += p
+    return t
+
+
+def mass_within(t: np.ndarray, member: np.ndarray, steps: int):
+    """Minimal probability of entering the indicated state set within
+    ``steps`` steps, every backup over the whole tensor ``t``: (S, A)
+    action scores and the (S,) state values of the backups."""
+    v = member.astype(float)
+    for _ in range(steps - 1):
+        v = np.where(member, 1.0, (t @ v).min(axis=0))
+    return (t @ v).T, v
+
+
+def reference_shield_json(pm, cfg) -> dict:
+    """``synthesize(pm, cfg).to_json()``, synthesized over
+    `scatter_tensor` with `mass_within` and assembled entry by entry."""
+    t = scatter_tensor(pm)
+    unsafe = np.zeros(pm.n_states, dtype=bool)
+    unsafe[list(pm.final_states)] = True
+    values = None
+    if cfg.kind == "two":
+        while True:
+            scores, _ = mass_within(t, unsafe, 1)
+            grown = unsafe | ~(scores < cfg.threshold).any(axis=1)
+            if (grown == unsafe).all():
+                break
+            unsafe = grown
+    else:
+        scores, v = mass_within(t, unsafe, cfg.horizon if cfg.kind == "q" else 1)
+        if cfg.kind == "q":
+            values = [float(x) for x in v]
+    d, base = pm.dfa, pm.base
+    fresh = [int(d.delta[d.z0, label]) in d.accepting for label in base.labels]
+    fallback = [int(a) for a in np.argmin(scores, axis=1)]
+    for s in pm.final_states:
+        q = s // pm.n_z
+        region = [sum(p for target, p in base.row(q, a) if fresh[target])
+                  for a in range(base.n_actions)]
+        fallback[s] = int(np.argmin(region))
+    n_s, n_a = scores.shape
+    return {
+        "kind": cfg.kind,
+        "p": cfg.threshold,
+        "horizon": cfg.horizon if cfg.kind == "q" else None,
+        "allowed": [[a for a in range(n_a) if scores[s, a] < cfg.threshold] for s in range(n_s)],
+        "fallback": fallback,
+        "scores": [[float(x) for x in row] for row in scores],
+        "unsafe": np.flatnonzero(unsafe).tolist(),
+        "values": values,
+    }
 
 
 # --- episode randomness -----------------------------------------------------

@@ -8,12 +8,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import min_reach_paths, min_reach_within
+from oracles import (
+    min_reach_paths,
+    min_reach_within,
+    reference_shield_json,
+    scatter_tensor,
+)
 import shieldcraft
 from shieldcraft import mdp as mdp_module
 from shieldcraft import pipeline
-from shieldcraft.dfa import compile_cosafe
+from shieldcraft.dfa import Dfa, compile_cosafe
 from shieldcraft.ltl import PropositionTable, parse
 from shieldcraft.mdp import FiniteMdp, product
 from shieldcraft.shields import (
@@ -445,6 +452,7 @@ class TestSharedTensor:
         ShieldConfig(threshold=0.2, kind="two"),
         ShieldConfig(threshold=0.2, kind="q", horizon=4),
     )
+    SHARED_TERMS = ("transition_tensors", "final_mass", "fresh_violation_mass")
 
     def test_one_build_shared_by_all_kinds(self, monkeypatch):
         fresh = [
@@ -460,14 +468,19 @@ class TestSharedTensor:
 
         monkeypatch.setattr(mdp_module, "_dense_transitions", counting)
         shared = random_product(np.random.default_rng(7), max_q=5)
-        assert [json.dumps(synthesize(shared, cfg).to_json()) for cfg in self.CONFIGS] == fresh
+        made = [json.dumps(synthesize(shared, self.CONFIGS[0]).to_json())]
+        # the terms every kind reads are computed once, by the first kind
+        terms = [vars(shared)[name] for name in self.SHARED_TERMS]
+        made += [json.dumps(synthesize(shared, cfg).to_json()) for cfg in self.CONFIGS[1:]]
+        assert made == fresh
         assert len(builds) == 1 and builds[0] is shared
+        assert all(vars(shared)[name] is t for name, t in zip(self.SHARED_TERMS, terms))
 
 
-# Builds a 2 x 2048 x 2048 tensor (67 MB) in a fresh process and prints
-# how much of it became resident. Each base state moves to itself or a
-# neighbour, so a product row's entries fall on one or two of its four
-# 4 KiB pages.
+# Builds the pair of 2 x 2048 x 2048 tensors (67 MB each) in a fresh
+# process and prints how much of one tensor's size became resident. Each
+# base state moves to itself or a neighbour, so a product row's entries fall
+# on one or two of its four 4 KiB pages, in one of the two tensors.
 RSS_SCRIPT = """
 from shieldcraft.dfa import compile_cosafe
 from shieldcraft.ltl import PropositionTable, parse
@@ -489,8 +502,8 @@ table = PropositionTable(("p0",))
 base = FiniteMdp(n, ("a0", "a1"), rows, tuple(int(q % 7 == 0) for q in range(n)), table.names)
 pm = product(base, compile_cosafe(parse("F p0", table), table))
 before = vm_rss()
-t = pm.transition_tensor
-print((vm_rss() - before) / t.nbytes, t.nbytes)
+live, final = pm.transition_tensors
+print((vm_rss() - before) / live.nbytes, live.nbytes)
 """
 
 
@@ -508,15 +521,22 @@ class TestMappedTensor:
         )
         rng = np.random.default_rng(11)
         for pm in [repeated] + [random_product(rng, max_q=5) for _ in range(20)]:
-            t = pm.transition_tensor
-            ref = np.zeros((pm.n_actions, pm.n_states, pm.n_states))
-            for (s, a), row in pm.rows.items():
-                for target, p in row:
-                    ref[a, s, target] += p
-            assert isinstance(_mapping(t), mmap.mmap)
-            assert t.shape == ref.shape and t.dtype == ref.dtype
-            assert t.flags.c_contiguous and t.flags.writeable
-            assert t.tobytes() == ref.tobytes()
+            live, final = pm.transition_tensors
+            ref = scatter_tensor(pm)
+            # the live tensor holds the rows of the non-final states, the
+            # final tensor the rest
+            final_rows = np.zeros(pm.n_states, dtype=bool)
+            final_rows[list(pm.final_states)] = True
+            ref_live, ref_final = ref.copy(), ref.copy()
+            ref_live[:, final_rows] = 0.0
+            ref_final[:, ~final_rows] = 0.0
+            for t, expect in ((live, ref_live), (final, ref_final)):
+                assert isinstance(_mapping(t), mmap.mmap)
+                assert t.shape == ref.shape and t.dtype == ref.dtype
+                assert t.flags.c_contiguous and t.flags.writeable
+                assert t.tobytes() == expect.tobytes()
+            assert _mapping(live) is not _mapping(final)
+            assert (live + final).tobytes() == ref.tobytes()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="reads VmRSS from /proc/self/status")
@@ -538,15 +558,78 @@ class TestMappedTensor:
         build = mdp_module._dense_transitions
 
         def recording(pm):
-            t = build(pm)
-            mappings.append(weakref.ref(_mapping(t)))
-            return t
+            pair = build(pm)
+            mappings.append([weakref.ref(_mapping(t)) for t in pair])
+            return pair
 
         monkeypatch.setattr(mdp_module, "_dense_transitions", recording)
         targets = {tmp_path / f"{cfg.kind}.json": cfg for cfg in TestSharedTensor.CONFIGS}
         shields = pipeline.synthesize_shields(mdp, dfa, targets)
         assert set(shields) == {"one", "two", "q"} and len(mappings) == 1
-        assert mappings[0]() is None
+        assert [ref() for ref in mappings[0]] == [None, None]
+
+
+T2 = PropositionTable(("p0", "p1"))
+
+
+def automaton_product(rng, n_q, n_actions, n_z, repeat, width=4):
+    """A product with a random violation automaton of ``n_z >= 3`` states
+    whose first accepting state is not absorbing. Each row has up to
+    ``width`` targets; with ``repeat`` a row may list a target twice."""
+    rows = {}
+    for q in range(n_q):
+        for a in range(n_actions):
+            k = int(rng.integers(1, width + 1))
+            if repeat:
+                targets = rng.integers(max(q - width, 0), min(q + width + 1, n_q), k)
+            else:
+                targets = rng.choice(n_q, size=min(k, n_q), replace=False)
+            weights = rng.dirichlet(np.ones(len(targets)))
+            rows[(q, a)] = tuple(sorted(zip(targets.tolist(), weights.tolist())))
+    labels = tuple(rng.integers(0, 4, n_q).tolist())
+    delta = rng.integers(0, n_z, (n_z, 4))
+    accepting = rng.choice(np.arange(1, n_z), size=int(rng.integers(1, n_z)), replace=False)
+    delta[accepting[0], 0] = 0  # z0 = 0 is not accepting
+    dfa = Dfa(T2.names, 0, delta, frozenset(accepting.tolist()), frozenset())
+    base = FiniteMdp(n_q, tuple(f"a{i}" for i in range(n_actions)), rows, labels, T2.names)
+    assert base.validate() == []
+    return product(base, dfa)
+
+
+def assert_pair_matches_oracle(pm, rng, threshold, horizon):
+    """The tensor pair's masses equal the single tensor's bit for bit, and
+    every kind's shield JSON equals the oracle's byte for byte."""
+    live, final = pm.transition_tensors
+    t = scatter_tensor(pm)
+    indicator = np.zeros(pm.n_states)
+    indicator[list(pm.final_states)] = 1.0
+    binary = np.where(rng.random(pm.n_states) < 0.3, 0.0, 1.0)
+    for v in (indicator, binary, rng.random(pm.n_states)):
+        assert (live @ v + final @ v).tobytes() == (t @ v).tobytes()
+    for cfg in (
+        ShieldConfig(threshold=threshold, kind="one"),
+        ShieldConfig(threshold=threshold, kind="two"),
+        ShieldConfig(threshold=threshold, kind="q", horizon=horizon),
+    ):
+        assert json.dumps(synthesize(pm, cfg).to_json()) == json.dumps(
+            reference_shield_json(pm, cfg))
+
+
+class TestTensorPairOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 6), repeat=st.booleans())
+    def test_random_products(self, seed, horizon, repeat):
+        rng = np.random.default_rng(seed)
+        pm = automaton_product(rng, n_q=int(rng.integers(2, 7)), n_actions=int(rng.integers(1, 4)),
+                               n_z=int(rng.integers(3, 6)), repeat=repeat)
+        assert any((pm.dfa.delta[z] != z).any() for z in pm.dfa.accepting)
+        assert_pair_matches_oracle(pm, rng, float(rng.uniform(0.02, 0.6)), horizon)
+
+    def test_blas_threaded_size(self):
+        # S = 750: large enough for OpenBLAS to split each gemv over threads
+        rng = np.random.default_rng(5)
+        pm = automaton_product(rng, n_q=250, n_actions=3, n_z=3, repeat=True, width=6)
+        assert_pair_matches_oracle(pm, rng, 0.05, 6)
 
 
 class TestRuntime:
