@@ -127,9 +127,12 @@ def cmd_shield(args) -> int:
     violation = pipeline.violation_monitor(safety, table)
     sh_cfg = ShieldConfig(threshold=args.p, kind=args.kind, horizon=args.horizon)
     shield = pipeline.synthesize_shields(mdp, violation, {args.out: sh_cfg})[args.kind]
-    empty = sum(1 for a in shield.allowed if not a)
+    # product state s pairs a cell with automaton state s % n_z; a final
+    # state has already violated, so its empty set is not counted as a gap
+    final = [s % violation.n_states in violation.accepting for s in range(shield.n_states)]
+    empty = sum(1 for allowed, f in zip(shield.allowed, final) if not allowed and not f)
     print(f"shield: kind={args.kind} p={args.p} product-states={shield.n_states} "
-          f"states-without-allowed-action={empty}")
+          f"final-states={sum(final)} non-final-states-without-allowed-action={empty}")
     print(f"wrote {args.out}")
     return 0
 

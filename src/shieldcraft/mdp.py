@@ -3,9 +3,10 @@
 Transition rows are sparse ``(target, probability)`` lists in canonical
 (target-sorted) order; labels are bitmasks over the proposition table, so
 a state's label is directly a DFA input symbol. For shield synthesis a
-product also holds its rows as two dense tensors, split by source state
-into the rows of live (non-final) and of final states, each in its own
-zero-page-backed mapping (`ProductMdp.transition_tensors`).
+product splits its rows by their targets: the settled rows, whose targets
+are all final, are multiplied by the final indicator once
+(`ProductMdp.settled_mass`), and only the other rows stay resident, as one
+dense tensor in a zero-page-backed mapping (`ProductMdp.live_tensor`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import mmap
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -211,27 +212,39 @@ class ProductMdp:
         return member
 
     @cached_property
-    def transition_tensors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (A, S, S) transition probabilities split by source state
-        into ``(live, final)``: ``live`` holds the rows of the non-final
-        states and zeros elsewhere, ``final`` the rows of the final ones.
-        Built on first use and then shared by every shield synthesized from
-        this product.
+    def _split(self) -> tuple[np.ndarray, np.ndarray]:
+        return _split_rows(self)
 
-        The full tensor is ``live + final``, and ``live @ v + final @ v``
-        equals its ``@ v`` bit for bit for a non-negative ``v``: both
-        tensors have the full tensor's shape, so each row keeps its
-        position, BLAS thread split and kernel path; a matrix-vector
-        product's entry depends only on its own row and ``v``; and the
-        other tensor's row is zero, which adds ``0.0``."""
-        return _dense_transitions(self)
+    @property
+    def settled_mass(self) -> np.ndarray:
+        """(A, S) read-only one-step probability of entering a final state
+        from each settled row, and ``0.0`` at every other row. A row is
+        settled when every one of its targets is final. Computed once, with
+        `live_tensor`, on first use, and then shared by every shield
+        synthesized from this product."""
+        return self._split[0]
+
+    @property
+    def live_tensor(self) -> np.ndarray:
+        """Dense (A, S, S) transition probabilities of the rows that are
+        not settled, and zeros at the settled rows, in a zero-page-backed
+        mapping (see `_zero_mapping`). A final state whose row leaves the
+        final set keeps that row here."""
+        return self._split[1]
 
     def step_mass(self, v: np.ndarray) -> np.ndarray:
-        """(A, S) expectation of the non-negative (S,) ``v`` one step on,
-        per action and source state: ``live @ v + final @ v``, which is
-        the full tensor's ``@ v`` bit for bit."""
-        live, final = self.transition_tensors
-        return live @ v + final @ v
+        """(A, S) expectation of ``v`` one step on, per action and source
+        state: ``live_tensor @ v + settled_mass``.
+
+        ``v`` must be finite, non-negative and 1.0 at every final state.
+        The sum then equals the full tensor's ``@ v`` bit for bit:
+        ``live_tensor`` has the full tensor's shape, so each row keeps its
+        position, BLAS kernel and thread split; a settled row's nonzero
+        entries all sit at final states, where ``v`` is 1.0, and a zero entry
+        adds nothing in any summation order, so its product with ``v`` is its
+        product with the final indicator; and one of the two terms of each
+        entry is a zero row's ``+0.0``."""
+        return self.live_tensor @ v + self.settled_mass
 
     @cached_property
     def final_mass(self) -> np.ndarray:
@@ -255,66 +268,110 @@ class ProductMdp:
         return mass
 
 
+def _split_rows(pm: ProductMdp) -> tuple[np.ndarray, np.ndarray]:
+    """The product's ``(settled_mass, live_tensor)``.
+
+    The settled rows are multiplied once, by the final indicator, inside
+    one zero-page ``(A, S, S)`` mapping, one action slice at a time: fill
+    slice ``a``, take its product, then hand its pages back with
+    ``MADV_DONTNEED`` before slice ``a + 1`` is filled. Each slice's product
+    is the BLAS call that numpy's stacked ``@`` makes over the full tensor,
+    with the same shape, ``lda`` and page offset. A slice's product reads
+    only its own bytes, so rounding the released range out to whole pages
+    clears only a used slice or one not yet written. The mapping is
+    unmapped before the live tensor is filled, so its pages and the live
+    tensor's are never resident together. Without ``MADV_DONTNEED`` the
+    results are the same and only the slices stay resident until then."""
+    n_a, n_s = pm.n_actions, pm.n_states
+    index, probs, settled = _row_entries(pm)
+    settled_index, settled_probs = index[settled], probs[settled]
+    index, probs = index[~settled], probs[~settled]
+    del settled
+    member = pm.final_member.astype(float)
+    mass = np.empty((n_a, n_s))
+    buf, t = _zero_mapping((n_a, n_s, n_s))
+    flat = t.reshape(-1)
+    size = n_s * n_s
+    for a in range(n_a):
+        pick = (settled_index >= a * size) & (settled_index < (a + 1) * size)
+        _scatter(flat, settled_index[pick], settled_probs[pick])
+        # the slice's bytes, from the start of the page they begin in
+        start = a * size * 8 // mmap.PAGESIZE * mmap.PAGESIZE
+        length = (a + 1) * size * 8 - start
+        _populate(buf, start, length)
+        mass[a] = t[a] @ member
+        if hasattr(mmap, "MADV_DONTNEED"):
+            buf.madvise(mmap.MADV_DONTNEED, start, length)
+    del t, flat, settled_index, settled_probs
+    buf.close()
+    mass.flags.writeable = False
+    buf, live = _zero_mapping((n_a, n_s, n_s))
+    _scatter(live.reshape(-1), index, probs)
+    _populate(buf, 0, len(buf))
+    return mass, live
+
+
+def _row_entries(pm: ProductMdp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every entry of the product's rows, in row order, as flat arrays: its
+    index ``(a * S + s) * S + target`` into an ``(A, S, S)`` tensor, its
+    probability, and whether its row is settled (has no target outside the
+    final states)."""
+    rows, n_states = pm.rows, pm.n_states
+    lengths = np.fromiter(map(len, rows.values()), dtype=np.intp, count=len(rows))
+    keys = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=2 * len(rows))
+    entries = np.fromiter(chain.from_iterable(chain.from_iterable(rows.values())),
+                          dtype=np.float64, count=2 * int(lengths.sum()))
+    targets = entries[0::2].astype(np.intp)
+    row_of = np.repeat(np.arange(len(rows)), lengths)
+    leaving = np.bincount(row_of[~pm.final_member[targets]], minlength=len(rows))
+    settled = (leaving == 0)[row_of]
+    del row_of
+    index = np.repeat((keys[1::2] * n_states + keys[0::2]) * n_states, lengths)
+    index += targets
+    return index, entries[1::2].copy(), settled
+
+
+def _zero_mapping(shape: tuple[int, int, int]) -> tuple[mmap.mmap, np.ndarray]:
+    """A private anonymous mapping with huge pages switched off, and its
+    ``(A, S, S)`` float64 view, which reads as zeros.
+
+    Most of a transition tensor is zero. A 4 KiB page that no entry is
+    written to reads as the kernel's shared zero page, so it costs no
+    resident memory and the backups that read it stay in cache. (On Linux,
+    ``np.zeros`` asks for 2 MiB transparent huge pages on an allocation this
+    large, and the first write into each makes all of it resident.) Values,
+    dtype and C layout equal those of ``np.zeros``, so the matmuls over the
+    view give the same bits. The mapping is unmapped with its last view."""
+    buf = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return buf, np.frombuffer(buf, dtype=np.float64).reshape(shape)
+
+
 # MADV_POPULATE_READ (Linux 5.14), which Python 3.11's mmap does not name
 _MADV_POPULATE_READ = 22
 
 
-def _dense_transitions(pm: ProductMdp) -> tuple[np.ndarray, np.ndarray]:
-    """The product's ``(live, final)`` transition tensors."""
-    shape = (pm.n_actions, pm.n_states, pm.n_states)
-    final = [s in pm.final_states for s, _a in pm.rows]
-    live = [not f for f in final]
-    return _mapped_tensor(shape, pm.rows, live), _mapped_tensor(shape, pm.rows, final)
+def _populate(buf: mmap.mmap, start: int, length: int):
+    """Map the zero page over the untouched pages of ``length`` bytes of
+    ``buf`` from the page-aligned ``start``, in one ``MADV_POPULATE_READ``
+    call, so the first product over them takes no page faults; a kernel
+    without it leaves them to that product."""
+    if sys.platform.startswith("linux"):
+        with contextlib.suppress(OSError):  # before Linux 5.14
+            buf.madvise(_MADV_POPULATE_READ, start, length)
 
 
-def _mapped_tensor(shape: tuple[int, int, int], rows: dict, selected: list) -> np.ndarray:
-    """The ``(A, S, S)`` float64 tensor of the ``selected`` entries of
-    ``rows``, zero elsewhere, in a private anonymous mapping with huge
-    pages switched off.
-
-    Most of the tensor is zero. A 4 KiB page that no entry is written to
-    reads as the kernel's shared zero page, so it costs no resident memory
-    and the backups that read it stay in cache. (On Linux, ``np.zeros``
-    asks for 2 MiB transparent huge pages on an allocation this large, and
-    the first write into each makes all of it resident.) Values, dtype and
-    C layout equal those of ``np.zeros``, so the matmuls over the tensor
-    give the same bits. After the fill, ``MADV_POPULATE_READ`` maps the
-    zero page over the untouched pages in one call, so the first backup
-    takes no page faults; a kernel without it leaves them to that backup.
-    The mapping is unmapped with its last view.
-
-    The entries are written in one indexed assignment from flat index
-    arrays. Rows are target-sorted, so a repeated target sits next to its
-    twin; only then does the fill use ``np.add.at``, which adds in entry
-    order and so sums a repeated target as `FiniteMdp.validate` does."""
-    buf = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE)
-    if hasattr(mmap, "MADV_NOHUGEPAGE"):
-        buf.madvise(mmap.MADV_NOHUGEPAGE)
-    t = np.frombuffer(buf, dtype=np.float64).reshape(shape)
-    n_states = shape[1]
-    picked = list(compress(rows.values(), selected))
-    lengths = np.fromiter(map(len, picked), dtype=np.intp, count=len(picked))
-    keys = np.fromiter(chain.from_iterable(compress(rows, selected)), dtype=np.intp,
-                       count=2 * len(picked))
-    entries = np.fromiter(chain.from_iterable(chain.from_iterable(picked)),
-                          dtype=np.float64, count=2 * int(lengths.sum()))
-    del picked
-    # flat index of (a, s, target): the row's start, plus the target; the
-    # temporaries are freed before the write faults in the tensor's pages
-    index = np.repeat((keys[1::2] * n_states + keys[0::2]) * n_states, lengths)
-    del keys, lengths
-    index += entries[0::2].astype(np.intp)
-    probs = entries[1::2].copy()
-    del entries
-    flat = t.reshape(-1)
+def _scatter(flat: np.ndarray, index: np.ndarray, probs: np.ndarray):
+    """Write the entries ``probs`` at ``index`` of the zeroed ``flat`` in
+    one indexed assignment. Rows are target-sorted, so a repeated target
+    sits next to its twin; only then does the fill use ``np.add.at``, which
+    adds in entry order and so sums a repeated target as
+    `FiniteMdp.validate` does."""
     if (index[1:] == index[:-1]).any():
         np.add.at(flat, index, probs)
     else:
         flat[index] = probs
-    if sys.platform.startswith("linux"):
-        with contextlib.suppress(OSError):  # before Linux 5.14
-            buf.madvise(_MADV_POPULATE_READ)
-    return t
 
 
 def product(m: FiniteMdp, d: Dfa) -> ProductMdp:

@@ -268,8 +268,9 @@ def synthesize_shields(mdp, violation_dfa: Dfa, targets: dict) -> dict:
     kind."""
     pm = product(mdp, violation_dfa)
     made = {path: synthesize(pm, sh_cfg) for path, sh_cfg in targets.items()}
-    # the product holds the live and final transition tensors, each in its
-    # own mapping; dropping it unmaps both before the shields are written
+    # the product holds the live transition tensor in its own mapping (the
+    # settled rows' mapping is gone once their mass is taken); dropping the
+    # product unmaps it before the shields are written
     del pm
     for path, shield in made.items():
         shield.save(path)

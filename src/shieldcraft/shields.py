@@ -11,12 +11,14 @@ score per action, and a fallback action:
              set within a required horizon N and allow actions whose
              backup value stays below p; one-step is its N = 1 case
 
-All three read the product's transition tensors, split by source state into
-a live (non-final) and a final tensor of the full shape, and the one-step
-mass into the final states, each computed once per product. A backup keeps
-1.0 at the final states, so q-optimal's backups multiply only the live
-tensor; every score is ``live @ v + final @ v``, which equals the full
-tensor's ``@ v`` bit for bit (see `ProductMdp.transition_tensors`).
+All three read the product's rows split by their targets. A row whose
+targets are all final (violating) is settled: its mass into the final
+states is computed once per product, `ProductMdp.settled_mass`. The other
+rows stay resident in one dense tensor of the full shape,
+`ProductMdp.live_tensor`. Every score and every backup is
+``live_tensor @ v + settled_mass`` for a ``v`` that is 1.0 at the final
+states, which equals the full tensor's ``@ v`` bit for bit (see
+`ProductMdp.step_mass`).
 
 The runtime filter passes allowed actions through unchanged, replaces a
 disallowed action with the safest allowed one (lowest index on ties), and
@@ -41,6 +43,46 @@ from .mdp import ProductMdp
 
 class ArtifactMismatchError(ValueError):
     """A stored artifact was built for another partition or automaton."""
+
+
+class CorruptShieldError(ValueError):
+    """A shield read from JSON whose entries the filter cannot index; holds
+    every defect `Shield.validate` found."""
+
+    def __init__(self, defects: list):
+        super().__init__(f"corrupt shield: {len(defects)} defect(s), first: {defects[0]}")
+        self.defects = defects
+
+
+@dataclass(frozen=True)
+class LengthError:
+    """A per-state list with ``length`` entries for ``n_states`` states."""
+    field: str
+    length: int
+    n_states: int
+
+
+@dataclass(frozen=True)
+class ScoresRowError:
+    """A scores row whose length is not the action count, the length of
+    the first scores row."""
+    state: int
+    length: int
+    n_actions: int
+
+
+@dataclass(frozen=True)
+class AllowedActionError:
+    state: int
+    action: int
+    n_actions: int
+
+
+@dataclass(frozen=True)
+class FallbackError:
+    state: int
+    action: int
+    n_actions: int
 
 
 @dataclass(frozen=True)
@@ -101,6 +143,29 @@ class Shield:
     def filter(self, s: int, proposed: int) -> FilterDecision:
         return self._decisions[s][proposed]
 
+    def validate(self) -> list:
+        """Every entry the filter would misread: a fallback or scores list
+        that is not one per state, a scores row that is not one per action,
+        and an allowed or fallback action outside the action range. Never
+        raises."""
+        n_states = self.n_states
+        n_actions = len(self.scores[0]) if self.scores else 0
+        defects = [
+            LengthError(field, len(entries), n_states)
+            for field, entries in (("fallback", self.fallback), ("scores", self.scores))
+            if len(entries) != n_states
+        ]
+        for s, row in enumerate(self.scores):
+            if len(row) != n_actions:
+                defects.append(ScoresRowError(s, len(row), n_actions))
+        for s, allowed in enumerate(self.allowed):
+            defects += [AllowedActionError(s, a, n_actions)
+                        for a in allowed if not 0 <= a < n_actions]
+        for s, a in enumerate(self.fallback):
+            if not 0 <= a < n_actions:
+                defects.append(FallbackError(s, a, n_actions))
+        return defects
+
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
@@ -115,8 +180,10 @@ class Shield:
 
     @classmethod
     def from_json(cls, data: dict) -> "Shield":
+        """The shield of a `to_json` dict; raises `CorruptShieldError` when
+        it fails `validate`."""
         values = data.get("values")
-        return cls(
+        shield = cls(
             kind=data["kind"],
             threshold=float(data["p"]),
             horizon=data.get("horizon"),
@@ -126,6 +193,10 @@ class Shield:
             unsafe_states=frozenset(int(s) for s in data["unsafe"]),
             values=tuple(float(v) for v in values) if values is not None else None,
         )
+        defects = shield.validate()
+        if defects:
+            raise CorruptShieldError(defects)
+        return shield
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -143,15 +214,15 @@ def _mass_within(pm: ProductMdp, steps: int):
     ``steps - 1`` backups under the minimizing action, and the (S,) state
     values those backups produce (the final indicator at ``steps = 1``).
 
-    A backup keeps 1.0 at the final states, so it reads only the live
-    tensor; the scores read both (see `ProductMdp.transition_tensors`)."""
+    Every value vector keeps 1.0 at the final states, so each backup and
+    the scores are `ProductMdp.step_mass`, which is the full tensor's
+    ``@ v`` bit for bit."""
     member = pm.final_member
     if steps == 1:
         return pm.final_mass.T, member.astype(float)
-    live = pm.transition_tensors[0]
     v = np.where(member, 1.0, pm.final_mass.min(axis=0))
     for _ in range(steps - 2):
-        v = np.where(member, 1.0, (live @ v).min(axis=0))
+        v = np.where(member, 1.0, pm.step_mass(v).min(axis=0))
     return pm.step_mass(v).T, v
 
 

@@ -233,14 +233,50 @@ def scatter_tensor(pm) -> np.ndarray:
     return t
 
 
+def settled_split(pm) -> tuple[np.ndarray, np.ndarray]:
+    """`scatter_tensor` split row by row into the product's
+    ``(live_tensor, settled_mass)``: a row is settled when every one of its
+    targets is final; the live tensor zeroes the settled rows, and the
+    settled mass is the tensor of only the settled rows times the final
+    indicator."""
+    t = scatter_tensor(pm)
+    settled = np.zeros(t.shape[:2], dtype=bool)
+    for (s, a), row in pm.rows.items():
+        settled[a, s] = all(target in pm.final_states for target, _p in row)
+    member = np.zeros(pm.n_states)
+    member[list(pm.final_states)] = 1.0
+    return np.where(settled[:, :, None], 0.0, t), np.where(settled[:, :, None], t, 0.0) @ member
+
+
+def backup_values(t: np.ndarray, member: np.ndarray, steps: int) -> list:
+    """The (S,) state values of the ``steps - 1`` backups toward the
+    indicated state set, every backup over the whole tensor ``t``, after
+    the set's indicator."""
+    values = [member.astype(float)]
+    for _ in range(steps - 1):
+        values.append(np.where(member, 1.0, (t @ values[-1]).min(axis=0)))
+    return values
+
+
 def mass_within(t: np.ndarray, member: np.ndarray, steps: int):
     """Minimal probability of entering the indicated state set within
-    ``steps`` steps, every backup over the whole tensor ``t``: (S, A)
-    action scores and the (S,) state values of the backups."""
-    v = member.astype(float)
-    for _ in range(steps - 1):
-        v = np.where(member, 1.0, (t @ v).min(axis=0))
+    ``steps`` steps: (S, A) action scores and the (S,) state values of the
+    last backup."""
+    v = backup_values(t, member, steps)[-1]
     return (t @ v).T, v
+
+
+def two_step_unsafe_sets(t: np.ndarray, member: np.ndarray, threshold: float) -> list:
+    """Every unsafe set of the two-step recursion from the indicated set,
+    each one-step scored over the whole tensor ``t``, up to its fixed
+    point."""
+    sets = [member]
+    while True:
+        scores, _ = mass_within(t, sets[-1], 1)
+        grown = sets[-1] | ~(scores < threshold).any(axis=1)
+        if (grown == sets[-1]).all():
+            return sets
+        sets.append(grown)
 
 
 def reference_shield_json(pm, cfg) -> dict:
@@ -251,12 +287,8 @@ def reference_shield_json(pm, cfg) -> dict:
     unsafe[list(pm.final_states)] = True
     values = None
     if cfg.kind == "two":
-        while True:
-            scores, _ = mass_within(t, unsafe, 1)
-            grown = unsafe | ~(scores < cfg.threshold).any(axis=1)
-            if (grown == unsafe).all():
-                break
-            unsafe = grown
+        unsafe = two_step_unsafe_sets(t, unsafe, cfg.threshold)[-1]
+        scores, _ = mass_within(t, unsafe, 1)
     else:
         scores, v = mass_within(t, unsafe, cfg.horizon if cfg.kind == "q" else 1)
         if cfg.kind == "q":

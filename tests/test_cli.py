@@ -268,6 +268,52 @@ class TestToolCommands:
         assert "first: MissingActionError(state=3, action=2)" in err
         assert not shield_path.exists()
 
+    def test_corrupt_shield_fails_by_name(self, tiny_q_run, tmp_path, capsys):
+        # one scores row dropped and one fallback out of range: train and
+        # evaluate refuse the file before any episode, naming the first defect
+        cfg, result = tiny_q_run
+        data = json.loads((result.out_dir / "shield_q.json").read_text())
+        n_states = len(data["allowed"])
+        data["scores"].pop()
+        data["fallback"][3] = 9
+        shield = tmp_path / "shield.json"
+        shield.write_text(json.dumps(data))
+        config = write_config(cfg, tmp_path / "config.json")
+        policy = tmp_path / "policy.json"
+        capsys.readouterr()
+        code = main(["train", "--config", config, "--shield", str(shield), "--out", str(policy)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "corrupt shield: 2 defect(s)" in err
+        assert f"first: LengthError(field='scores', length={n_states - 1}, n_states={n_states})" in err
+        assert not policy.exists()
+        code = main([
+            "evaluate", "--config", config, "--policy",
+            str(result.out_dir / "policy_liveness_only.json"), "--shield", str(shield),
+        ])
+        assert code == 1
+        assert "corrupt shield: 2 defect(s)" in capsys.readouterr().err
+
+    def test_shield_counts_empty_sets_of_non_final_states(self, tmp_path, capsys):
+        # a final state has already violated; its empty allowed set is
+        # reported among the final states, not as a state missing an action
+        cfg = default_config("simple")
+        mdp_path, shield_path = tmp_path / "mdp.json", tmp_path / "shield.json"
+        assert main(["abstract", "--task", "simple", "--samples", "100", "--seed", "3",
+                     "--out", str(mdp_path)]) == 0
+        capsys.readouterr()
+        assert main(shield_args(cfg, mdp_path, shield_path, kind="one")) == 0
+        out = capsys.readouterr().out
+        table = proposition_table()
+        safety = ltl.parse((SPECS / "power_wheel_safety.ltl").read_text(), table)
+        violation = pipeline.violation_monitor(safety, table)
+        shield = Shield.load(shield_path)
+        final = {s for s in range(shield.n_states) if s % violation.n_states in violation.accepting}
+        empty = {s for s, allowed in enumerate(shield.allowed) if not allowed}
+        assert len(final) == 101 and final <= empty and empty - final
+        assert (f"product-states=202 final-states=101 "
+                f"non-final-states-without-allowed-action={len(empty - final)}\n") in out
+
     def test_q_shield_without_horizon_fails_by_name(self, tiny_run, tmp_path, capsys):
         _cfg, result = tiny_run
         out = tmp_path / "shield.json"

@@ -12,10 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    backup_values,
     min_reach_paths,
     min_reach_within,
     reference_shield_json,
     scatter_tensor,
+    settled_split,
+    two_step_unsafe_sets,
 )
 import shieldcraft
 from shieldcraft import mdp as mdp_module
@@ -24,6 +27,11 @@ from shieldcraft.dfa import Dfa, compile_cosafe
 from shieldcraft.ltl import PropositionTable, parse
 from shieldcraft.mdp import FiniteMdp, product
 from shieldcraft.shields import (
+    AllowedActionError,
+    CorruptShieldError,
+    FallbackError,
+    LengthError,
+    ScoresRowError,
     Shield,
     ShieldConfig,
     ShieldRuntime,
@@ -446,13 +454,68 @@ class TestSerialization:
         assert len(data["allowed"]) == pm.n_states
 
 
+class TestCorruptShield:
+    """Each kind of entry the filter would misread fails the load by name."""
+
+    def _data(self):
+        pm = product_from_rows(
+            {(0, 0): ((0, 0.9), (1, 0.1)), (0, 1): ((1, 1.0),), (1, 0): ((1, 1.0),),
+             (1, 1): ((0, 1.0),)}, [0, 1], 2)
+        return synthesize(pm, ShieldConfig(threshold=0.2, kind="q", horizon=3)).to_json()
+
+    def _defects(self, data):
+        with pytest.raises(CorruptShieldError) as exc:
+            Shield.from_json(data)
+        assert str(exc.value).startswith(
+            f"corrupt shield: {len(exc.value.defects)} defect(s), first: {exc.value.defects[0]}")
+        return exc.value.defects
+
+    def test_intact_shield_loads(self):
+        data = self._data()
+        assert Shield.from_json(data).validate() == []
+
+    def test_missing_scores_row(self):
+        data = self._data()
+        data["scores"].pop()
+        assert self._defects(data) == [LengthError("scores", 3, 4)]
+
+    def test_missing_fallback(self):
+        data = self._data()
+        data["fallback"].pop()
+        assert self._defects(data) == [LengthError("fallback", 3, 4)]
+
+    def test_short_scores_row(self):
+        data = self._data()
+        data["scores"][2].pop()
+        assert self._defects(data) == [ScoresRowError(2, 1, 2)]
+
+    @pytest.mark.parametrize("action", [2, -1])
+    def test_allowed_action_out_of_range(self, action):
+        data = self._data()
+        data["allowed"][1].append(action)
+        assert self._defects(data) == [AllowedActionError(1, action, 2)]
+
+    @pytest.mark.parametrize("action", [2, -1])
+    def test_fallback_out_of_range(self, action):
+        data = self._data()
+        data["fallback"][3] = action
+        assert self._defects(data) == [FallbackError(3, action, 2)]
+
+    def test_every_defect_listed(self):
+        data = self._data()
+        data["allowed"][0].append(5)
+        data["fallback"][0] = 7
+        defects = self._defects(data)
+        assert defects == [AllowedActionError(0, 5, 2), FallbackError(0, 7, 2)]
+
+
 class TestSharedTensor:
     CONFIGS = (
         ShieldConfig(threshold=0.2, kind="one"),
         ShieldConfig(threshold=0.2, kind="two"),
         ShieldConfig(threshold=0.2, kind="q", horizon=4),
     )
-    SHARED_TERMS = ("transition_tensors", "final_mass", "fresh_violation_mass")
+    SHARED_TERMS = ("_split", "final_mass", "fresh_violation_mass")
 
     def test_one_build_shared_by_all_kinds(self, monkeypatch):
         fresh = [
@@ -460,13 +523,13 @@ class TestSharedTensor:
             for cfg in self.CONFIGS
         ]
         builds = []
-        build = mdp_module._dense_transitions
+        build = mdp_module._split_rows
 
         def counting(pm):
             builds.append(pm)
             return build(pm)
 
-        monkeypatch.setattr(mdp_module, "_dense_transitions", counting)
+        monkeypatch.setattr(mdp_module, "_split_rows", counting)
         shared = random_product(np.random.default_rng(7), max_q=5)
         made = [json.dumps(synthesize(shared, self.CONFIGS[0]).to_json())]
         # the terms every kind reads are computed once, by the first kind
@@ -477,20 +540,31 @@ class TestSharedTensor:
         assert all(vars(shared)[name] is t for name, t in zip(self.SHARED_TERMS, terms))
 
 
-# Builds the pair of 2 x 2048 x 2048 tensors (67 MB each) in a fresh
-# process and prints how much of one tensor's size became resident. Each
-# base state moves to itself or a neighbour, so a product row's entries fall
-# on one or two of its four 4 KiB pages, in one of the two tensors.
-RSS_SCRIPT = """
+# Builds a product of 4 x 2048 x 2048 tensors (134 MB each) in a fresh
+# process and synthesizes all three kinds. Each base state moves to itself
+# or a neighbour, so a product row's entries fall on one or two of its four
+# 4 KiB pages. Six in seven base states are labelled, so the rows of the
+# violating states and most rows of the others enter only violating states
+# and are settled. Each tensor's resident bytes are measured by filling it
+# on its own after synthesis.
+PEAK_SCRIPT = """
+from shieldcraft import mdp as mdp_module
 from shieldcraft.dfa import compile_cosafe
 from shieldcraft.ltl import PropositionTable, parse
 from shieldcraft.mdp import FiniteMdp, product
+from shieldcraft.shields import ShieldConfig, synthesize
 
-def vm_rss():
+def status(key):
     with open("/proc/self/status") as fh:
         for line in fh:
-            if line.startswith("VmRSS:"):
+            if line.startswith(key + ":"):
                 return int(line.split()[1]) * 1024
+
+def resident(index, probs):
+    before = status("VmRSS")
+    _buf, t = mdp_module._zero_mapping(pm.live_tensor.shape)
+    mdp_module._scatter(t.reshape(-1), index, probs)
+    return status("VmRSS") - before
 
 n = 1024
 rows = {}
@@ -498,12 +572,19 @@ for q in range(n):
     targets = sorted(((q - 1) % n, q, (q + 1) % n))
     rows[(q, 0)] = tuple(zip(targets, (0.25, 0.5, 0.25)))
     rows[(q, 1)] = ((q, 1.0),)
+    rows[(q, 2)] = (((q + 1) % n, 1.0),)
+    rows[(q, 3)] = (((q - 1) % n, 1.0),)
 table = PropositionTable(("p0",))
-base = FiniteMdp(n, ("a0", "a1"), rows, tuple(int(q % 7 == 0) for q in range(n)), table.names)
+labels = tuple(int(q % 7 != 0) for q in range(n))
+base = FiniteMdp(n, ("a0", "a1", "a2", "a3"), rows, labels, table.names)
 pm = product(base, compile_cosafe(parse("F p0", table), table))
-before = vm_rss()
-live, final = pm.transition_tensors
-print((vm_rss() - before) / live.nbytes, live.nbytes)
+before = status("VmRSS")
+for kind in ("one", "two", "q"):
+    synthesize(pm, ShieldConfig(threshold=0.2, kind=kind, horizon=4 if kind == "q" else None))
+peak = status("VmHWM") - before
+index, probs, settled = mdp_module._row_entries(pm)
+print(peak, resident(index[~settled], probs[~settled]), resident(index[settled], probs[settled]),
+      pm.live_tensor.nbytes)
 """
 
 
@@ -521,52 +602,53 @@ class TestMappedTensor:
         )
         rng = np.random.default_rng(11)
         for pm in [repeated] + [random_product(rng, max_q=5) for _ in range(20)]:
-            live, final = pm.transition_tensors
-            ref = scatter_tensor(pm)
-            # the live tensor holds the rows of the non-final states, the
-            # final tensor the rest
-            final_rows = np.zeros(pm.n_states, dtype=bool)
-            final_rows[list(pm.final_states)] = True
-            ref_live, ref_final = ref.copy(), ref.copy()
-            ref_live[:, final_rows] = 0.0
-            ref_final[:, ~final_rows] = 0.0
-            for t, expect in ((live, ref_live), (final, ref_final)):
-                assert isinstance(_mapping(t), mmap.mmap)
-                assert t.shape == ref.shape and t.dtype == ref.dtype
-                assert t.flags.c_contiguous and t.flags.writeable
-                assert t.tobytes() == expect.tobytes()
-            assert _mapping(live) is not _mapping(final)
-            assert (live + final).tobytes() == ref.tobytes()
+            live, settled = settled_split(pm)
+            t = pm.live_tensor
+            assert isinstance(_mapping(t), mmap.mmap)
+            assert t.shape == live.shape and t.dtype == live.dtype
+            assert t.flags.c_contiguous and t.flags.writeable
+            assert t.tobytes() == live.tobytes()
+            assert not pm.settled_mass.flags.writeable
+            assert pm.settled_mass.tobytes() == settled.tobytes()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                        reason="reads VmRSS from /proc/self/status")
-    def test_untouched_pages_stay_unbacked(self):
+                        reason="reads VmRSS and VmHWM from /proc/self/status")
+    def test_peak_holds_the_live_tensor_or_one_settled_slice(self):
         src = str(Path(shieldcraft.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        out = subprocess.run([sys.executable, "-c", RSS_SCRIPT], env=env,
+        out = subprocess.run([sys.executable, "-c", PEAK_SCRIPT], env=env,
                              capture_output=True, text=True, check=True).stdout
-        growth, nbytes = out.split()
-        assert int(nbytes) >= 64 * 2**20
-        assert float(growth) < 0.75
+        peak, live, settled, nbytes = map(int, out.split())
+        assert nbytes >= 64 * 2**20
+        # the untouched pages of the live tensor stay unbacked
+        assert live < 0.75 * nbytes
+        # the settled rows are never all resident beside the live tensor,
+        assert peak < live + settled
+        # nor all at once: they are released one action slice at a time,
+        # and a slice holds about a quarter of them
+        assert settled > 4 * live
+        assert peak < live + settled / 2
 
-    def test_mapping_released_when_synthesis_drops_the_product(self, monkeypatch, tmp_path):
+    def test_mappings_released_when_synthesis_drops_the_product(self, monkeypatch, tmp_path):
         pm = random_product(np.random.default_rng(3), max_q=5)
         mdp, dfa = pm.base, pm.dfa
         del pm
         mappings = []
-        build = mdp_module._dense_transitions
+        make = mdp_module._zero_mapping
 
-        def recording(pm):
-            pair = build(pm)
-            mappings.append([weakref.ref(_mapping(t)) for t in pair])
-            return pair
+        def recording(shape):
+            # the settled rows' mapping is unmapped before the live one is made
+            assert all(ref().closed for ref in mappings)
+            buf, t = make(shape)
+            mappings.append(weakref.ref(buf))
+            return buf, t
 
-        monkeypatch.setattr(mdp_module, "_dense_transitions", recording)
+        monkeypatch.setattr(mdp_module, "_zero_mapping", recording)
         targets = {tmp_path / f"{cfg.kind}.json": cfg for cfg in TestSharedTensor.CONFIGS}
         shields = pipeline.synthesize_shields(mdp, dfa, targets)
-        assert set(shields) == {"one", "two", "q"} and len(mappings) == 1
-        assert [ref() for ref in mappings[0]] == [None, None]
+        assert set(shields) == {"one", "two", "q"} and len(mappings) == 2
+        assert [ref() for ref in mappings] == [None, None]
 
 
 T2 = PropositionTable(("p0", "p1"))
@@ -575,7 +657,13 @@ T2 = PropositionTable(("p0", "p1"))
 def automaton_product(rng, n_q, n_actions, n_z, repeat, width=4):
     """A product with a random violation automaton of ``n_z >= 3`` states
     whose first accepting state is not absorbing. Each row has up to
-    ``width`` targets; with ``repeat`` a row may list a target twice."""
+    ``width`` targets; with ``repeat`` a row may list a target twice.
+
+    Base state ``n_q - 1`` is labelled so that entering it always accepts,
+    and action 0 of base state 0 enters only it, so that row is settled
+    from every automaton state; action 0 of base state ``n_q - 1`` enters
+    base state 0, whose label leaves the first accepting state, so that
+    row leaves the final set."""
     rows = {}
     for q in range(n_q):
         for a in range(n_actions):
@@ -586,26 +674,45 @@ def automaton_product(rng, n_q, n_actions, n_z, repeat, width=4):
                 targets = rng.choice(n_q, size=min(k, n_q), replace=False)
             weights = rng.dirichlet(np.ones(len(targets)))
             rows[(q, a)] = tuple(sorted(zip(targets.tolist(), weights.tolist())))
-    labels = tuple(rng.integers(0, 4, n_q).tolist())
+    labels = rng.integers(0, 4, n_q)
     delta = rng.integers(0, n_z, (n_z, 4))
     accepting = rng.choice(np.arange(1, n_z), size=int(rng.integers(1, n_z)), replace=False)
+    labels[0], labels[-1] = 0, 3
+    delta[:, 3] = accepting[0]
     delta[accepting[0], 0] = 0  # z0 = 0 is not accepting
+    rows[(0, 0)], rows[(n_q - 1, 0)] = ((n_q - 1, 1.0),), ((0, 1.0),)
     dfa = Dfa(T2.names, 0, delta, frozenset(accepting.tolist()), frozenset())
-    base = FiniteMdp(n_q, tuple(f"a{i}" for i in range(n_actions)), rows, labels, T2.names)
+    base = FiniteMdp(n_q, tuple(f"a{i}" for i in range(n_actions)), rows,
+                     tuple(labels.tolist()), T2.names)
     assert base.validate() == []
     return product(base, dfa)
 
 
-def assert_pair_matches_oracle(pm, rng, threshold, horizon):
-    """The tensor pair's masses equal the single tensor's bit for bit, and
-    every kind's shield JSON equals the oracle's byte for byte."""
-    live, final = pm.transition_tensors
+def row_kinds(pm):
+    """Whether the product has a settled row from a non-final state, and a
+    row from a final state that leaves the final set."""
+    final = pm.final_states
+    settled_live = leaving_final = False
+    for (s, _a), row in pm.rows.items():
+        all_final = all(target in final for target, _p in row)
+        settled_live |= all_final and s not in final
+        leaving_final |= not all_final and s in final
+    return settled_live, leaving_final
+
+
+def assert_split_matches_oracle(pm, threshold, horizon):
+    """``live_tensor @ v + settled_mass`` equals the single tensor's
+    ``@ v`` bit for bit for every vector the shields multiply, and every
+    kind's shield JSON equals the oracle's byte for byte."""
     t = scatter_tensor(pm)
-    indicator = np.zeros(pm.n_states)
-    indicator[list(pm.final_states)] = 1.0
-    binary = np.where(rng.random(pm.n_states) < 0.3, 0.0, 1.0)
-    for v in (indicator, binary, rng.random(pm.n_states)):
-        assert (live @ v + final @ v).tobytes() == (t @ v).tobytes()
+    member = np.zeros(pm.n_states, dtype=bool)
+    member[list(pm.final_states)] = True
+    vectors = [unsafe.astype(float) for unsafe in two_step_unsafe_sets(t, member, threshold)]
+    vectors += backup_values(t, member, horizon)
+    for v in vectors:
+        expect = (t @ v).tobytes()
+        assert (pm.live_tensor @ v + pm.settled_mass).tobytes() == expect
+        assert pm.step_mass(v).tobytes() == expect
     for cfg in (
         ShieldConfig(threshold=threshold, kind="one"),
         ShieldConfig(threshold=threshold, kind="two"),
@@ -615,7 +722,7 @@ def assert_pair_matches_oracle(pm, rng, threshold, horizon):
             reference_shield_json(pm, cfg))
 
 
-class TestTensorPairOracle:
+class TestSettledSplitOracle:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(1, 6), repeat=st.booleans())
     def test_random_products(self, seed, horizon, repeat):
@@ -623,13 +730,35 @@ class TestTensorPairOracle:
         pm = automaton_product(rng, n_q=int(rng.integers(2, 7)), n_actions=int(rng.integers(1, 4)),
                                n_z=int(rng.integers(3, 6)), repeat=repeat)
         assert any((pm.dfa.delta[z] != z).any() for z in pm.dfa.accepting)
-        assert_pair_matches_oracle(pm, rng, float(rng.uniform(0.02, 0.6)), horizon)
+        assert row_kinds(pm) == (True, True)
+        assert_split_matches_oracle(pm, float(rng.uniform(0.02, 0.6)), horizon)
+
+    def test_settled_row_of_a_live_state(self):
+        # F p0: from (0, z0) action 0 enters only (1, z1), which is final
+        pm = product_from_rows({(0, 0): ((1, 1.0),), (1, 0): ((0, 0.5), (1, 0.5))}, [0, 1], 1)
+        s = pm.state_index(0, 0)
+        assert s not in pm.final_states
+        assert not pm.live_tensor[0, s].any() and pm.settled_mass[0, s] == 1.0
+        assert_split_matches_oracle(pm, 0.3, 4)
+
+    def test_final_row_leaving_the_final_set_stays_live(self):
+        # the accepting state 1 returns to 0 on an unlabelled region, so the
+        # final state (1, 1) steps out of the final set
+        dfa = Dfa(T1.names, 0, np.array([[0, 1], [0, 1]]), frozenset({1}), frozenset())
+        rows = {(0, 0): ((0, 0.5), (1, 0.5)), (1, 0): ((0, 0.75), (1, 0.25))}
+        pm = product(FiniteMdp(2, ("a0",), rows, (0, 1), T1.names), dfa)
+        s = pm.state_index(1, 1)
+        assert s in pm.final_states
+        assert pm.live_tensor[0, s].tobytes() == scatter_tensor(pm)[0, s].tobytes()
+        assert pm.settled_mass[0, s] == 0.0
+        assert_split_matches_oracle(pm, 0.3, 4)
 
     def test_blas_threaded_size(self):
         # S = 750: large enough for OpenBLAS to split each gemv over threads
         rng = np.random.default_rng(5)
         pm = automaton_product(rng, n_q=250, n_actions=3, n_z=3, repeat=True, width=6)
-        assert_pair_matches_oracle(pm, rng, 0.05, 6)
+        assert row_kinds(pm) == (True, True)
+        assert_split_matches_oracle(pm, 0.05, 6)
 
 
 class TestRuntime:
