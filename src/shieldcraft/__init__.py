@@ -12,8 +12,8 @@ from .abstraction import (
 from .dfa import Dfa, compile_cosafe, monitor_product, progress
 from .env import EnvParams, SpacecraftEnv, label, observation, proposition_table
 from .learner import Discretizer, LearnerConfig, Metrics, evaluate, train
-from .ltl import Fragment, PropositionTable, classify, conjoin, negate, parse
-from .mdp import FiniteMdp, ProductMdp, check_trace, product
+from .ltl import Fragment, PropositionTable, classify, negate, parse
+from .mdp import FiniteMdp, ProductMdp, product
 from .pipeline import ExperimentConfig, default_config, run_pipeline
 from .rewards import RewardConfig, advance, cumulative_value, step_reward
 from .shields import Shield, ShieldConfig, ShieldRuntime, one_step, q_optimal, two_step

@@ -7,10 +7,10 @@ clamp alike: a NaN coordinate stays NaN in both, as ``np.minimum`` and
 ``np.maximum`` keep it, so a non-finite state leaves the safe domain on
 either path.
 
-Parameter vector layout (``par``, 40 float64): ten per-mode rows of four,
-in order: solar gain, power drain, wheel drift, wheel noise scale, rate
-pull, rate target, rate noise scale, pointing keep factor, pointing drift,
-pointing noise scale.
+Parameter vector layout (``par``, float64): ten rows of one coefficient per
+flight mode, in order: solar gain, power drain, wheel drift, wheel noise
+scale, rate pull, rate target, rate noise scale, pointing keep factor,
+pointing drift, pointing noise scale. The mode count is ``len(par) // 10``.
 """
 
 import numpy as np
@@ -24,7 +24,7 @@ def step_batch(rate, wheel, charge, err, sun, action, e_w, e_r, e_a, par):
     ``action`` is an integer array with one mode per element."""
     # one gather takes the actions' columns of the ten rows
     (gain, drain, w_drift, w_noise, r_pull, r_target, r_noise,
-     e_keep, e_drift, e_noise) = par.reshape(10, 4).take(action, axis=1)
+     e_keep, e_drift, e_noise) = par.reshape(10, -1).take(action, axis=1)
     charge[:] = np.minimum(1.0, (charge + gain * sun) - drain)
     wheel[:] = np.maximum(0.0, (wheel + w_drift) + w_noise * e_w)
     rate[:] = np.maximum(0.0, (rate + r_pull * (r_target - rate)) + r_noise * e_r)
@@ -34,7 +34,8 @@ def step_batch(rate, wheel, charge, err, sun, action, e_w, e_r, e_a, par):
 def action_rows(par):
     """The ten coefficients of each action, in ``par``'s row order, as the
     tuples `step_one` takes; built once per environment."""
-    return [tuple(par[action::4].tolist()) for action in range(4)]
+    modes = len(par) // 10
+    return [tuple(par[action::modes].tolist()) for action in range(modes)]
 
 
 def step_one(rate, wheel, charge, err, sun, coef, e_w, e_r, e_a):

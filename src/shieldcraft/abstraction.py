@@ -37,11 +37,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .env import ATOM_NAMES, CHARGE_FLOOR, RATE_LIMIT, WHEEL_CEIL, WHEEL_LIMIT, RowStreams
+from .env import CHARGE_FLOOR, P1_BIT, P2_BIT, RATE_LIMIT, WHEEL_CEIL, WHEEL_LIMIT, RowStreams
 from .mdp import FiniteMdp
 
-P1_BIT = 1 << ATOM_NAMES.index("p1")
-P2_BIT = 1 << ATOM_NAMES.index("p2")
 _ABSTRACTION_STREAM = 1  # keeps row streams disjoint from training/eval streams
 # Samples drawn and stepped per simulator call (at least one row).
 # Larger chunks spread the per-call cost over more rows, but their

@@ -129,19 +129,6 @@ class Dfa:
     def step(self, z: int, symbol: int) -> int:
         return int(self.delta[z, symbol])
 
-    def first_accept(self, trace) -> int | None:
-        """Index of the first symbol whose consumption lands in an
-        accepting state, or None (the run visits z0 before any symbol)."""
-        z = self.z0
-        for i, symbol in enumerate(trace):
-            z = int(self.delta[z, symbol])
-            if z in self.accepting:
-                return i
-        return None
-
-    def accepts(self, trace) -> bool:
-        return self.first_accept(trace) is not None
-
     def to_json(self) -> dict:
         return {
             "atoms": list(self.atom_names),

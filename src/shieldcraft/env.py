@@ -57,6 +57,12 @@ from .ltl import PropositionTable
 
 MODES = ("charge", "dump", "image_a", "image_b")
 ATOM_NAMES = ("p0", "p1", "p2", "p3", "p4")
+# the label bit of each region (see the module docstring)
+P0_BIT = 1 << ATOM_NAMES.index("p0")
+P1_BIT = 1 << ATOM_NAMES.index("p1")
+P2_BIT = 1 << ATOM_NAMES.index("p2")
+P3_BIT = 1 << ATOM_NAMES.index("p3")
+P4_BIT = 1 << ATOM_NAMES.index("p4")
 
 RATE_LIMIT = 0.01    # rad/s, safe-domain bound on attitude rate
 WHEEL_LIMIT = 1.0    # wheel-speed fraction at saturation
@@ -180,9 +186,17 @@ _MANTISSA_SHIFT = np.uint64(11)
 RESET_DRAWS = 6
 
 
+class DrawsExhaustedError(RuntimeError):
+    """A read past the end of an `EpisodeDraws` block: the block was sized
+    for fewer reads than the episode made."""
+
+    def __init__(self, size: int):
+        super().__init__(f"read past the end of a block of {size} outputs")
+
+
 class EpisodeDraws:
-    """Every random value of one episode, from the raw outputs of
-    ``PCG64(words)`` read in stream order.
+    """Every random value of one episode, from the first ``size`` raw
+    outputs of ``PCG64(words)`` read in stream order.
 
     Each read returns, bit for bit, what the `numpy.random.Generator`
     call it stands for returns from the same stream position: ``random()``
@@ -190,18 +204,14 @@ class EpisodeDraws:
     output, ``noise()`` the three deviates of ``truncated_normal(rng, 3)``,
     and ``integers(n)`` Lemire's multiply-shift on 32-bit halves, low half
     first, with the high half kept for the next ``integers`` call. The
-    outputs are drawn ``size`` at a time and turned into doubles and
-    deviates once per block; a read past the block draws another.
+    outputs are drawn once and turned into doubles and deviates once. The
+    caller sizes the block for every read of the episode; a read past it
+    raises `DrawsExhaustedError`.
     """
 
-    __slots__ = (
-        "_bitgen", "_size", "_raw", "_array", "_doubles", "_listed", "_deviates",
-        "_end", "_pos", "_half",
-    )
+    __slots__ = ("_raw", "_array", "_doubles", "_listed", "_deviates", "_end", "_pos", "_half")
 
     def __init__(self, words, size: int):
-        self._bitgen = np.random.PCG64(words)
-        self._size = size
         self._pos = 0  # outputs read so far
         self._half = None  # the pending high half of an `integers` output
         # the doubles become a list on the first `random` call: evaluation
@@ -209,30 +219,18 @@ class EpisodeDraws:
         self._doubles = []
         self._listed = 0
         # raw outputs stay an array: only `integers` reads them, one at a time
-        self._raw = raw = self._bitgen.random_raw(size)
+        self._raw = raw = np.random.PCG64(words).random_raw(size)
         self._array = doubles = (raw >> _MANTISSA_SHIFT) * 2.0**-53
         self._deviates = _noise(doubles).tolist()
         self._end = size
 
-    def _extend(self, n: int):
-        """Draw another block, of at least ``n`` outputs."""
-        raw = self._bitgen.random_raw(max(n, self._size))
-        doubles = (raw >> _MANTISSA_SHIFT) * 2.0**-53
-        self._raw = np.concatenate((self._raw, raw))
-        self._array = np.concatenate((self._array, doubles))
-        self._deviates += _noise(doubles).tolist()
-        self._end = len(self._raw)
-
     def random(self) -> float:
         i = self._pos
         if i >= self._listed:
-            if i == self._end:
-                self._extend(1)
-            # after the first listing, list only what the last one left out
-            if self._listed:
-                self._doubles += self._array[self._listed:].tolist()
-            else:
-                self._doubles = self._array.tolist()
+            # once listed, the list ends where the block does
+            if self._listed or i >= self._end:
+                raise DrawsExhaustedError(self._end)
+            self._doubles = self._array.tolist()
             self._listed = self._end
         self._pos = i + 1
         return self._doubles[i]
@@ -241,7 +239,7 @@ class EpisodeDraws:
         i = self._pos
         j = i + k
         if j > self._end:
-            self._extend(j - self._end)
+            raise DrawsExhaustedError(self._end)
         self._pos = j
         return self._array[i:j].tolist()
 
@@ -250,7 +248,7 @@ class EpisodeDraws:
         i = self._pos
         j = i + 3
         if j > self._end:
-            self._extend(j - self._end)
+            raise DrawsExhaustedError(self._end)
         self._pos = j
         return self._deviates[i:j]
 
@@ -260,8 +258,8 @@ class EpisodeDraws:
             self._half = None
             return half
         i = self._pos
-        if i == self._end:
-            self._extend(1)
+        if i >= self._end:
+            raise DrawsExhaustedError(self._end)
         self._pos = i + 1
         x = self._raw.item(i)
         self._half = x >> 32
@@ -452,15 +450,15 @@ def label(state: SpacecraftState) -> int:
     )
     mask = 0
     if good_pointing and state.mode in (2, 3):
-        mask |= 1 << 0
+        mask |= P0_BIT
     if state.charge < CHARGE_FLOOR:
-        mask |= 1 << 1
+        mask |= P1_BIT
     if state.wheel_speed > WHEEL_CEIL:
-        mask |= 1 << 2
+        mask |= P2_BIT
     if good_pointing and state.mode == 2:
-        mask |= 1 << 3
+        mask |= P3_BIT
     if good_pointing and state.mode == 3:
-        mask |= 1 << 4
+        mask |= P4_BIT
     return mask
 
 

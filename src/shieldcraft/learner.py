@@ -25,6 +25,11 @@ from . import _kernels, rewards
 from .dfa import Dfa
 from .env import (
     CHARGE_FLOOR,
+    P0_BIT,
+    P1_BIT,
+    P2_BIT,
+    P3_BIT,
+    P4_BIT,
     POINTING_TOL,
     RATE_LIMIT,
     RATE_TOL,
@@ -46,11 +51,9 @@ _EVAL_STREAM = 3
 _TRAIN_STEP_DRAWS = 5
 _EVAL_STEP_DRAWS = 3
 
-# label bits of `env.label`: p0 with p3 or p4, p1, p2
-_IMAGE_A = 0b01001
-_IMAGE_B = 0b10001
-_LOW_CHARGE = 0b00010
-_HIGH_WHEEL = 0b00100
+# the label of a good image in imaging mode A or B, as `env.label` sets it
+_IMAGE_A = P0_BIT | P3_BIT
+_IMAGE_B = P0_BIT | P4_BIT
 _INF = math.inf
 
 QTable = dict  # (obs_index, monitor_state) -> np.ndarray of action values
@@ -204,9 +207,9 @@ class SpacecraftSession:
             elif mode == 3:
                 labels = _IMAGE_B
         if charge < CHARGE_FLOOR:
-            labels |= _LOW_CHARGE
+            labels |= P1_BIT
         if wheel > WHEEL_CEIL:
-            labels |= _HIGH_WHEEL
+            labels |= P2_BIT
         # a comparison with NaN is false, and the infinite bounds exclude
         # the infinities, so this is `is_failure`
         failed = not (

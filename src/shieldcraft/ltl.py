@@ -36,9 +36,8 @@ class LtlSyntaxError(LtlError):
 
 
 class UnknownAtomError(LtlError):
-    def __init__(self, name, position=None):
-        place = "" if position is None else f" at position {position}"
-        super().__init__(f"unknown atom '{name}'{place}")
+    def __init__(self, name, position):
+        super().__init__(f"unknown atom '{name}' at position {position}")
         self.name = name
         self.position = position
 
@@ -63,18 +62,9 @@ class PropositionTable:
             if not _NAME_RE.match(name) or name in _RESERVED:
                 raise ValueError(f"invalid atom name {name!r}")
 
-    def __len__(self):
-        return len(self.names)
-
     @property
     def symbol_count(self) -> int:
         return 1 << len(self.names)
-
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise UnknownAtomError(name) from None
 
 
 # --- formula nodes --------------------------------------------------------
@@ -220,29 +210,6 @@ def disj(items: Iterable[Formula]) -> Formula:
     return Or(kids)
 
 
-def conjoin(a: Formula, b: Formula) -> Formula:
-    return conj([a, b])
-
-
-def canonicalize(f: Formula) -> Formula:
-    """Rebuild a formula bottom-up through the canonical constructors."""
-    if isinstance(f, (LTrue, LFalse, Atom, NotAtom)):
-        return f
-    if isinstance(f, And):
-        return conj(canonicalize(c) for c in f.children)
-    if isinstance(f, Or):
-        return disj(canonicalize(c) for c in f.children)
-    if isinstance(f, Next):
-        return Next(canonicalize(f.child))
-    if isinstance(f, Eventually):
-        return Eventually(canonicalize(f.child))
-    if isinstance(f, Globally):
-        return Globally(canonicalize(f.child))
-    if isinstance(f, Until):
-        return Until(canonicalize(f.left), canonicalize(f.right))
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def negate(f: Formula) -> Formula:
     """Dualize an NNF formula: X is self-dual, F<->G, De Morgan on and/or.
 
@@ -314,58 +281,6 @@ def classify(f: Formula) -> Fragment:
     if is_safe(f):
         return Fragment.SAFE
     return Fragment.NEITHER
-
-
-# --- printing -------------------------------------------------------------
-
-_PREC_OR = 1
-_PREC_AND = 2
-_PREC_UNTIL = 3
-_PREC_UNARY = 4
-
-
-def _prec(f: Formula) -> int:
-    if isinstance(f, Or):
-        return _PREC_OR
-    if isinstance(f, And):
-        return _PREC_AND
-    if isinstance(f, Until):
-        return _PREC_UNTIL
-    if isinstance(f, (Next, Eventually, Globally)):
-        return _PREC_UNARY
-    return 5
-
-
-def to_text(f: Formula, table: PropositionTable) -> str:
-    """Minimal-parenthesis rendering; parse(to_text(f)) == f."""
-
-    def fmt(g: Formula, need: int) -> str:
-        if isinstance(g, LTrue):
-            return "true"
-        if isinstance(g, LFalse):
-            return "false"
-        if isinstance(g, Atom):
-            return table.names[g.index]
-        if isinstance(g, NotAtom):
-            return "!" + table.names[g.index]
-        if isinstance(g, Or):
-            text = " | ".join(fmt(c, _PREC_OR + 1) for c in g.children)
-        elif isinstance(g, And):
-            text = " & ".join(fmt(c, _PREC_AND + 1) for c in g.children)
-        elif isinstance(g, Until):
-            # right-associative: left operand needs the tighter context
-            text = f"{fmt(g.left, _PREC_UNTIL + 1)} U {fmt(g.right, _PREC_UNTIL)}"
-        elif isinstance(g, Next):
-            text = f"X {fmt(g.child, _PREC_UNARY)}"
-        elif isinstance(g, Eventually):
-            text = f"F {fmt(g.child, _PREC_UNARY)}"
-        elif isinstance(g, Globally):
-            text = f"G {fmt(g.child, _PREC_UNARY)}"
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-        return f"({text})" if _prec(g) < need else text
-
-    return fmt(f, 0)
 
 
 # --- parser ---------------------------------------------------------------

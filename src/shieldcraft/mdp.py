@@ -1,4 +1,4 @@
-"""Explicit finite MDPs, DFA products, and finite-trace checking.
+"""Explicit finite MDPs and their products with DFAs.
 
 Transition rows are sparse ``(target, probability)`` lists in canonical
 (target-sorted) order; labels are bitmasks over the proposition table, so
@@ -19,7 +19,6 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
@@ -33,12 +32,32 @@ class AtomMismatchError(ValueError):
 
 
 class CorruptMdpError(ValueError):
-    """An MDP read from JSON that breaks stochasticity or totality; holds
-    every defect `FiniteMdp.validate` found."""
+    """An MDP read from JSON that lacks a key, mislabels a state, or breaks
+    stochasticity or totality; holds every defect found."""
 
     def __init__(self, defects: list):
         super().__init__(f"corrupt MDP: {len(defects)} defect(s), first: {defects[0]}")
         self.defects = defects
+
+
+@dataclass(frozen=True)
+class MissingKeyError:
+    """A key that the JSON form of an MDP or a shield must have."""
+    key: str
+
+
+@dataclass(frozen=True)
+class LabelError:
+    """A label on a state outside the MDP, or naming unknown atoms."""
+    state: int
+    unknown_atoms: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class RowIndexError:
+    """A transition row whose state or action lies outside the MDP."""
+    state: int
+    action: int
 
 
 @dataclass(frozen=True)
@@ -77,12 +96,13 @@ class FiniteMdp:
     def n_actions(self) -> int:
         return len(self.action_names)
 
-    def row(self, state: int, action: int) -> tuple[tuple[int, float], ...]:
-        return self.rows[(state, action)]
-
     def validate(self) -> list:
-        """All violated stochasticity/totality invariants, never raises."""
-        defects = []
+        """All violated stochasticity/totality invariants and every row
+        outside the state or action range; never raises."""
+        defects = [
+            RowIndexError(q, a) for q, a in self.rows
+            if not (0 <= q < self.n_states and 0 <= a < self.n_actions)
+        ]
         for q in range(self.n_states):
             for a in range(self.n_actions):
                 row = self.rows.get((q, a))
@@ -122,31 +142,44 @@ class FiniteMdp:
 
     @classmethod
     def from_json(cls, data: dict) -> "FiniteMdp":
-        """The MDP of a `to_json` dict; raises `CorruptMdpError` when it
-        fails `validate`."""
-        atom_names = tuple(data["atoms"])
+        """The MDP of a `to_json` dict; raises `CorruptMdpError` when a key
+        is missing, a label is on a state outside the MDP or names an
+        unknown atom, or the MDP fails `validate`."""
+        try:
+            atom_names = tuple(data["atoms"])
+            n = int(data["states"]["count"])
+            actions = tuple(data["actions"])
+            transitions = data["transitions"]
+            state_labels = data["labels"]
+        except KeyError as exc:
+            raise CorruptMdpError([MissingKeyError(exc.args[0])]) from None
         atom_index = {name: i for i, name in enumerate(atom_names)}
-        n = int(data["states"]["count"])
         rows: dict = {}
-        for q, a, target, p in data["transitions"]:
+        for q, a, target, p in transitions:
             rows.setdefault((int(q), int(a)), []).append((int(target), float(p)))
         frozen = {key: tuple(sorted(val)) for key, val in rows.items()}
         labels = [0] * n
-        for q, names in data["labels"]:
+        defects = []
+        for q, names in state_labels:
+            q = int(q)
+            unknown = tuple(name for name in names if name not in atom_index)
+            if unknown or not 0 <= q < n:
+                defects.append(LabelError(q, unknown))
+                continue
             mask = 0
             for name in names:
                 mask |= 1 << atom_index[name]
-            labels[int(q)] = mask
+            labels[q] = mask
         meta = data["states"].get("metadata")
         mdp = cls(
             n_states=n,
-            action_names=tuple(data["actions"]),
+            action_names=actions,
             rows=frozen,
             labels=tuple(labels),
             atom_names=atom_names,
             state_meta=tuple(meta) if meta is not None else None,
         )
-        defects = mdp.validate()
+        defects += mdp.validate()
         if defects:
             raise CorruptMdpError(defects)
         return mdp
@@ -193,15 +226,9 @@ class ProductMdp:
     def state_index(self, q: int, z: int) -> int:
         return q * self.n_z + z
 
-    def decompose(self, s: int) -> tuple[int, int]:
-        return divmod(s, self.n_z)
-
     def initial_state(self, q: int) -> int:
         z = self.dfa.step(self.dfa.z0, self.base.labels[q])
         return self.state_index(q, z)
-
-    def row(self, s: int, a: int) -> tuple[tuple[int, float], ...]:
-        return self.rows[(s, a)]
 
     @cached_property
     def final_member(self) -> np.ndarray:
@@ -394,28 +421,3 @@ def product(m: FiniteMdp, d: Dfa) -> ProductMdp:
         q * n_z + z for q in range(m.n_states) for z in d.accepting
     )
     return ProductMdp(base=m, dfa=d, rows=rows, final_states=final)
-
-
-@dataclass(frozen=True)
-class TraceCheck:
-    sat_liveness: bool
-    first_liveness: int | None
-    violated_safety: bool
-    first_violation: int | None
-
-    @property
-    def satisfied(self) -> bool:
-        return self.sat_liveness and not self.violated_safety
-
-
-def check_trace(trace: Sequence[int], dfa_liveness: Dfa, dfa_violation: Dfa) -> TraceCheck:
-    """Judge one observation trace against a liveness DFA and a
-    safety-violation DFA (compiled from the negated safety formula)."""
-    first_l = dfa_liveness.first_accept(trace)
-    first_v = dfa_violation.first_accept(trace)
-    return TraceCheck(
-        sat_liveness=first_l is not None,
-        first_liveness=first_l,
-        violated_safety=first_v is not None,
-        first_violation=first_v,
-    )

@@ -38,7 +38,7 @@ from itertools import compress
 
 import numpy as np
 
-from .mdp import ProductMdp
+from .mdp import MissingKeyError, ProductMdp
 
 
 class ArtifactMismatchError(ValueError):
@@ -46,8 +46,8 @@ class ArtifactMismatchError(ValueError):
 
 
 class CorruptShieldError(ValueError):
-    """A shield read from JSON whose entries the filter cannot index; holds
-    every defect `Shield.validate` found."""
+    """A shield read from JSON that lacks a key or whose entries the filter
+    cannot index; holds every defect found."""
 
     def __init__(self, defects: list):
         super().__init__(f"corrupt shield: {len(defects)} defect(s), first: {defects[0]}")
@@ -181,18 +181,21 @@ class Shield:
     @classmethod
     def from_json(cls, data: dict) -> "Shield":
         """The shield of a `to_json` dict; raises `CorruptShieldError` when
-        it fails `validate`."""
+        a key is missing or the shield fails `validate`."""
         values = data.get("values")
-        shield = cls(
-            kind=data["kind"],
-            threshold=float(data["p"]),
-            horizon=data.get("horizon"),
-            allowed=tuple(tuple(int(a) for a in row) for row in data["allowed"]),
-            fallback=tuple(int(a) for a in data["fallback"]),
-            scores=tuple(tuple(float(x) for x in row) for row in data["scores"]),
-            unsafe_states=frozenset(int(s) for s in data["unsafe"]),
-            values=tuple(float(v) for v in values) if values is not None else None,
-        )
+        try:
+            shield = cls(
+                kind=data["kind"],
+                threshold=float(data["p"]),
+                horizon=data.get("horizon"),
+                allowed=tuple(tuple(int(a) for a in row) for row in data["allowed"]),
+                fallback=tuple(int(a) for a in data["fallback"]),
+                scores=tuple(tuple(float(x) for x in row) for row in data["scores"]),
+                unsafe_states=frozenset(int(s) for s in data["unsafe"]),
+                values=tuple(float(v) for v in values) if values is not None else None,
+            )
+        except KeyError as exc:
+            raise CorruptShieldError([MissingKeyError(exc.args[0])]) from None
         defects = shield.validate()
         if defects:
             raise CorruptShieldError(defects)

@@ -11,7 +11,9 @@ machinery under test, the shield oracle synthesizes over one scattered
 transition tensor and assembles each shield entry by entry, and the
 randomness oracles draw each value with the
 `numpy.random.Generator` call that `EpisodeDraws` and
-`SpacecraftEnv.sample_in_cell` reproduce from raw PCG64 outputs.
+`SpacecraftEnv.sample_in_cell` reproduce from raw PCG64 outputs. The
+formula printer and canonicalizer exist only to check the parser's round
+trip and the canonical constructors' idempotence.
 """
 
 from __future__ import annotations
@@ -178,6 +180,79 @@ def random_cosafe_formula(rng, depth: int, n_atoms: int):
     return random_formula(rng, depth, n_atoms, ops=("and", "or", "next", "ev", "until"))
 
 
+# --- formula rebuilding and printing ----------------------------------------
+
+
+def canonicalize(f: Formula) -> Formula:
+    """Rebuild a formula bottom-up through the canonical constructors."""
+    if isinstance(f, (LTrue, LFalse, Atom, NotAtom)):
+        return f
+    if isinstance(f, And):
+        return ltl.conj(canonicalize(c) for c in f.children)
+    if isinstance(f, Or):
+        return ltl.disj(canonicalize(c) for c in f.children)
+    if isinstance(f, Next):
+        return Next(canonicalize(f.child))
+    if isinstance(f, Eventually):
+        return Eventually(canonicalize(f.child))
+    if isinstance(f, Globally):
+        return Globally(canonicalize(f.child))
+    if isinstance(f, Until):
+        return Until(canonicalize(f.left), canonicalize(f.right))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+_PREC_OR = 1
+_PREC_AND = 2
+_PREC_UNTIL = 3
+_PREC_UNARY = 4
+
+
+def _prec(f: Formula) -> int:
+    if isinstance(f, Or):
+        return _PREC_OR
+    if isinstance(f, And):
+        return _PREC_AND
+    if isinstance(f, Until):
+        return _PREC_UNTIL
+    if isinstance(f, (Next, Eventually, Globally)):
+        return _PREC_UNARY
+    return 5
+
+
+def to_text(f: Formula, table) -> str:
+    """Minimal-parenthesis rendering in the parser's syntax;
+    ``parse(to_text(f)) == f``."""
+
+    def fmt(g: Formula, need: int) -> str:
+        if isinstance(g, LTrue):
+            return "true"
+        if isinstance(g, LFalse):
+            return "false"
+        if isinstance(g, Atom):
+            return table.names[g.index]
+        if isinstance(g, NotAtom):
+            return "!" + table.names[g.index]
+        if isinstance(g, Or):
+            text = " | ".join(fmt(c, _PREC_OR + 1) for c in g.children)
+        elif isinstance(g, And):
+            text = " & ".join(fmt(c, _PREC_AND + 1) for c in g.children)
+        elif isinstance(g, Until):
+            # right-associative: left operand needs the tighter context
+            text = f"{fmt(g.left, _PREC_UNTIL + 1)} U {fmt(g.right, _PREC_UNTIL)}"
+        elif isinstance(g, Next):
+            text = f"X {fmt(g.child, _PREC_UNARY)}"
+        elif isinstance(g, Eventually):
+            text = f"F {fmt(g.child, _PREC_UNARY)}"
+        elif isinstance(g, Globally):
+            text = f"G {fmt(g.child, _PREC_UNARY)}"
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        return f"({text})" if _prec(g) < need else text
+
+    return fmt(f, 0)
+
+
 # --- reachability oracle -----------------------------------------------------
 
 
@@ -195,7 +270,7 @@ def min_reach_within(pm, s: int, steps: int, _memo=None) -> float:
         best = None
         for a in range(pm.n_actions):
             total = 0.0
-            for target, p in pm.row(s, a):
+            for target, p in pm.rows[(s, a)]:
                 total += p * min_reach_within(pm, target, steps - 1, _memo)
             if best is None or total < best:
                 best = total
@@ -213,7 +288,7 @@ def min_reach_paths(pm, s: int, steps: int) -> float:
     best = None
     for a in range(pm.n_actions):
         total = 0.0
-        for target, p in pm.row(s, a):
+        for target, p in pm.rows[(s, a)]:
             total += p * min_reach_paths(pm, target, steps - 1)
         if best is None or total < best:
             best = total
@@ -298,7 +373,7 @@ def reference_shield_json(pm, cfg) -> dict:
     fallback = [int(a) for a in np.argmin(scores, axis=1)]
     for s in pm.final_states:
         q = s // pm.n_z
-        region = [sum(p for target, p in base.row(q, a) if fresh[target])
+        region = [sum(p for target, p in base.rows[(q, a)] if fresh[target])
                   for a in range(base.n_actions)]
         fallback[s] = int(np.argmin(region))
     n_s, n_a = scores.shape

@@ -169,7 +169,7 @@ class TestEstimator:
         errors = []
         for q in range(m):
             est = np.zeros(m + 1)
-            for target, p in mdp.row(q, 0):
+            for target, p in mdp.rows[(q, 0)]:
                 est[target] = p
             errors.extend(np.abs(est - kernel[q, 0]))
         errors = np.asarray(errors)
@@ -200,7 +200,7 @@ class TestEstimator:
         env = TeleportEnv(partition, kernel)
         mdp = estimate_transitions(env, partition, AbstractionConfig(500, seed=2))
         for q in range(m):
-            assert mdp.row(q, 0) == ((q, 1.0),)
+            assert mdp.rows[(q, 0)] == ((q, 1.0),)
 
     def test_exit_mass_goes_to_unsafe_state(self):
         partition = tiny_partition()
@@ -210,9 +210,9 @@ class TestEstimator:
         env = TeleportEnv(partition, kernel)
         mdp = estimate_transitions(env, partition, AbstractionConfig(200, seed=3))
         for q in range(m):
-            assert mdp.row(q, 0) == ((m, 1.0),)
+            assert mdp.rows[(q, 0)] == ((m, 1.0),)
         assert mdp.labels[m] == (1 << 1) | (1 << 2)
-        assert mdp.row(m, 0) == ((m, 1.0),)
+        assert mdp.rows[(m, 0)] == ((m, 1.0),)
         assert mdp.state_meta[m] == {"unsafe_exit": True}
 
     def test_bit_identical_rerun(self):
@@ -452,8 +452,8 @@ class TestEstimator:
         m2 = estimate_transitions(env, partition, AbstractionConfig(n2, seed=22))
         checks = []
         for q in range(m):
-            row1 = dict(m1.row(q, 0))
-            row2 = dict(m2.row(q, 0))
+            row1 = dict(m1.rows[(q, 0)])
+            row2 = dict(m2.rows[(q, 0)])
             for target in set(row1) | set(row2):
                 p1, p2 = row1.get(target, 0.0), row2.get(target, 0.0)
                 bound = wilson_halfwidth(p1, n1) + wilson_halfwidth(p2, n2)
@@ -506,7 +506,7 @@ class TestReport:
         assert [(r["state"], r["action"]) for r in report["rows"]] == sorted(mdp.rows)
         for r in report["rows"]:
             assert set(r) == {"state", "action", "entropy_bits", "max_wilson_halfwidth"}
-            ps = [p for _t, p in mdp.row(r["state"], r["action"])]
+            ps = [p for _t, p in mdp.rows[(r["state"], r["action"])]]
             assert r["max_wilson_halfwidth"] == max(wilson_halfwidth(p, 500) for p in ps)
             assert r["entropy_bits"] == pytest.approx(-sum(p * np.log2(p) for p in ps), abs=1e-12)
 

@@ -96,7 +96,7 @@ def test_criterion_2_shield_oracle_equivalence():
             for a in range(pm.n_actions):
                 expect = sum(
                     prob * min_reach_within(pm, t, horizon - 1)
-                    for t, prob in pm.row(s, a)
+                    for t, prob in pm.rows[(s, a)]
                 )
                 worst_q = max(worst_q, abs(sq.scores[s][a] - expect))
         if i < 25:
@@ -136,10 +136,10 @@ def test_criterion_3_shield_structural_properties():
             # strict threshold bound on every allowed action
             for s in range(pm.n_states):
                 for a in s1.allowed[s]:
-                    mass = sum(pr for t, pr in pm.row(s, a) if t in pm.final_states)
+                    mass = sum(pr for t, pr in pm.rows[(s, a)] if t in pm.final_states)
                     assert mass < p
                 for a in s2.allowed[s]:
-                    mass = sum(pr for t, pr in pm.row(s, a) if t in s2.unsafe_states)
+                    mass = sum(pr for t, pr in pm.rows[(s, a)] if t in s2.unsafe_states)
                     assert mass < p
                 for a in sq.allowed[s]:
                     assert sq.scores[s][a] < p
@@ -174,7 +174,7 @@ def test_criterion_4_abstraction_estimator():
     for q in range(m):
         est = np.zeros(m + 1)
         counts = 0
-        for target, p in mdp.row(q, 0):
+        for target, p in mdp.rows[(q, 0)]:
             est[target] = p
             counts += round(p * n)
         assert counts == n  # exactly stochastic by construction

@@ -268,6 +268,26 @@ class TestToolCommands:
         assert "first: MissingActionError(state=3, action=2)" in err
         assert not shield_path.exists()
 
+    def test_mdp_row_outside_the_states_fails_by_name(self, tmp_path, capsys):
+        # a row for the state past the exit state: the shield command
+        # refuses the file by name rather than failing inside synthesis
+        cfg = default_config("simple")
+        mdp_path, shield_path = tmp_path / "mdp.json", tmp_path / "shield.json"
+        code = main([
+            "abstract", "--task", "simple", "--cells", "2,5,5", "--samples", "20",
+            "--out", str(mdp_path),
+        ])
+        assert code == 0
+        data = json.loads(mdp_path.read_text())
+        n = data["states"]["count"]
+        data["transitions"].append([n, 0, 0, 1.0])
+        mdp_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(shield_args(cfg, mdp_path, shield_path, kind="q")) == 1
+        err = capsys.readouterr().err
+        assert f"corrupt MDP: 1 defect(s), first: RowIndexError(state={n}, action=0)" in err
+        assert not shield_path.exists()
+
     def test_corrupt_shield_fails_by_name(self, tiny_q_run, tmp_path, capsys):
         # one scores row dropped and one fallback out of range: train and
         # evaluate refuse the file before any episode, naming the first defect

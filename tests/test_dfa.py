@@ -231,14 +231,15 @@ class TestMonitorProduct:
         fl = parse("F p0", T3)
         fv = parse("F (p1 | p2)", T3)
         for length in range(1, 5):
-            for trace in all_traces(3, length):
+            accepted = dfa_accepts_matrix(monitor, trace_matrix(3, length))
+            for trace, got in zip(all_traces(3, length), accepted):
                 expect = False
                 for i in range(1, length + 1):
                     prefix = trace[:i]
                     if sat_recursive(fl, prefix) and not sat_recursive(fv, prefix):
                         expect = True
                         break
-                assert monitor.accepts(trace) == expect, trace
+                assert got == expect, trace
 
     def test_violation_enters_sink(self):
         liveness, violation = self._parts()
@@ -269,12 +270,4 @@ class TestSerialization:
         data = d.to_json()
         assert set(data) == {"atoms", "z0", "delta", "accepting", "sinks"}
         assert len(data["delta"]) == d.n_states
-        assert len(data["delta"][0]) == 2 ** len(TENV)
-
-
-class TestRunHelpers:
-    def test_first_accept_index(self):
-        d = compile_cosafe(parse("F p0", TENV), TENV)
-        assert d.first_accept([0b0, 0b0, 0b1]) == 2
-        assert d.first_accept([0b0, 0b0]) is None
-        assert d.accepts([0b1])
+        assert len(data["delta"][0]) == TENV.symbol_count

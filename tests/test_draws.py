@@ -1,6 +1,7 @@
-"""`EpisodeDraws` against `numpy.random.Generator`: any sequence of reads,
-with blocks small enough that they grow, returns the values of the
-Generator calls it stands for, bit for bit."""
+"""`EpisodeDraws` against `numpy.random.Generator`: any sequence of reads
+from a block that holds them returns the values of the Generator calls it
+stands for, bit for bit, and a read past the block raises
+`DrawsExhaustedError`."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import GeneratorDraws
-from shieldcraft.env import EpisodeDraws
+from shieldcraft.env import DrawsExhaustedError, EpisodeDraws
 
 BOUNDS = (1, 2, 3, 4, 5, 7, 1000, 3_000_000_000, 2**32 - 1)
 
@@ -31,10 +32,19 @@ def _double(raw) -> float:
     return float(raw >> np.uint64(11)) * 2.0**-53
 
 
+def _outputs_read(words, reads) -> int:
+    """The outputs that ``reads`` take from the stream of ``words``."""
+    draws = EpisodeDraws(words, 4096)
+    for name, *args in reads:
+        getattr(draws, name)(*args)
+    return draws._pos
+
+
 @settings(max_examples=400, deadline=None)
-@given(seed=st.integers(0, 2**63), size=st.integers(1, 5), reads=READS)
-def test_reads_equal_generator_calls(seed, size, reads):
-    draws = EpisodeDraws([seed, 2, 7], size)
+@given(seed=st.integers(0, 2**63), reads=READS)
+def test_reads_equal_generator_calls(seed, reads):
+    # the block holds exactly the outputs the reads take
+    draws = EpisodeDraws([seed, 2, 7], _outputs_read([seed, 2, 7], reads))
     reference = GeneratorDraws([seed, 2, 7])
     for name, *args in reads:
         got = getattr(draws, name)(*args)
@@ -52,7 +62,7 @@ def test_pending_half_survives_other_reads(n):
     # these bounds Lemire's method rejects at most n in 2**32 halves, and
     # at this seed none.
     raw = np.random.PCG64([11]).random_raw(8)
-    draws = EpisodeDraws([11], 2)
+    draws = EpisodeDraws([11], 8)
     reference = GeneratorDraws([11])
     first = draws.integers(n)
     assert draws.random() == _double(raw[1])
@@ -79,34 +89,14 @@ def test_out_of_range_bound_raises(n):
         EpisodeDraws([0], 4).integers(n)
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**63), size=st.integers(1, 4), reads=READS)
-def test_extended_blocks_equal_one_block(seed, size, reads):
-    # each kind of read, then the drawn reads, then each kind again: a block
-    # of at most 4 outputs is extended three or more times on the way
-    reads = [("random",), ("uniforms", 5), ("noise",), ("integers", 7),
-             *reads, ("random",), ("noise",), ("uniforms", 3), ("integers", 1000)]
-    draws = EpisodeDraws([seed, 2, 9], size)
-    whole = EpisodeDraws([seed, 2, 9], 4096)
-    ends = {draws._end}  # a read extends the block at most once
-    for name, *args in reads:
-        got = getattr(draws, name)(*args)
-        want = getattr(whole, name)(*args)
-        if name == "integers":
-            assert got == want
-        else:
-            assert _bits(got) == _bits(want)
-        ends.add(draws._end)
-    assert len(ends) - 1 >= 3
-
-
-def test_random_lists_each_output_once():
-    # after each extension `random` appends the new outputs to its list
-    # rather than listing the whole block again
-    draws = EpisodeDraws([5], 2)
+@pytest.mark.parametrize("read, left", [
+    (("random",), 0), (("uniforms", 3), 2), (("noise",), 2), (("integers", 7), 0),
+])
+def test_read_past_the_block_raises(read, left):
+    # each read wants one output more than the block has left
+    name, *args = read
+    draws = EpisodeDraws([5], 6)
     draws.random()
-    listed = draws._doubles
-    for _ in range(8):
-        draws.random()
-        assert draws._doubles is listed and len(listed) == draws._end
-    assert listed == EpisodeDraws([5], 16)._array[:draws._end].tolist()
+    draws.uniforms(5 - left)
+    with pytest.raises(DrawsExhaustedError, match="block of 6 outputs"):
+        getattr(draws, name)(*args)

@@ -91,7 +91,7 @@ class TestDynamics:
         # the (3-sigma truncated) noise band
         params = EnvParams(wheel_drift=(0.001, -0.25, 0.07, 0.07))
         env = SpacecraftEnv(params)
-        draws = EpisodeDraws(0, 64)
+        draws = EpisodeDraws(0, RESET_DRAWS + 3 * 50)
         env.reset(draws)
         for _ in range(50):
             env.state.wheel_speed = 0.9
@@ -130,7 +130,7 @@ class TestDynamics:
         # alternating imaging with no dumping drives the wheels up
         # monotonically to saturation within 50 steps
         env = SpacecraftEnv()
-        draws = EpisodeDraws(4, 64)
+        draws = EpisodeDraws(4, RESET_DRAWS + 3 * 50)
         env.reset(draws)
         env.state.wheel_speed = 0.3
         history = [env.state.wheel_speed]
@@ -155,7 +155,7 @@ class TestDynamics:
     def test_determinism(self):
         def run(seed):
             env = SpacecraftEnv()
-            draws = EpisodeDraws(seed, 64)
+            draws = EpisodeDraws(seed, RESET_DRAWS + 3 * 40)
             env.reset(draws)
             trace = []
             for t in range(40):
@@ -247,7 +247,7 @@ class TestLabelPartitionConsistency:
         env = SpacecraftEnv()
         rng = np.random.default_rng(8)
         table = proposition_table()
-        safety_mask = (1 << table.index("p1")) | (1 << table.index("p2"))
+        safety_mask = (1 << table.names.index("p1")) | (1 << table.names.index("p2"))
         for _ in range(2000):
             st = state(
                 err=rng.uniform(0, 0.1),
@@ -306,7 +306,7 @@ class TestResetDraw:
         for seed in range(10_000):
             want_rng = np.random.default_rng([seed, 3])
             want = _uniform_reset(env.params, want_rng)
-            draws = EpisodeDraws([seed, 3], RESET_DRAWS)
+            draws = EpisodeDraws([seed, 3], RESET_DRAWS + 1)
             env.reset(draws)
             got = _start_values(env)
             assert np.array_equal(np.asarray(got).view(np.uint64),
@@ -316,7 +316,9 @@ class TestResetDraw:
 
 
 class TestNoiseBlock:
-    BLOCK = 10  # steps of noise in the first block
+    STEPS = (7, 10, 25)
+    # one block holds the reset and the noise of the longest rollout
+    BLOCK = RESET_DRAWS + 3 * max(STEPS)
 
     def _rollout(self, params, seed, steps, draws):
         env = SpacecraftEnv(params)
@@ -328,15 +330,15 @@ class TestNoiseBlock:
         return trace
 
     @pytest.mark.parametrize("randomize", [False, True])
-    @pytest.mark.parametrize("steps", [BLOCK - 3, BLOCK, 2 * BLOCK + 5])
+    @pytest.mark.parametrize("steps", STEPS)
     def test_block_steps_equal_per_step_draws(self, steps, randomize):
-        # fewer steps than the block, exactly the block, and past it, where
-        # the draws take further blocks from the episode's stream
+        # rollouts that read part of the block, and with randomized windows
+        # one that reads all of it
         params = EnvParams(randomize_windows=randomize)
         for seed in range(20):
             words = [seed, 3]
             per_step = self._rollout(params, seed, steps, GeneratorDraws(words))
-            block = EpisodeDraws(words, RESET_DRAWS + 3 * self.BLOCK)
+            block = EpisodeDraws(words, self.BLOCK)
             assert self._rollout(params, seed, steps, block) == per_step
 
 

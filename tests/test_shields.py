@@ -25,7 +25,7 @@ from shieldcraft import mdp as mdp_module
 from shieldcraft import pipeline
 from shieldcraft.dfa import Dfa, compile_cosafe
 from shieldcraft.ltl import PropositionTable, parse
-from shieldcraft.mdp import FiniteMdp, product
+from shieldcraft.mdp import FiniteMdp, MissingKeyError, product
 from shieldcraft.shields import (
     AllowedActionError,
     CorruptShieldError,
@@ -81,7 +81,7 @@ def brute_force_allowed(pm, unsafe, p):
     for s in range(pm.n_states):
         acts = []
         for a in range(pm.n_actions):
-            mass = sum(prob for target, prob in pm.row(s, a) if target in unsafe)
+            mass = sum(prob for target, prob in pm.rows[(s, a)] if target in unsafe)
             if mass < p:
                 acts.append(a)
         allowed.append(tuple(acts))
@@ -238,7 +238,7 @@ class TestQOptimal:
         for s in range(pm.n_states):
             for a in range(pm.n_actions):
                 expect = sum(
-                    p * min_reach_paths(pm, t, horizon - 1) for t, p in pm.row(s, a)
+                    p * min_reach_paths(pm, t, horizon - 1) for t, p in pm.rows[(s, a)]
                 )
                 assert shield.scores[s][a] == pytest.approx(expect, abs=1e-10)
 
@@ -267,7 +267,7 @@ class TestGuaranteesAndMonotonicity:
             for s in range(pm.n_states):
                 for a in shield.allowed[s]:
                     mass = sum(
-                        prob for t, prob in pm.row(s, a) if t in pm.final_states
+                        prob for t, prob in pm.rows[(s, a)] if t in pm.final_states
                     )
                     assert mass < p
 
@@ -282,7 +282,7 @@ class TestGuaranteesAndMonotonicity:
                     continue
                 assert shield.allowed[s]
                 for a in shield.allowed[s]:
-                    mass = sum(prob for t, prob in pm.row(s, a) if t in unsafe)
+                    mass = sum(prob for t, prob in pm.rows[(s, a)] if t in unsafe)
                     assert mass < p
 
     def test_monotone_in_threshold(self, rng):
@@ -423,7 +423,7 @@ class TestMatrixOracle:
             for s in range(pm.n_states):
                 for a in range(pm.n_actions):
                     expect = sum(
-                        p * min_reach_within(pm, t, horizon - 1) for t, p in pm.row(s, a)
+                        p * min_reach_within(pm, t, horizon - 1) for t, p in pm.rows[(s, a)]
                     )
                     assert abs(shield.scores[s][a] - expect) <= 1e-10
 
@@ -507,6 +507,12 @@ class TestCorruptShield:
         data["fallback"][0] = 7
         defects = self._defects(data)
         assert defects == [AllowedActionError(0, 5, 2), FallbackError(0, 7, 2)]
+
+    @pytest.mark.parametrize("key", ["kind", "p", "allowed", "fallback", "scores", "unsafe"])
+    def test_missing_key(self, key):
+        data = self._data()
+        del data[key]
+        assert self._defects(data) == [MissingKeyError(key)]
 
 
 class TestSharedTensor:
