@@ -10,18 +10,20 @@ domain map to one absorbing unsafe-exit state labelled {p1, p2}.
 
 Each (cell, action) row makes all its random draws from its own PCG64
 stream, seeded from (seed, stream tag, cell, action) as
-``np.random.PCG64([seed, 1, cell, action])`` is; every row's stream is
-seeded in one vectorized call (`env.pcg64_states`). The work runs per
+``np.random.PCG64([seed, 1, cell, action])`` is. The work runs per
 chunk of rows: one ``sample_in_cell`` call reads each row's raw outputs
 and converts them in one pass, then one deterministic ``step_batch``
-call, one ``locate`` and one ``bincount`` run over the chunk's samples.
-Every value is elementwise or an integer count, so results are
-bit-identical under reruns and do not depend on the chunk size.
+call, one ``locate`` and one ``bincount`` run over the chunk's samples,
+whose nonzero counts are the chunk's entries. Every value is elementwise
+or an integer count, so results are bit-identical under reruns and do
+not depend on the chunk size.
 
-The chunks are split into contiguous blocks, one per usable CPU. The
-parent forks a child per block after the first and computes the first
-itself; each child sends its rows back through a pipe, and the parent
-merges them in block order. Results do not depend on the worker count.
+The chunks are split into contiguous blocks, one per usable CPU, and each
+block seeds its rows' streams in one vectorized call (`env.pcg64_states`).
+The parent forks a child per block after the first and computes the first
+itself; each child pickles its entry arrays back through a pipe, and the
+parent concatenates them in block order. Results do not depend on the
+worker count.
 """
 
 from __future__ import annotations
@@ -102,32 +104,25 @@ class PartitionSpec:
         )
 
 
-@dataclass(frozen=True)
-class Cell:
-    index: int
-    bounds: tuple[tuple[float, float], tuple[float, float], tuple[float, float]]
-    label: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
+    """The cells of ``spec`` in row-major (rate, wheel, charge) order, as
+    read-only arrays: each cell's (lo, hi) per coordinate, ``(cells, 3,
+    2)``, and its label bitmask, ``(cells,)``."""
+
     spec: PartitionSpec
-    cells: tuple[Cell, ...]
+    bounds: np.ndarray
+    labels: np.ndarray
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return len(self.bounds)
 
     @cached_property
     def interior_edges(self) -> tuple[tuple[float, ...], ...]:
         """(rate, wheel, charge) bin edges without the domain bounds."""
         s = self.spec
         return s.attitude_rate_edges[1:-1], s.wheel_edges[1:-1], s.charge_edges[1:-1]
-
-    @cached_property
-    def bounds(self) -> np.ndarray:
-        """Each cell's (lo, hi) per coordinate, as a (cells, 3, 2) array."""
-        return np.array([c.bounds for c in self.cells], dtype=np.float64)
 
     def locate(self, coords: np.ndarray) -> np.ndarray:
         """Cell index per (n, 3) coordinate row; -1 marks domain exit,
@@ -173,27 +168,16 @@ def make_partition(spec: PartitionSpec | None = None) -> Partition:
         raise RegionMisalignmentError(
             f"wheel edges must include the p2 boundary {WHEEL_CEIL}"
         )
-    cells = []
-    r_edges, w_edges, c_edges = (
-        spec.attitude_rate_edges, spec.wheel_edges, spec.charge_edges,
-    )
-    for ri in range(len(r_edges) - 1):
-        for wi in range(len(w_edges) - 1):
-            for ci in range(len(c_edges) - 1):
-                bounds = (
-                    (r_edges[ri], r_edges[ri + 1]),
-                    (w_edges[wi], w_edges[wi + 1]),
-                    (c_edges[ci], c_edges[ci + 1]),
-                )
-                mid_w = 0.5 * (bounds[1][0] + bounds[1][1])
-                mid_c = 0.5 * (bounds[2][0] + bounds[2][1])
-                label = 0
-                if mid_c < CHARGE_FLOOR:
-                    label |= P1_BIT
-                if mid_w > WHEEL_CEIL:
-                    label |= P2_BIT
-                cells.append(Cell(index=len(cells), bounds=bounds, label=label))
-    return Partition(spec=spec, cells=tuple(cells))
+    edges = (spec.attitude_rate_edges, spec.wheel_edges, spec.charge_edges)
+    # each cell's low and high corner, charge varying fastest
+    lo = np.stack(np.meshgrid(*(e[:-1] for e in edges), indexing="ij"), axis=-1).reshape(-1, 3)
+    hi = np.stack(np.meshgrid(*(e[1:] for e in edges), indexing="ij"), axis=-1).reshape(-1, 3)
+    mid = 0.5 * (lo + hi)
+    labels = (np.where(mid[:, 2] < CHARGE_FLOOR, P1_BIT, 0)
+              | np.where(mid[:, 1] > WHEEL_CEIL, P2_BIT, 0))
+    bounds = np.stack([lo, hi], axis=-1)
+    bounds.flags.writeable = labels.flags.writeable = False
+    return Partition(spec=spec, bounds=bounds, labels=labels)
 
 
 @dataclass(frozen=True)
@@ -227,7 +211,7 @@ def estimate_transitions(sim, partition: Partition, cfg: AbstractionConfig) -> F
     * ``step_batch(batch, actions) -> (k, 3) coords`` steps a batch, element
       ``i`` under ``actions[i]``, and draws nothing.
 
-    Row (q, a) draws from ``PCG64([seed, 1, q, a])``; every row's stream is
+    Row (q, a) draws from ``PCG64([seed, 1, q, a])``; a block's streams are
     seeded at once (`env.pcg64_states`). Rows are then sampled and stepped
     in chunks of at most ``CHUNK_SAMPLES`` samples (at least one row): one
     ``sample_in_cell`` and one ``step_batch`` call per chunk, whose landings
@@ -242,38 +226,39 @@ def estimate_transitions(sim, partition: Partition, cfg: AbstractionConfig) -> F
     """
     m = partition.n_cells
     n_actions = len(sim.action_names)
-    exit_state = m
     n = cfg.samples_per_cell
     cells = np.repeat(np.arange(m), n_actions)
     actions = np.tile(np.arange(n_actions), m)
-    streams = RowStreams.seeded(cfg.seed, _ABSTRACTION_STREAM, cells, actions)
     per_chunk = max(1, CHUNK_SAMPLES // n)
     starts = range(0, m * n_actions, per_chunk)
     k = len(starts)
 
-    def estimate_block(block) -> dict:
-        rows = {}
-        for start in block:
-            span = slice(start, start + per_chunk)
-            rows.update(_estimate_chunk(
-                sim, partition, n, cells[span], actions[span], streams[span],
-            ))
-        return rows
+    def estimate_block(block) -> tuple:
+        # a row's stream depends only on its own words, so the block's
+        # process seeds its own rows
+        rows = slice(block[0], block[-1] + per_chunk)
+        q, a = cells[rows], actions[rows]
+        streams = RowStreams.seeded(cfg.seed, _ABSTRACTION_STREAM, q, a)
+        spans = [slice(i, i + per_chunk) for i in range(0, len(q), per_chunk)]
+        chunks = [_estimate_chunk(sim, partition, n, q[s], a[s], streams[s]) for s in spans]
+        return tuple(map(np.concatenate, zip(*chunks)))
 
     workers = min(_usable_cpus(), k) if hasattr(os, "fork") else 1
     blocks = [starts[k * b // workers:k * (b + 1) // workers] for b in range(workers)]
-    results = _in_workers(estimate_block, blocks)
-    for a in range(n_actions):
-        results[(exit_state, a)] = ((exit_state, 1.0),)
-
-    labels = tuple(c.label for c in partition.cells) + (P1_BIT | P2_BIT,)
-    meta = tuple(
-        {"bounds": [list(b) for b in c.bounds]} for c in partition.cells
-    ) + ({"unsafe_exit": True},)
+    entries = _in_workers(estimate_block, blocks)
+    # each action of the exit state stays there
+    entries.append((np.full(n_actions, m), np.arange(n_actions), np.full(n_actions, m),
+                    np.full(n_actions, n)))
+    sources, acts, targets, counts = map(np.concatenate, zip(*entries))
+    labels = tuple(partition.labels.tolist()) + (P1_BIT | P2_BIT,)
+    meta = tuple({"bounds": b} for b in partition.bounds.tolist()) + ({"unsafe_exit": True},)
     return FiniteMdp(
         n_states=m + 1,
         action_names=tuple(sim.action_names),
-        rows=results,
+        sources=sources,
+        actions=acts,
+        targets=targets,
+        probs=counts / n,
         labels=labels,
         atom_names=tuple(sim.atom_names),
         state_meta=meta,
@@ -289,19 +274,17 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _in_workers(compute, blocks) -> dict:
-    """``compute(block)`` of every block, merged in block order.
+def _in_workers(compute, blocks) -> list:
+    """``[compute(block) for block in blocks]``, in block order.
 
     The parent forks one child per block after the first, then computes
-    the first itself. Each child pickles its dict to a pipe and leaves with
+    the first itself. Each child pickles its result to a pipe and leaves with
     ``os._exit``; the parent reads the pipes in block order. A child that
     fails, dies or sends nothing, or that could not be forked, has its
     block computed again here, so an exception is the one the blocks raise
     in order. Every child is reaped before this returns or raises; if the
     parent raises, it kills them first.
     """
-    if len(blocks) == 1:
-        return compute(blocks[0])
     children = []  # [pid, read end of its pipe] per later block; None once done
     try:
         for block in blocks[1:]:
@@ -322,7 +305,7 @@ def _in_workers(compute, blocks) -> dict:
                     os._exit(status)
             children[-1][0] = pid
             os.close(write_fd)
-        results = compute(blocks[0])
+        results = [compute(blocks[0])]
         for child, block in zip(children, blocks[1:]):
             pid, read_fd = child
             with os.fdopen(read_fd, "rb") as pipe:
@@ -330,9 +313,7 @@ def _in_workers(compute, blocks) -> dict:
                 data = pipe.read()
             status = 1 if pid is None else os.waitpid(pid, 0)[1]
             child[0] = None
-            results.update(
-                pickle.loads(data) if status == 0 and data else compute(block)
-            )
+            results.append(pickle.loads(data) if status == 0 and data else compute(block))
         return results
     except BaseException:
         for pid, _ in children:
@@ -347,10 +328,11 @@ def _in_workers(compute, blocks) -> dict:
                 os.waitpid(pid, 0)
 
 
-def _estimate_chunk(sim, partition: Partition, n: int, cells, actions, streams) -> dict:
-    """The transition rows of the chunk's (cell, action) pairs."""
+def _estimate_chunk(sim, partition: Partition, n: int, cells, actions, streams) -> tuple:
+    """The transition entries of the chunk's (cell, action) rows, as
+    ``(cells, actions, targets, counts)`` arrays, row by row and by target
+    within a row."""
     m = partition.n_cells
-    keys = list(zip(cells.tolist(), actions.tolist()))
     bounds = partition.bounds[cells]
     sample_actions = np.repeat(actions, n)
     try:
@@ -358,25 +340,24 @@ def _estimate_chunk(sim, partition: Partition, n: int, cells, actions, streams) 
     except Exception as exc:  # noqa: BLE001 - annotate and reraise
         # sampling draws from the rows' own streams and stepping draws
         # nothing, so running the rows alone names the first that fails
-        for i, key in enumerate(keys):
+        for i, (q, a) in enumerate(zip(cells.tolist(), actions.tolist())):
             try:
                 sim.step_batch(sim.sample_in_cell(bounds[i:i + 1], n, streams[i:i + 1]),
                                sample_actions[i * n:(i + 1) * n])
             except Exception as row_exc:  # noqa: BLE001 - annotate and reraise
-                raise SimulatorFailureError(*key, row_exc) from row_exc
+                raise SimulatorFailureError(q, a, row_exc) from row_exc
         # a failure that no row repeats alone
-        raise SimulatorFailureError(*keys[0], exc) from exc
+        raise SimulatorFailureError(int(cells[0]), int(actions[0]), exc) from exc
     if not np.isfinite(coords).all():
-        q, a = keys[int(np.argmin(np.isfinite(coords).all(axis=1))) // n]
-        raise SimulatorFailureError(q, a, ValueError("non-finite state coordinates"))
+        i = int(np.argmin(np.isfinite(coords).all(axis=1))) // n
+        raise SimulatorFailureError(int(cells[i]), int(actions[i]),
+                                    ValueError("non-finite state coordinates"))
     idx = partition.locate(coords)
     idx = np.where(idx < 0, m, idx)
-    idx += np.repeat(np.arange(len(keys)) * (m + 1), n)
-    counts = np.bincount(idx, minlength=len(keys) * (m + 1)).reshape(len(keys), m + 1)
+    idx += np.repeat(np.arange(len(cells)) * (m + 1), n)
+    counts = np.bincount(idx, minlength=len(cells) * (m + 1)).reshape(len(cells), m + 1)
     row, target = np.nonzero(counts)
-    entries = tuple(zip(target.tolist(), (counts[row, target] / n).tolist()))
-    ends = np.searchsorted(row, np.arange(len(keys) + 1)).tolist()
-    return {key: entries[lo:hi] for key, lo, hi in zip(keys, ends, ends[1:])}
+    return cells[row], actions[row], target, counts[row, target]
 
 
 def wilson_halfwidth(p_hat: float, n: int, z: float = 1.959963984540054) -> float:
@@ -390,35 +371,30 @@ def abstraction_report(m: FiniteMdp, cfg: AbstractionConfig) -> dict:
     row's entries, and the count of deterministic rows; written alongside
     the MDP file. An entry's own half-width is
     ``wilson_halfwidth(p, samples_per_cell)`` of its ``p`` in the MDP."""
-    if m.n_states == 0 or not m.rows:
+    if m.n_states == 0 or not len(m.probs):
         raise EmptyModelError("cannot report on an empty model")
     n = cfg.samples_per_cell
-    keys = sorted(m.rows)
     # an estimated row holds counts / n, so at most n + 1 distinct values
     # occur; each entry's terms are looked up, and each row still sums them
     # in its own order
-    terms = {
-        p: (p * math.log2(p) if p > 0.0 else 0.0, wilson_halfwidth(p, n))
-        for p in {p for key in keys for _target, p in m.rows[key]}
-    }
-    rows = []
-    deterministic = 0
-    for (q, a) in keys:
-        row = m.rows[(q, a)]
-        entropy = 0.0
-        widest = 0.0
-        for _target, p in row:
-            plogp, halfwidth = terms[p]
-            entropy -= plogp
-            widest = max(widest, halfwidth)
-        if len(row) == 1:
-            deterministic += 1
-        rows.append(
-            {"state": q, "action": a, "entropy_bits": entropy, "max_wilson_halfwidth": widest}
-        )
+    values, which = np.unique(m.probs, return_inverse=True)
+    plogp = np.array([p * math.log2(p) if p > 0.0 else 0.0 for p in values.tolist()])
+    halfwidth = np.array([wilson_halfwidth(p, n) for p in values.tolist()])
+    # the entries are sorted by row; a row begins where its key changes
+    first = np.diff(m.sources * m.n_actions + m.actions, prepend=-1) != 0
+    row = np.cumsum(first) - 1
+    entropy = np.zeros(row[-1] + 1)
+    np.subtract.at(entropy, row, plogp[which])
+    widest = np.zeros(row[-1] + 1)
+    np.maximum.at(widest, row, halfwidth[which])
+    rows = [
+        {"state": q, "action": a, "entropy_bits": h, "max_wilson_halfwidth": w}
+        for q, a, h, w in zip(m.sources[first].tolist(), m.actions[first].tolist(),
+                              entropy.tolist(), widest.tolist())
+    ]
     return {
         "samples_per_cell": n,
         "seed": cfg.seed,
-        "deterministic_rows": deterministic,
+        "deterministic_rows": int((np.bincount(row) == 1).sum()),
         "rows": rows,
     }

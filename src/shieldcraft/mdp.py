@@ -1,12 +1,14 @@
 """Explicit finite MDPs and their products with DFAs.
 
-Transition rows are sparse ``(target, probability)`` lists in canonical
-(target-sorted) order; labels are bitmasks over the proposition table, so
-a state's label is directly a DFA input symbol. For shield synthesis a
-product splits its rows by their targets: the settled rows, whose targets
-are all final, are multiplied by the final indicator once
-(`ProductMdp.settled_mass`), and only the other rows stay resident, as one
-dense tensor in a zero-page-backed mapping (`ProductMdp.live_tensor`).
+Transitions are flat arrays of entries (source, action, target,
+probability), in the order of the JSON form, the only place they become
+lists; the product with a DFA is one gather over them. Labels are bitmasks
+over the proposition table, so a state's label is directly a DFA input
+symbol. For shield synthesis a product splits its rows by their targets:
+the settled rows, whose targets are all final, are multiplied by the final
+indicator once (`ProductMdp.settled_mass`), and only the other rows stay
+resident, as one dense tensor in a zero-page-backed mapping
+(`ProductMdp.live_tensor`).
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import mmap
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -82,15 +83,39 @@ class ProbabilityError:
 
 
 @dataclass(frozen=True)
+class MalformedEntryError:
+    """An entry of a JSON list that does not have its field's form, by its
+    index in the list: a transition that is not four numbers with an
+    integral state, action and target, a label that is not a state and a
+    list of atom names, or a shield entry that is not a number or a list
+    of numbers."""
+    field: str
+    index: int
+
+
+@dataclass(frozen=True, eq=False)
 class FiniteMdp:
-    """Explicit MDP with total action availability and labelled states."""
+    """Explicit MDP with total action availability and labelled states.
+
+    Entry i moves from ``sources[i]`` under ``actions[i]`` to ``targets[i]``
+    with probability ``probs[i]``: four aligned read-only arrays, sorted by
+    (source, action, target, probability) as `to_json` lists them."""
 
     n_states: int
     action_names: tuple[str, ...]
-    rows: dict[tuple[int, int], tuple[tuple[int, float], ...]]
+    sources: np.ndarray
+    actions: np.ndarray
+    targets: np.ndarray
+    probs: np.ndarray
     labels: tuple[int, ...]
     atom_names: tuple[str, ...]
     state_meta: tuple = None
+
+    def __post_init__(self):
+        for name in ("sources", "actions", "targets", "probs"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @property
     def n_actions(self) -> int:
@@ -98,33 +123,31 @@ class FiniteMdp:
 
     def validate(self) -> list:
         """All violated stochasticity/totality invariants and every row
-        outside the state or action range; never raises."""
-        defects = [
-            RowIndexError(q, a) for q, a in self.rows
-            if not (0 <= q < self.n_states and 0 <= a < self.n_actions)
-        ]
-        for q in range(self.n_states):
-            for a in range(self.n_actions):
-                row = self.rows.get((q, a))
-                if row is None:
-                    defects.append(MissingActionError(q, a))
-                    continue
-                total = 0.0
-                for target, p in row:
-                    total += p
-                    if not 0.0 <= p <= 1.0 or not 0 <= target < self.n_states:
-                        defects.append(ProbabilityError(q, a, target, p))
-                if abs(total - 1.0) > ROW_SUM_TOL:
-                    defects.append(RowSumError(q, a, total))
-        return defects
+        outside the state or action range, row by row; never raises. A
+        row's sum adds its probabilities in entry order."""
+        n, n_a = self.n_states, self.n_actions
+        q, a, t, p = self.sources, self.actions, self.targets, self.probs
+        inside = (0 <= q) & (q < n) & (0 <= a) & (a < n_a)
+        outside = dict.fromkeys(zip(q[~inside].tolist(), a[~inside].tolist()))
+        row, t, p = (q * n_a + a)[inside], t[inside], p[inside]
+        size = np.bincount(row, minlength=max(n, 0) * n_a)
+        total = np.bincount(row, weights=p, minlength=max(n, 0) * n_a)
+        bad = ~((0.0 <= p) & (p <= 1.0) & (0 <= t) & (t < n))
+        off = np.flatnonzero((size > 0) & (np.abs(total - 1.0) > ROW_SUM_TOL)).tolist()
+        # (row, rank, defect); the stable sort keeps a row's entries in order
+        found = [(r, 0, MissingActionError(*divmod(r, n_a)))
+                 for r in np.flatnonzero(size == 0).tolist()]
+        found += [(r, 1, ProbabilityError(*divmod(r, n_a), target, prob))
+                  for r, target, prob in zip(row[bad].tolist(), t[bad].tolist(), p[bad].tolist())]
+        found += [(r, 2, RowSumError(*divmod(r, n_a), float(total[r]))) for r in off]
+        found.sort(key=lambda f: f[:2])
+        return [RowIndexError(*key) for key in outside] + [defect for _r, _rank, defect in found]
 
     # --- canonical JSON form ------------------------------------------
 
     def to_json(self) -> dict:
-        transitions = []
-        for (q, a) in sorted(self.rows):
-            for target, p in self.rows[(q, a)]:
-                transitions.append([q, a, target, p])
+        columns = (self.sources, self.actions, self.targets, self.probs)
+        transitions = list(map(list, zip(*(c.tolist() for c in columns))))
         labels = []
         for q, mask in enumerate(self.labels):
             names = [self.atom_names[i] for i in range(len(self.atom_names)) if mask >> i & 1]
@@ -143,8 +166,9 @@ class FiniteMdp:
     @classmethod
     def from_json(cls, data: dict) -> "FiniteMdp":
         """The MDP of a `to_json` dict; raises `CorruptMdpError` when a key
-        is missing, a label is on a state outside the MDP or names an
-        unknown atom, or the MDP fails `validate`."""
+        is missing, a transition or label entry is malformed, a label is on
+        a state outside the MDP or names an unknown atom, or the MDP fails
+        `validate`."""
         try:
             atom_names = tuple(data["atoms"])
             n = int(data["states"]["count"])
@@ -154,15 +178,16 @@ class FiniteMdp:
         except KeyError as exc:
             raise CorruptMdpError([MissingKeyError(exc.args[0])]) from None
         atom_index = {name: i for i, name in enumerate(atom_names)}
-        rows: dict = {}
-        for q, a, target, p in transitions:
-            rows.setdefault((int(q), int(a)), []).append((int(target), float(p)))
-        frozen = {key: tuple(sorted(val)) for key, val in rows.items()}
+        table = _transition_table(transitions)
         labels = [0] * n
         defects = []
-        for q, names in state_labels:
-            q = int(q)
-            unknown = tuple(name for name in names if name not in atom_index)
+        for i, entry in enumerate(state_labels):
+            try:
+                q, names = entry
+                q = int(q)
+                unknown = tuple(name for name in names if name not in atom_index)
+            except (TypeError, ValueError):
+                raise CorruptMdpError([MalformedEntryError("labels", i)]) from None
             if unknown or not 0 <= q < n:
                 defects.append(LabelError(q, unknown))
                 continue
@@ -171,10 +196,16 @@ class FiniteMdp:
                 mask |= 1 << atom_index[name]
             labels[q] = mask
         meta = data["states"].get("metadata")
+        q, a, t = table[:, :3].astype(np.int64).T
+        p = table[:, 3]
+        order = np.lexsort((p, t, a, q))
         mdp = cls(
             n_states=n,
             action_names=actions,
-            rows=frozen,
+            sources=q[order],
+            actions=a[order],
+            targets=t[order],
+            probs=p[order],
             labels=tuple(labels),
             atom_names=atom_names,
             state_meta=tuple(meta) if meta is not None else None,
@@ -194,21 +225,52 @@ class FiniteMdp:
             return cls.from_json(json.load(fh))
 
 
-@dataclass(frozen=True)
+def _transition_table(transitions: list) -> np.ndarray:
+    """The ``(k, 4)`` float64 table of a JSON ``transitions`` list of ``k``
+    ``[state, action, target, probability]`` entries; raises
+    `CorruptMdpError` naming the first entry that is not four numbers with
+    an integral state, action and target and a probability (not null)."""
+
+    def numbers(entries):
+        try:
+            return np.array(entries, dtype=np.float64)
+        except (TypeError, ValueError):
+            return None
+
+    table = numbers(transitions)
+    if table is None or table.shape != (len(transitions), 4):
+        # some entry is not four numbers; a row of NaNs stands for each
+        rows = [numbers(entry) for entry in transitions]
+        table = np.array([np.full(4, np.nan) if r is None or r.shape != (4,) else r
+                          for r in rows]).reshape(-1, 4)
+    # null reads as NaN; a state, action or target is a whole number that
+    # fits an int64
+    ids = table[:, :3]
+    bad = np.isnan(table[:, 3]) | ~((np.abs(ids) < 2.0**63) & (ids == np.trunc(ids))).all(axis=1)
+    if bad.any():
+        raise CorruptMdpError([MalformedEntryError("transitions", int(np.argmax(bad)))])
+    return table
+
+
+@dataclass(frozen=True, eq=False)
 class ProductMdp:
     """Synchronous composition of a FiniteMdp with a DFA.
 
     Product state (q, z) is flattened as ``q * n_z + z``. Stepping into
     base state q' advances the DFA on the label of q' (the label of the
     newly entered state), and runs are initialized by first consuming the
-    label of the start state, see `initial_state`. The cached properties
+    label of the start state, see `initial_state`. The entries are flat
+    arrays as in `FiniteMdp`, gathered by `product`. The cached properties
     below are what every shield kind reads; the first synthesis computes
     them once for the product.
     """
 
     base: FiniteMdp
     dfa: Dfa
-    rows: dict[tuple[int, int], tuple[tuple[int, float], ...]]
+    sources: np.ndarray
+    actions: np.ndarray
+    targets: np.ndarray
+    probs: np.ndarray
     final_states: frozenset[int]
 
     @property
@@ -229,6 +291,17 @@ class ProductMdp:
     def initial_state(self, q: int) -> int:
         z = self.dfa.step(self.dfa.z0, self.base.labels[q])
         return self.state_index(q, z)
+
+    @cached_property
+    def rows(self) -> dict[tuple[int, int], tuple[tuple[int, float], ...]]:
+        """``{(s, a): ((target, probability), ...)}``, built from the
+        arrays on first read; no synthesis reads it."""
+        key = self.actions * self.n_states + self.sources
+        starts = np.flatnonzero(np.diff(key, prepend=-1)).tolist()
+        pairs = list(zip(self.targets.tolist(), self.probs.tolist()))
+        keys = zip(self.sources[starts].tolist(), self.actions[starts].tolist())
+        ends = starts[1:] + [len(pairs)]
+        return {key: tuple(pairs[lo:hi]) for key, lo, hi in zip(keys, starts, ends)}
 
     @cached_property
     def final_member(self) -> np.ndarray:
@@ -285,12 +358,13 @@ class ProductMdp:
     def fresh_violation_mass(self) -> np.ndarray:
         """(Q, A) read-only probability, per base state and action, that
         the next region entered is freshly violating: its label takes the
-        automaton from its start state to an accepting one."""
+        automaton from its start state to an accepting one. Each row adds
+        its entries in entry order."""
         d, base = self.dfa, self.base
-        bad_region = [int(d.delta[d.z0, label]) in d.accepting for label in base.labels]
+        bad_region = np.isin(d.delta[d.z0][list(base.labels)], list(d.accepting))
+        fresh = bad_region[base.targets]
         mass = np.zeros((base.n_states, base.n_actions))
-        for (q, a), row in base.rows.items():
-            mass[q, a] = sum(p for target, p in row if bad_region[target])
+        np.add.at(mass, (base.sources[fresh], base.actions[fresh]), base.probs[fresh])
         mass.flags.writeable = False
         return mass
 
@@ -339,23 +413,14 @@ def _split_rows(pm: ProductMdp) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _row_entries(pm: ProductMdp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every entry of the product's rows, in row order, as flat arrays: its
+    """Every entry of the product, in entry order, as flat arrays: its
     index ``(a * S + s) * S + target`` into an ``(A, S, S)`` tensor, its
     probability, and whether its row is settled (has no target outside the
     final states)."""
-    rows, n_states = pm.rows, pm.n_states
-    lengths = np.fromiter(map(len, rows.values()), dtype=np.intp, count=len(rows))
-    keys = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=2 * len(rows))
-    entries = np.fromiter(chain.from_iterable(chain.from_iterable(rows.values())),
-                          dtype=np.float64, count=2 * int(lengths.sum()))
-    targets = entries[0::2].astype(np.intp)
-    row_of = np.repeat(np.arange(len(rows)), lengths)
-    leaving = np.bincount(row_of[~pm.final_member[targets]], minlength=len(rows))
-    settled = (leaving == 0)[row_of]
-    del row_of
-    index = np.repeat((keys[1::2] * n_states + keys[0::2]) * n_states, lengths)
-    index += targets
-    return index, entries[1::2].copy(), settled
+    n_states = pm.n_states
+    row = pm.actions * n_states + pm.sources
+    leaving = np.bincount(row[~pm.final_member[pm.targets]], minlength=pm.n_actions * n_states)
+    return row * n_states + pm.targets, pm.probs, (leaving == 0)[row]
 
 
 def _zero_mapping(shape: tuple[int, int, int]) -> tuple[mmap.mmap, np.ndarray]:
@@ -402,22 +467,26 @@ def _scatter(flat: np.ndarray, index: np.ndarray, probs: np.ndarray):
 
 
 def product(m: FiniteMdp, d: Dfa) -> ProductMdp:
-    """Full product over Q x Z (all DFA states, reachable or not)."""
+    """Full product over Q x Z (all DFA states, reachable or not): the base
+    entries gathered once per DFA state z, z-major, each from ``q * n_z +
+    z`` to ``q2 * n_z + delta[z, label[q2]]``, so a product row's entries
+    stay contiguous and in its base row's order."""
     if m.atom_names != d.atom_names:
         raise AtomMismatchError(
             f"MDP atoms {m.atom_names} do not match DFA atoms {d.atom_names}"
         )
     n_z = d.n_states
-    # entering base state q2 from DFA state z lands in product state enter[z][q2]
-    enter = [
-        [q2 * n_z + dz[label] for q2, label in enumerate(m.labels)]
-        for dz in d.delta.tolist()
-    ]
-    rows: dict = {}
-    for (q, a), row in m.rows.items():
-        for z, to in enumerate(enter):
-            rows[(q * n_z + z, a)] = tuple(sorted([(to[q2], p) for q2, p in row]))
     final = frozenset(
         q * n_z + z for q in range(m.n_states) for z in d.accepting
     )
-    return ProductMdp(base=m, dfa=d, rows=rows, final_states=final)
+    z = np.arange(n_z)[:, None]
+    entered = d.delta[z, np.asarray(m.labels, dtype=np.intp)[m.targets]]
+    return ProductMdp(
+        base=m,
+        dfa=d,
+        sources=(m.sources * n_z + z).ravel(),
+        actions=np.tile(m.actions, n_z),
+        targets=(m.targets * n_z + entered).ravel(),
+        probs=np.tile(m.probs, n_z),
+        final_states=final,
+    )

@@ -38,7 +38,7 @@ from itertools import compress
 
 import numpy as np
 
-from .mdp import MissingKeyError, ProductMdp
+from .mdp import MalformedEntryError, MissingKeyError, ProductMdp
 
 
 class ArtifactMismatchError(ValueError):
@@ -181,18 +181,18 @@ class Shield:
     @classmethod
     def from_json(cls, data: dict) -> "Shield":
         """The shield of a `to_json` dict; raises `CorruptShieldError` when
-        a key is missing or the shield fails `validate`."""
-        values = data.get("values")
+        a key is missing, an entry is not a number or a list of numbers, or
+        the shield fails `validate`."""
         try:
             shield = cls(
                 kind=data["kind"],
                 threshold=float(data["p"]),
                 horizon=data.get("horizon"),
-                allowed=tuple(tuple(int(a) for a in row) for row in data["allowed"]),
-                fallback=tuple(int(a) for a in data["fallback"]),
-                scores=tuple(tuple(float(x) for x in row) for row in data["scores"]),
-                unsafe_states=frozenset(int(s) for s in data["unsafe"]),
-                values=tuple(float(v) for v in values) if values is not None else None,
+                allowed=_entries(data, "allowed", lambda row: tuple(int(a) for a in row)),
+                fallback=_entries(data, "fallback", int),
+                scores=_entries(data, "scores", lambda row: tuple(float(x) for x in row)),
+                unsafe_states=frozenset(_entries(data, "unsafe", int)),
+                values=_entries(data, "values", float) if data.get("values") is not None else None,
             )
         except KeyError as exc:
             raise CorruptShieldError([MissingKeyError(exc.args[0])]) from None
@@ -209,6 +209,18 @@ class Shield:
     def load(cls, path) -> "Shield":
         with open(path, encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
+
+
+def _entries(data: dict, field: str, convert) -> tuple:
+    """``convert`` of each entry of the list ``data[field]``; raises
+    `CorruptShieldError` naming the first entry it cannot convert."""
+    converted = []
+    for i, entry in enumerate(data[field]):
+        try:
+            converted.append(convert(entry))
+        except (TypeError, ValueError):
+            raise CorruptShieldError([MalformedEntryError(field, i)]) from None
+    return tuple(converted)
 
 
 def _mass_within(pm: ProductMdp, steps: int):

@@ -24,6 +24,7 @@ import numpy as np
 
 from shieldcraft import ltl
 from shieldcraft.env import truncated_normal
+from shieldcraft.mdp import FiniteMdp
 from shieldcraft.ltl import (
     And,
     Atom,
@@ -253,6 +254,54 @@ def to_text(f: Formula, table) -> str:
     return fmt(f, 0)
 
 
+# --- MDPs as dicts of rows --------------------------------------------------
+
+
+def mdp_from_rows(n_states, action_names, rows, labels, atom_names) -> FiniteMdp:
+    """The `FiniteMdp` of ``{(q, a): ((target, p), ...)}`` rows, its
+    entries sorted as `FiniteMdp.from_json` sorts them. Nothing is
+    checked, so a test can build an MDP that fails `FiniteMdp.validate`."""
+    entries = sorted((q, a, t, p) for (q, a), row in rows.items() for t, p in row)
+    q, a, t, p = (list(column) for column in zip(*entries)) if entries else ([],) * 4
+    return FiniteMdp(
+        n_states=n_states,
+        action_names=tuple(action_names),
+        sources=np.array(q, dtype=np.int64),
+        actions=np.array(a, dtype=np.int64),
+        targets=np.array(t, dtype=np.int64),
+        probs=np.array(p, dtype=np.float64),
+        labels=tuple(labels),
+        atom_names=tuple(atom_names),
+    )
+
+
+def rows_of(m) -> dict:
+    """``{(q, a): ((target, p), ...)}`` of a `FiniteMdp`'s entries, rows
+    and entries in array order."""
+    rows: dict = {}
+    columns = (m.sources, m.actions, m.targets, m.probs)
+    for q, a, t, p in zip(*(c.tolist() for c in columns)):
+        rows.setdefault((q, a), []).append((t, p))
+    return {key: tuple(row) for key, row in rows.items()}
+
+
+def reference_product_rows(m, d) -> dict:
+    """The product's ``{(s, a): ((target, p), ...)}`` rows by one tuple
+    loop over the base rows: the product that `mdp.product`'s gather
+    replaced, each row sorted by (target, p)."""
+    n_z = d.n_states
+    # entering base state q2 from DFA state z lands in product state enter[z][q2]
+    enter = [
+        [q2 * n_z + dz[label] for q2, label in enumerate(m.labels)]
+        for dz in d.delta.tolist()
+    ]
+    rows = {}
+    for (q, a), row in rows_of(m).items():
+        for z, to in enumerate(enter):
+            rows[(q * n_z + z, a)] = tuple(sorted([(to[q2], p) for q2, p in row]))
+    return rows
+
+
 # --- reachability oracle -----------------------------------------------------
 
 
@@ -369,11 +418,12 @@ def reference_shield_json(pm, cfg) -> dict:
         if cfg.kind == "q":
             values = [float(x) for x in v]
     d, base = pm.dfa, pm.base
+    base_rows = rows_of(base)
     fresh = [int(d.delta[d.z0, label]) in d.accepting for label in base.labels]
     fallback = [int(a) for a in np.argmin(scores, axis=1)]
     for s in pm.final_states:
         q = s // pm.n_z
-        region = [sum(p for target, p in base.rows[(q, a)] if fresh[target])
+        region = [sum(p for target, p in base_rows[(q, a)] if fresh[target])
                   for a in range(base.n_actions)]
         fallback[s] = int(np.argmin(region))
     n_s, n_a = scores.shape

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import mdp_from_rows, rows_of
 from shieldcraft import abstraction
 from shieldcraft.abstraction import (
     AbstractionConfig,
@@ -20,7 +21,6 @@ from shieldcraft.abstraction import (
     wilson_halfwidth,
 )
 from shieldcraft.env import ATOM_NAMES, MODES, RowStreams, SpacecraftEnv
-from shieldcraft.mdp import FiniteMdp
 
 
 class TeleportEnv:
@@ -34,7 +34,7 @@ class TeleportEnv:
         self.partition = partition
         self.kernel = kernel  # (cells, actions, cells+1)
         self.action_names = tuple(f"go{a}" for a in range(kernel.shape[1]))
-        centres = [[0.5 * (lo + hi) for lo, hi in c.bounds] for c in partition.cells]
+        centres = [[0.5 * (lo + hi) for lo, hi in b] for b in partition.bounds.tolist()]
         self.landings = np.array(centres + [[0.0, 0.0, -1.0]])  # exit: charge <= 0
 
     def sample_in_cell(self, bounds, n, streams):
@@ -64,23 +64,23 @@ class TestPartition:
     def test_default_is_hundred_cells(self):
         partition = make_partition()
         assert partition.n_cells == 100
-        assert partition.cells[0].bounds == ((0.0, 0.0025), (0.0, 0.2), (0.0, 0.2))
+        assert partition.bounds[0].tolist() == [[0.0, 0.0025], [0.0, 0.2], [0.0, 0.2]]
 
     def test_row_major_order(self):
         partition = make_partition()
         # charge varies fastest, then wheel, then rate
-        assert partition.cells[1].bounds[2] == (0.2, 0.4)
-        assert partition.cells[5].bounds[1] == (0.2, 0.4)
+        assert partition.bounds[1][2].tolist() == [0.2, 0.4]
+        assert partition.bounds[5][1].tolist() == [0.2, 0.4]
 
     def test_low_charge_cells_labelled_p1(self):
         partition = make_partition()
-        for cell in partition.cells:
+        for bounds, label in zip(partition.bounds.tolist(), partition.labels.tolist()):
             expect = 0
-            if cell.bounds[2][1] <= 0.2:
+            if bounds[2][1] <= 0.2:
                 expect |= 1 << 1
-            if cell.bounds[1][0] >= 0.8:
+            if bounds[1][0] >= 0.8:
                 expect |= 1 << 2
-            assert cell.label == expect
+            assert label == expect
 
     def test_region_misalignment(self):
         with pytest.raises(RegionMisalignmentError):
@@ -124,7 +124,7 @@ class TestPartition:
         q_low = partition.locate_one(0.001, 0.79, 0.5)
         q_high = partition.locate_one(0.001, 0.81, 0.5)
         assert q_low != q_high
-        assert partition.cells[q_high].label & (1 << 2)
+        assert partition.labels[q_high] & (1 << 2)
 
 
 def force_workers(monkeypatch, workers):
@@ -169,7 +169,7 @@ class TestEstimator:
         errors = []
         for q in range(m):
             est = np.zeros(m + 1)
-            for target, p in mdp.rows[(q, 0)]:
+            for target, p in rows_of(mdp)[(q, 0)]:
                 est[target] = p
             errors.extend(np.abs(est - kernel[q, 0]))
         errors = np.asarray(errors)
@@ -184,7 +184,7 @@ class TestEstimator:
         n = 1000
         mdp = estimate_transitions(env, partition, AbstractionConfig(n, seed=1))
         assert mdp.validate() == []
-        for (q, a), row in mdp.rows.items():
+        for (q, a), row in rows_of(mdp).items():
             # every entry is an exact count ratio and the counts add up to N
             counts = [round(p * n) for _t, p in row]
             assert sum(counts) == n
@@ -200,7 +200,7 @@ class TestEstimator:
         env = TeleportEnv(partition, kernel)
         mdp = estimate_transitions(env, partition, AbstractionConfig(500, seed=2))
         for q in range(m):
-            assert mdp.rows[(q, 0)] == ((q, 1.0),)
+            assert rows_of(mdp)[(q, 0)] == ((q, 1.0),)
 
     def test_exit_mass_goes_to_unsafe_state(self):
         partition = tiny_partition()
@@ -210,9 +210,9 @@ class TestEstimator:
         env = TeleportEnv(partition, kernel)
         mdp = estimate_transitions(env, partition, AbstractionConfig(200, seed=3))
         for q in range(m):
-            assert mdp.rows[(q, 0)] == ((m, 1.0),)
+            assert rows_of(mdp)[(q, 0)] == ((m, 1.0),)
         assert mdp.labels[m] == (1 << 1) | (1 << 2)
-        assert mdp.rows[(m, 0)] == ((m, 1.0),)
+        assert rows_of(mdp)[(m, 0)] == ((m, 1.0),)
         assert mdp.state_meta[m] == {"unsafe_exit": True}
 
     def test_bit_identical_rerun(self):
@@ -220,7 +220,7 @@ class TestEstimator:
         partition = make_partition()
         a = estimate_transitions(env, partition, AbstractionConfig(300, seed=4))
         b = estimate_transitions(env, partition, AbstractionConfig(300, seed=4))
-        assert a.rows == b.rows
+        assert rows_of(a) == rows_of(b)
         assert json.dumps(a.to_json()) == json.dumps(b.to_json())
 
     def test_chunk_size_does_not_change_the_mdp(self, monkeypatch):
@@ -246,7 +246,7 @@ class TestEstimator:
             force_workers(monkeypatch, workers)
             mdp = estimate_transitions(env, partition, cfg)
             texts.append(json.dumps(mdp.to_json()))
-            orders.append(list(mdp.rows))  # the rows keep their serial order too
+            orders.append(list(rows_of(mdp)))  # the rows keep their serial order too
             assert_no_child_left()
         assert texts[1] == texts[0] and texts[2] == texts[0]
         assert orders[1] == orders[0] and orders[2] == orders[0]
@@ -452,8 +452,8 @@ class TestEstimator:
         m2 = estimate_transitions(env, partition, AbstractionConfig(n2, seed=22))
         checks = []
         for q in range(m):
-            row1 = dict(m1.rows[(q, 0)])
-            row2 = dict(m2.rows[(q, 0)])
+            row1 = dict(rows_of(m1)[(q, 0)])
+            row2 = dict(rows_of(m2)[(q, 0)])
             for target in set(row1) | set(row2):
                 p1, p2 = row1.get(target, 0.0), row2.get(target, 0.0)
                 bound = wilson_halfwidth(p1, n1) + wilson_halfwidth(p2, n2)
@@ -503,15 +503,15 @@ class TestReport:
         cfg = AbstractionConfig(500, seed=8)
         mdp = estimate_transitions(TeleportEnv(partition, kernel), partition, cfg)
         report = json.loads(json.dumps(abstraction_report(mdp, cfg)))
-        assert [(r["state"], r["action"]) for r in report["rows"]] == sorted(mdp.rows)
+        assert [(r["state"], r["action"]) for r in report["rows"]] == sorted(rows_of(mdp))
         for r in report["rows"]:
             assert set(r) == {"state", "action", "entropy_bits", "max_wilson_halfwidth"}
-            ps = [p for _t, p in mdp.rows[(r["state"], r["action"])]]
+            ps = [p for _t, p in rows_of(mdp)[(r["state"], r["action"])]]
             assert r["max_wilson_halfwidth"] == max(wilson_halfwidth(p, 500) for p in ps)
             assert r["entropy_bits"] == pytest.approx(-sum(p * np.log2(p) for p in ps), abs=1e-12)
 
     def test_empty_model(self):
-        empty = FiniteMdp(
+        empty = mdp_from_rows(
             n_states=0, action_names=(), rows={}, labels=(), atom_names=ATOM_NAMES
         )
         with pytest.raises(EmptyModelError):
@@ -540,5 +540,5 @@ class TestSpacecraftAbstraction:
         # labels carried over from the partition plus the exit state
         assert mdp.labels[-1] == (1 << 1) | (1 << 2)
         assert all(
-            mdp.labels[c.index] == c.label for c in partition.cells
+            mdp.labels[q] == label for q, label in enumerate(partition.labels.tolist())
         )

@@ -13,6 +13,7 @@ import numpy as np
 from scipy import stats
 
 from oracles import (
+    rows_of,
     dfa_accepts_matrix,
     min_reach_paths,
     min_reach_within,
@@ -174,7 +175,7 @@ def test_criterion_4_abstraction_estimator():
     for q in range(m):
         est = np.zeros(m + 1)
         counts = 0
-        for target, p in mdp.rows[(q, 0)]:
+        for target, p in rows_of(mdp)[(q, 0)]:
             est[target] = p
             counts += round(p * n)
         assert counts == n  # exactly stochastic by construction

@@ -288,6 +288,27 @@ class TestToolCommands:
         assert f"corrupt MDP: 1 defect(s), first: RowIndexError(state={n}, action=0)" in err
         assert not shield_path.exists()
 
+    def test_malformed_mdp_entry_fails_by_name(self, tmp_path, capsys):
+        # a null probability: the shield command exits 1 and names the entry,
+        # with no traceback
+        cfg = default_config("simple")
+        mdp_path, shield_path = tmp_path / "mdp.json", tmp_path / "shield.json"
+        code = main([
+            "abstract", "--task", "simple", "--cells", "2,5,5", "--samples", "20",
+            "--out", str(mdp_path),
+        ])
+        assert code == 0
+        data = json.loads(mdp_path.read_text())
+        data["transitions"][5][3] = None
+        mdp_path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(shield_args(cfg, mdp_path, shield_path, kind="q")) == 1
+        err = capsys.readouterr().err
+        assert ("corrupt MDP: 1 defect(s), first: "
+                "MalformedEntryError(field='transitions', index=5)") in err
+        assert "Traceback" not in err
+        assert not shield_path.exists()
+
     def test_corrupt_shield_fails_by_name(self, tiny_q_run, tmp_path, capsys):
         # one scores row dropped and one fallback out of range: train and
         # evaluate refuse the file before any episode, naming the first defect

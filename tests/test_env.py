@@ -259,7 +259,7 @@ class TestLabelPartitionConsistency:
             labels = label(st)
             cell = partition.locate_one(st.attitude_rate, st.wheel_speed, st.charge)
             assert cell >= 0
-            assert labels & safety_mask == partition.cells[cell].label
+            assert labels & safety_mask == partition.labels[cell]
 
 
 class TestTruncatedNormal:

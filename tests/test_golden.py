@@ -29,6 +29,7 @@ import pytest
 import scipy
 
 from shieldcraft.abstraction import PartitionSpec, make_partition
+from shieldcraft.mdp import FiniteMdp
 from shieldcraft.pipeline import default_config, estimate_mdp, run_pipeline
 
 NUMPY_VERSION = "2.4.6"
@@ -167,6 +168,18 @@ def test_outputs_match_golden_digests(name, tmp_path):
 def test_fine_abstraction_matches_golden_digests(tmp_path):
     _require_pinned_versions()
     assert fine_abstraction_digests(tmp_path) == MDP_GOLDEN["fine_abstraction"]
+
+
+def test_fine_abstraction_loads_as_estimated(tmp_path):
+    # the written mdp.json reads back into the estimator's arrays bit for bit
+    cfg = fine_abstraction_config()
+    mdp = estimate_mdp(cfg, make_partition(cfg.partition),
+                       tmp_path / "mdp.json", tmp_path / "mdp_report.json")
+    loaded = FiniteMdp.load(tmp_path / "mdp.json")
+    for name in ("sources", "actions", "targets", "probs"):
+        got, want = getattr(loaded, name), getattr(mdp, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert loaded.to_json() == mdp.to_json()
 
 
 if __name__ == "__main__":

@@ -2,19 +2,24 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shieldcraft.dfa import compile_cosafe
+from oracles import mdp_from_rows, reference_product_rows, rows_of
+from shieldcraft.dfa import Dfa, compile_cosafe
 from shieldcraft.ltl import PropositionTable, parse
 from shieldcraft.mdp import (
     AtomMismatchError,
     CorruptMdpError,
     FiniteMdp,
     LabelError,
+    MalformedEntryError,
     MissingActionError,
     MissingKeyError,
     ProbabilityError,
     RowIndexError,
     RowSumError,
+    _row_entries,
     product,
 )
 
@@ -22,13 +27,7 @@ T3 = PropositionTable(("p0", "p1", "p2"))
 
 
 def make_mdp(n_states, rows, labels, actions=("a", "b"), atoms=T3.names):
-    return FiniteMdp(
-        n_states=n_states,
-        action_names=tuple(actions),
-        rows=rows,
-        labels=tuple(labels),
-        atom_names=tuple(atoms),
-    )
+    return mdp_from_rows(n_states, actions, rows, labels, atoms)
 
 
 def random_mdp(rng, n_states, n_actions, atoms=T3.names):
@@ -133,6 +132,55 @@ class TestProduct:
         assert pm.initial_state(0) == pm.state_index(0, acc)
 
 
+def random_automaton(rng, n_z):
+    """A DFA over T3 with ``n_z >= 2`` random states; state 0 starts and
+    is not accepting, and every accepting state returns to it on the empty
+    label, so no accepting state is absorbing."""
+    delta = rng.integers(0, n_z, (n_z, 1 << len(T3.names)))
+    accepting = rng.choice(np.arange(1, n_z), size=int(rng.integers(1, n_z)), replace=False)
+    delta[accepting, 0] = 0
+    return Dfa(T3.names, 0, delta, frozenset(accepting.tolist()), frozenset())
+
+
+class TestProductGather:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), repeat=st.booleans())
+    def test_equals_reference_product(self, seed, repeat):
+        # random rows of up to four entries; with ``repeat`` a row may list
+        # a target twice
+        rng = np.random.default_rng(seed)
+        n_q, n_actions = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        rows = {}
+        for q in range(n_q):
+            for a in range(n_actions):
+                k = int(rng.integers(1, 5))
+                if repeat:
+                    targets = rng.integers(0, n_q, k)
+                else:
+                    targets = rng.choice(n_q, size=min(k, n_q), replace=False)
+                weights = rng.dirichlet(np.ones(len(targets)))
+                rows[(q, a)] = tuple(zip(targets.tolist(), weights.tolist()))
+        labels = rng.integers(0, 1 << len(T3.names), n_q).tolist()
+        m = make_mdp(n_q, rows, labels, [f"a{i}" for i in range(n_actions)])
+        d = random_automaton(rng, int(rng.integers(2, 6)))
+        pm = product(m, d)
+        want = reference_product_rows(m, d)
+        assert pm.rows == want
+        # the benchmark counts the entries through the view
+        assert sum(len(row) for row in pm.rows.values()) == len(pm.probs) == len(m.probs) * d.n_states
+        index, probs, settled = _row_entries(pm)
+        entries, row_settled = {}, {}
+        for i, p, s in zip(index.tolist(), probs.tolist(), settled.tolist()):
+            a_s, target = divmod(i, pm.n_states)
+            key = tuple(reversed(divmod(a_s, pm.n_states)))
+            entries.setdefault(key, []).append((target, p))
+            row_settled.setdefault(key, set()).add(s)
+        assert {key: tuple(row) for key, row in entries.items()} == want
+        assert row_settled == {
+            key: {all(t in pm.final_states for t, _p in row)} for key, row in want.items()
+        }
+
+
 class TestTraceSemantics:
     def _dfas(self):
         dl = compile_cosafe(parse("F p0", T3), T3)
@@ -171,7 +219,7 @@ class TestStationarity:
             for _ in range(steps):
                 a = policy[pm.state_index(q, z)]
                 actions.append(a)
-                targets, probs = zip(*m.rows[(q, a)])
+                targets, probs = zip(*rows_of(m)[(q, a)])
                 q = int(r.choice(targets, p=probs))
                 z = d.step(z, m.labels[q])
             return actions
@@ -188,7 +236,7 @@ class TestStationarity:
                     z = d.step(z, m.labels[state])
                 a = policy[pm.state_index(q, z)]
                 actions.append(a)
-                targets, probs = zip(*m.rows[(q, a)])
+                targets, probs = zip(*rows_of(m)[(q, a)])
                 q = int(r.choice(targets, p=probs))
                 history.append(q)
             return actions
@@ -204,7 +252,7 @@ class TestJsonRoundTrip:
         m2 = FiniteMdp.from_json(json.loads(text))
         assert m2.to_json() == data
         assert json.dumps(m2.to_json()) == text
-        assert m2.rows == m.rows
+        assert rows_of(m2) == rows_of(m)
         assert m2.labels == m.labels
 
     def test_file_round_trip(self, rng, tmp_path):
@@ -269,6 +317,49 @@ class TestJsonRoundTrip:
         with pytest.raises(CorruptMdpError) as err:
             FiniteMdp.from_json(data)
         assert err.value.defects == [RowIndexError(state, action)]
+
+    @pytest.mark.parametrize("entry", [
+        [0, 0, 0],                   # too short
+        [0, 0, 0, 0.5, 1],           # too long
+        [0, 0, 0, "x"],              # a probability that is no number
+        [0, 0, 0, None],             # a null probability
+        [0, None, 0, 0.5],           # a null action
+        [0, 0.5, 0, 0.5],            # an action that is no integer
+        [0, 0, float("inf"), 0.5],   # a target that is no integer
+        [0, 0, 1e300, 0.5],          # a target beyond int64
+        [[0, 0], [0, 0.5]],          # nested
+        "0000",
+    ])
+    def test_malformed_transition_rejected_on_load(self, rng, entry):
+        data = random_mdp(rng, 2, 2).to_json()
+        data["transitions"].insert(3, entry)
+        with pytest.raises(CorruptMdpError) as err:
+            FiniteMdp.from_json(data)
+        assert err.value.defects == [MalformedEntryError("transitions", 3)]
+
+    def test_first_malformed_transition_named(self, rng):
+        data = random_mdp(rng, 2, 2).to_json()
+        data["transitions"][6] = [0, 0, 0]
+        data["transitions"][2][3] = None
+        with pytest.raises(CorruptMdpError) as err:
+            FiniteMdp.from_json(data)
+        assert err.value.defects == [MalformedEntryError("transitions", 2)]
+
+    @pytest.mark.parametrize("entry", [[0], [None, []], [0, None], [0, [["p0"]]]])
+    def test_malformed_label_rejected_on_load(self, rng, entry):
+        data = random_mdp(rng, 2, 2).to_json()
+        data["labels"][1] = entry
+        with pytest.raises(CorruptMdpError) as err:
+            FiniteMdp.from_json(data)
+        assert err.value.defects == [MalformedEntryError("labels", 1)]
+
+    def test_negative_state_count_rejected_on_load(self, rng):
+        data = random_mdp(rng, 2, 1).to_json()
+        data["states"]["count"] = -1
+        data["labels"] = []
+        with pytest.raises(CorruptMdpError) as err:
+            FiniteMdp.from_json(data)
+        assert err.value.defects == [RowIndexError(0, 0), RowIndexError(1, 0)]
 
     def test_schema(self, rng):
         m = random_mdp(rng, 3, 2)

@@ -119,7 +119,7 @@ class TestChunkSampling:
         assert all(v.shape[-1] == 7 * n for v in batch.values())
         for i, (q, a) in enumerate(zip(cells.tolist(), actions.tolist())):
             rng = np.random.default_rng([seed, 1, q, a])
-            want = generator_sample_in_cell(env.params, partition.cells[q].bounds, n, rng)
+            want = generator_sample_in_cell(env.params, partition.bounds[q], n, rng)
             for name, values in batch.items():
                 got = values[..., i * n:(i + 1) * n]
                 assert np.array_equal(_bits(got), _bits(want[name])), (q, a, name)
@@ -138,6 +138,6 @@ class TestChunkSampling:
         )
         for i, (q, a) in enumerate(zip(cells.tolist(), actions.tolist())):
             rng = np.random.default_rng([9, 1, q, a])
-            want = generator_sample_in_cell(params, partition.cells[q].bounds, 50, rng)
+            want = generator_sample_in_cell(params, partition.bounds[q], 50, rng)
             for name, values in batch.items():
                 assert np.array_equal(_bits(values[..., i * 50:(i + 1) * 50]), _bits(want[name]))

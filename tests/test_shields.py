@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     backup_values,
+    mdp_from_rows,
     min_reach_paths,
     min_reach_within,
     reference_shield_json,
@@ -25,7 +26,7 @@ from shieldcraft import mdp as mdp_module
 from shieldcraft import pipeline
 from shieldcraft.dfa import Dfa, compile_cosafe
 from shieldcraft.ltl import PropositionTable, parse
-from shieldcraft.mdp import FiniteMdp, MissingKeyError, product
+from shieldcraft.mdp import MalformedEntryError, MissingKeyError, product
 from shieldcraft.shields import (
     AllowedActionError,
     CorruptShieldError,
@@ -51,13 +52,7 @@ def violation_dfa():
 def product_from_rows(rows, labels, n_actions):
     """A real product: base MDP with one watched atom, violation DFA F p0."""
     n = len(labels)
-    base = FiniteMdp(
-        n_states=n,
-        action_names=tuple(f"a{i}" for i in range(n_actions)),
-        rows=rows,
-        labels=tuple(labels),
-        atom_names=T1.names,
-    )
+    base = mdp_from_rows(n, [f"a{i}" for i in range(n_actions)], rows, labels, T1.names)
     assert base.validate() == []
     return product(base, violation_dfa())
 
@@ -508,6 +503,20 @@ class TestCorruptShield:
         defects = self._defects(data)
         assert defects == [AllowedActionError(0, 5, 2), FallbackError(0, 7, 2)]
 
+    @pytest.mark.parametrize("field, index, entry", [
+        ("allowed", 1, ["x"]),
+        ("allowed", 0, 3),
+        ("scores", 2, ["y"]),
+        ("scores", 0, [None, 0.5]),
+        ("fallback", 3, None),
+        ("unsafe", 0, "z"),
+        ("values", 2, None),
+    ])
+    def test_malformed_entry(self, field, index, entry):
+        data = self._data()
+        data[field][index] = entry
+        assert self._defects(data) == [MalformedEntryError(field, index)]
+
     @pytest.mark.parametrize("key", ["kind", "p", "allowed", "fallback", "scores", "unsafe"])
     def test_missing_key(self, key):
         data = self._data()
@@ -554,10 +563,11 @@ class TestSharedTensor:
 # and are settled. Each tensor's resident bytes are measured by filling it
 # on its own after synthesis.
 PEAK_SCRIPT = """
+from oracles import mdp_from_rows
 from shieldcraft import mdp as mdp_module
 from shieldcraft.dfa import compile_cosafe
 from shieldcraft.ltl import PropositionTable, parse
-from shieldcraft.mdp import FiniteMdp, product
+from shieldcraft.mdp import product
 from shieldcraft.shields import ShieldConfig, synthesize
 
 def status(key):
@@ -582,7 +592,7 @@ for q in range(n):
     rows[(q, 3)] = (((q - 1) % n, 1.0),)
 table = PropositionTable(("p0",))
 labels = tuple(int(q % 7 != 0) for q in range(n))
-base = FiniteMdp(n, ("a0", "a1", "a2", "a3"), rows, labels, table.names)
+base = mdp_from_rows(n, ("a0", "a1", "a2", "a3"), rows, labels, table.names)
 pm = product(base, compile_cosafe(parse("F p0", table), table))
 before = status("VmRSS")
 for kind in ("one", "two", "q"):
@@ -621,8 +631,9 @@ class TestMappedTensor:
                         reason="reads VmRSS and VmHWM from /proc/self/status")
     def test_peak_holds_the_live_tensor_or_one_settled_slice(self):
         src = str(Path(shieldcraft.__file__).parents[1])
+        tests = str(Path(__file__).parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+            p for p in (src, tests, os.environ.get("PYTHONPATH")) if p)}
         out = subprocess.run([sys.executable, "-c", PEAK_SCRIPT], env=env,
                              capture_output=True, text=True, check=True).stdout
         peak, live, settled, nbytes = map(int, out.split())
@@ -688,8 +699,8 @@ def automaton_product(rng, n_q, n_actions, n_z, repeat, width=4):
     delta[accepting[0], 0] = 0  # z0 = 0 is not accepting
     rows[(0, 0)], rows[(n_q - 1, 0)] = ((n_q - 1, 1.0),), ((0, 1.0),)
     dfa = Dfa(T2.names, 0, delta, frozenset(accepting.tolist()), frozenset())
-    base = FiniteMdp(n_q, tuple(f"a{i}" for i in range(n_actions)), rows,
-                     tuple(labels.tolist()), T2.names)
+    base = mdp_from_rows(n_q, [f"a{i}" for i in range(n_actions)], rows, labels.tolist(),
+                         T2.names)
     assert base.validate() == []
     return product(base, dfa)
 
@@ -752,7 +763,7 @@ class TestSettledSplitOracle:
         # final state (1, 1) steps out of the final set
         dfa = Dfa(T1.names, 0, np.array([[0, 1], [0, 1]]), frozenset({1}), frozenset())
         rows = {(0, 0): ((0, 0.5), (1, 0.5)), (1, 0): ((0, 0.75), (1, 0.25))}
-        pm = product(FiniteMdp(2, ("a0",), rows, (0, 1), T1.names), dfa)
+        pm = product(mdp_from_rows(2, ("a0",), rows, (0, 1), T1.names), dfa)
         s = pm.state_index(1, 1)
         assert s in pm.final_states
         assert pm.live_tensor[0, s].tobytes() == scatter_tensor(pm)[0, s].tobytes()
