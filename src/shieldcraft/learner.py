@@ -11,6 +11,11 @@ Episode semantics: accept-reset keeps the episode running after each
 acceptance; a monitor sink (training) and spacecraft failure (always)
 terminate; evaluation runs the full horizon through safety violations,
 ending early only on failure.
+
+A Q-table row is a list of action values, from training through the policy
+file to evaluation. The greedy action of a row is its first maximum,
+``row.index(max(row))``, in training and in evaluation; an unseen row's is
+action 0.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import _kernels, rewards
 from .dfa import Dfa
@@ -56,7 +59,7 @@ _IMAGE_A = P0_BIT | P3_BIT
 _IMAGE_B = P0_BIT | P4_BIT
 _INF = math.inf
 
-QTable = dict  # (obs_index, monitor_state) -> np.ndarray of action values
+QTable = dict  # (obs_index, monitor_state) -> list of action values
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,7 @@ class Discretizer:
 
     @property
     def capacity(self) -> int:
-        return int(np.prod(self._dims))
+        return math.prod(self._dims)
 
     def __call__(self, state: SpacecraftState, failed: bool) -> tuple[int, int]:
         """(observation index, partition cell) of a state; the cell is -1
@@ -233,13 +236,6 @@ def _q_row(q: dict, key, init_row: list) -> list:
     return row
 
 
-def _greedy(q: QTable, key) -> int:
-    row = q.get(key)
-    if row is None:
-        return 0
-    return int(np.argmax(row))
-
-
 @dataclass
 class TrainResult:
     qtable: QTable
@@ -272,7 +268,7 @@ def train(
     ``random(3)`` would draw them. ``session.step(action, draws)`` is called
     once per env step.
     """
-    q = {}  # key -> list of action values; arrays only in the result
+    q = {}
     n_actions = session.n_actions
     init_row = [float(cfg.optimistic_init)] * n_actions
     advance = rewards.advance_table(monitor, reward_cfg)
@@ -304,7 +300,6 @@ def train(
                 if draws.random() < epsilon:
                     proposed = draws.integers(n_actions)
                 else:
-                    # the first maximum, as np.argmax picks it
                     proposed = row.index(max(row))
                 if shield_runtime is not None:
                     executed = shield_runtime.filter(cell, proposed).action
@@ -334,7 +329,7 @@ def train(
     values = [v for _ep, v, _event in log]
     tail = values[-max(1, len(values) // 4):]
     return TrainResult(
-        qtable={key: np.array(row, dtype=float) for key, row in q.items()},
+        qtable=q,
         episode_log=log,
         avg_vf=sum(values) / len(values),
         settled_avg_vf=sum(tail) / len(tail),
@@ -432,7 +427,8 @@ def evaluate(
             key = (obs_idx, z)
             proposed = greedy.get(key)
             if proposed is None:
-                proposed = greedy[key] = _greedy(qtable, key)
+                row = qtable.get(key)
+                proposed = greedy[key] = 0 if row is None else row.index(max(row))
             intervened = False
             executed = proposed
             if shield_runtime is not None:
@@ -520,14 +516,42 @@ def _aggregate(records) -> Metrics:
 
 
 def qtable_to_json(q: QTable) -> dict:
-    return {
-        f"{obs},{z}": [float(v) for v in row] for (obs, z), row in sorted(q.items())
-    }
+    """The policy file's dict: ``"<obs_index>,<monitor_state>"`` keys in
+    sorted order, each holding its row (the same list, not a copy)."""
+    return {f"{obs},{z}": row for (obs, z), row in sorted(q.items())}
+
+
+class CorruptPolicyError(ValueError):
+    """A policy read from JSON whose key or row evaluation would misread."""
+
+    def __init__(self, key, problem: str):
+        where = "" if key is None else f"key {key!r}: "
+        super().__init__(f"corrupt policy: {where}{problem}")
+        self.key = key
 
 
 def qtable_from_json(data: dict) -> QTable:
+    """The Q-table of a `qtable_to_json` dict; raises `CorruptPolicyError`
+    naming the first key that is not ``"<int>,<int>"`` as `qtable_to_json`
+    writes it, or whose row is not a non-empty list of finite numbers. A NaN
+    would change the greedy action silently: ``max`` keeps or skips it by
+    where it stands in the row."""
+    if not isinstance(data, dict):
+        raise CorruptPolicyError(None, "the policy is not a JSON object")
     q: QTable = {}
     for key, values in data.items():
-        obs, z = key.split(",")
-        q[(int(obs), int(z))] = np.asarray(values, dtype=float)
+        obs, _, z = key.partition(",")
+        if not (obs.isdecimal() and z.isdecimal() and key == f"{int(obs)},{int(z)}"):
+            raise CorruptPolicyError(key, "not '<obs_index>,<monitor_state>'")
+        if not (isinstance(values, list) and values
+                and all(type(v) in (int, float) for v in values)):
+            raise CorruptPolicyError(key, "not a non-empty list of numbers")
+        try:
+            row = [float(v) for v in values]
+            finite = all(map(math.isfinite, row))
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise CorruptPolicyError(key, "a value is not finite")
+        q[(int(obs), int(z))] = row
     return q

@@ -48,6 +48,15 @@ class MissingKeyError:
 
 
 @dataclass(frozen=True)
+class MalformedFieldError:
+    """A scalar field of an MDP's or a shield's JSON form that does not
+    have its form, by its key: ``states.count`` that is not an integer, or
+    a shield's ``kind``, ``p`` or ``horizon`` outside what synthesis
+    writes."""
+    field: str
+
+
+@dataclass(frozen=True)
 class LabelError:
     """A label on a state outside the MDP, or naming unknown atoms."""
     state: int
@@ -166,17 +175,19 @@ class FiniteMdp:
     @classmethod
     def from_json(cls, data: dict) -> "FiniteMdp":
         """The MDP of a `to_json` dict; raises `CorruptMdpError` when a key
-        is missing, a transition or label entry is malformed, a label is on
-        a state outside the MDP or names an unknown atom, or the MDP fails
-        `validate`."""
+        is missing, the state count is not an integer, a transition or label
+        entry is malformed, a label is on a state outside the MDP or names
+        an unknown atom, or the MDP fails `validate`."""
         try:
             atom_names = tuple(data["atoms"])
-            n = int(data["states"]["count"])
+            n = data["states"]["count"]
             actions = tuple(data["actions"])
             transitions = data["transitions"]
             state_labels = data["labels"]
         except KeyError as exc:
             raise CorruptMdpError([MissingKeyError(exc.args[0])]) from None
+        if type(n) is not int:
+            raise CorruptMdpError([MalformedFieldError("states.count")])
         atom_index = {name: i for i, name in enumerate(atom_names)}
         table = _transition_table(transitions)
         labels = [0] * n

@@ -507,7 +507,7 @@ def _throughput(stage: str, steps: int, seconds: float) -> dict:
 def _write_episode_records(path: Path, records):
     with open(path, "w", encoding="utf-8") as fh:
         for r in records:
-            fh.write(json.dumps(dataclasses.asdict(r)) + "\n")
+            fh.write(json.dumps(vars(r)) + "\n")
 
 
 def _write_trajectories(path: Path, trajectories):

@@ -38,7 +38,9 @@ from itertools import compress
 
 import numpy as np
 
-from .mdp import MalformedEntryError, MissingKeyError, ProductMdp
+from .mdp import MalformedEntryError, MalformedFieldError, MissingKeyError, ProductMdp
+
+KINDS = ("one", "two", "q")
 
 
 class ArtifactMismatchError(ValueError):
@@ -96,7 +98,7 @@ class ShieldConfig:
         # ExperimentConfig prefixes them with "shield_" to name its fields
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
-        if self.kind not in ("one", "two", "q"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown shield kind {self.kind!r}")
         if self.horizon is not None and self.horizon < 1:
             raise ValueError(f"horizon must be a positive step count or None, got {self.horizon}")
@@ -181,13 +183,18 @@ class Shield:
     @classmethod
     def from_json(cls, data: dict) -> "Shield":
         """The shield of a `to_json` dict; raises `CorruptShieldError` when
-        a key is missing, an entry is not a number or a list of numbers, or
-        the shield fails `validate`."""
+        a key is missing, ``kind``, ``p`` or ``horizon`` is not as synthesis
+        writes it, an entry is not a number or a list of numbers, or the
+        shield fails `validate`."""
         try:
+            kind, threshold, horizon = data["kind"], data["p"], data.get("horizon")
+            defects = _field_defects(kind, threshold, horizon)
+            if defects:
+                raise CorruptShieldError(defects)
             shield = cls(
-                kind=data["kind"],
-                threshold=float(data["p"]),
-                horizon=data.get("horizon"),
+                kind=kind,
+                threshold=threshold,
+                horizon=horizon,
                 allowed=_entries(data, "allowed", lambda row: tuple(int(a) for a in row)),
                 fallback=_entries(data, "fallback", int),
                 scores=_entries(data, "scores", lambda row: tuple(float(x) for x in row)),
@@ -209,6 +216,24 @@ class Shield:
     def load(cls, path) -> "Shield":
         with open(path, encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
+
+
+def _field_defects(kind, threshold, horizon) -> list:
+    """The scalar fields that do not hold what `ShieldConfig` admits: one
+    of the three kinds; for a q shield a positive step count as horizon,
+    null for the others (not judged under an unknown kind); and ``p`` a
+    number strictly between 0 and 1."""
+    defects = []
+    if kind not in KINDS:
+        defects.append(MalformedFieldError("kind"))
+    elif kind == "q":
+        if not (type(horizon) is int and horizon >= 1):
+            defects.append(MalformedFieldError("horizon"))
+    elif horizon is not None:
+        defects.append(MalformedFieldError("horizon"))
+    if not (type(threshold) is float and 0.0 < threshold < 1.0):
+        defects.append(MalformedFieldError("p"))
+    return defects
 
 
 def _entries(data: dict, field: str, convert) -> tuple:

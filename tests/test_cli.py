@@ -7,12 +7,14 @@ import pytest
 import shieldcraft.pipeline as pipeline
 from shieldcraft import ltl
 from shieldcraft.cli import main
+from shieldcraft.abstraction import make_partition
 from shieldcraft.env import proposition_table
-from shieldcraft.learner import SpacecraftSession
+from shieldcraft.learner import SpacecraftSession, qtable_from_json, qtable_to_json
 from shieldcraft.mdp import FiniteMdp
 from shieldcraft.pipeline import (
     ExperimentConfig,
     MissingRunError,
+    RowSpec,
     config_from_dict,
     config_to_dict,
     default_config,
@@ -335,6 +337,53 @@ class TestToolCommands:
         assert code == 1
         assert "corrupt shield: 2 defect(s)" in capsys.readouterr().err
 
+    def test_malformed_scalar_fields_fail_by_name(self, tiny_q_run, tmp_path, capsys):
+        # a null p failed inside the loader with a TypeError traceback, and a
+        # string state count with a bare ValueError
+        cfg, result = tiny_q_run
+        data = json.loads((result.out_dir / "shield_q.json").read_text())
+        data["p"] = None
+        shield = tmp_path / "shield.json"
+        shield.write_text(json.dumps(data))
+        policy = tmp_path / "policy.json"
+        capsys.readouterr()
+        code = main(["train", "--config", write_config(cfg, tmp_path / "config.json"),
+                     "--shield", str(shield), "--out", str(policy)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "corrupt shield: 1 defect(s), first: MalformedFieldError(field='p')" in err
+        assert "Traceback" not in err
+        assert not policy.exists()
+        mdp = json.loads((result.out_dir / "mdp.json").read_text())
+        mdp["states"]["count"] = "x"
+        mdp_path = tmp_path / "mdp.json"
+        mdp_path.write_text(json.dumps(mdp))
+        assert main(shield_args(cfg, mdp_path, shield)) == 1
+        err = capsys.readouterr().err
+        assert "corrupt MDP: 1 defect(s), first: MalformedFieldError(field='states.count')" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value, problem", [
+        ("7,0", [0.5, float("nan"), 0.1, 0.0], "a value is not finite"),
+        ("7,0", [0.5, "1.0", 0.1, 0.0], "not a non-empty list of numbers"),
+        ("07,0", [0.0] * 4, "not '<obs_index>,<monitor_state>'"),
+    ])
+    def test_corrupt_policy_fails_by_name(self, tiny_q_run, tmp_path, capsys, key, value, problem):
+        # argmax and the first maximum disagree on a NaN row: the loader
+        # refuses it rather than change the greedy action silently
+        cfg, result = tiny_q_run
+        data = json.loads((result.out_dir / "policy_liveness_only.json").read_text())
+        data[key] = value
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps(data))
+        capsys.readouterr()
+        code = main(["evaluate", "--config", write_config(cfg, tmp_path / "config.json"),
+                     "--policy", str(policy), "--episodes", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"corrupt policy: key {key!r}: {problem}" in err
+        assert "Traceback" not in err
+
     def test_shield_counts_empty_sets_of_non_final_states(self, tmp_path, capsys):
         # a final state has already violated; its empty allowed set is
         # reported among the final states, not as a state missing an action
@@ -480,6 +529,37 @@ class TestOneWiringPath:
         assert f"trained {cfg.inloop_train_episodes} episodes" in capsys.readouterr().out
         inloop = result.out_dir / "policy_liveness_only__inloop_q.json"
         assert policy.read_bytes() == inloop.read_bytes()
+
+    @pytest.mark.parametrize("row", [
+        RowSpec("none", False, "liveness_only"),
+        RowSpec("q", True, "liveness_and_safety"),
+    ], ids=lambda row: row.row_id)
+    def test_policy_file_replays_its_episodes(self, tiny_q_run, tmp_path, row):
+        # the policy and shield files read back as `evaluate` reads them
+        # give the run's own episode records, byte for byte
+        cfg, result = tiny_q_run
+        out = result.out_dir
+        qtable = qtable_from_json(json.loads((out / f"policy_{row.policy_key}.json").read_text()))
+        shield = Shield.load(out / f"shield_{row.shield}.json") if row.shield != "none" else None
+        evaluated = pipeline.evaluate_policy(
+            cfg, pipeline.build_specs(cfg), make_partition(cfg.partition), qtable,
+            row.train_spec, shield,
+        )
+        assert evaluated.metrics.episodes == cfg.eval_episodes
+        episodes = tmp_path / "episodes.jsonl"
+        pipeline._write_episode_records(episodes, evaluated.episodes)
+        assert episodes.read_bytes() == (out / f"episodes_{row.row_id}.jsonl").read_bytes()
+
+    def test_policy_file_round_trip(self, tiny_q_run, tmp_path):
+        _cfg, result = tiny_q_run
+        policies = sorted(result.out_dir.glob("policy_*.json"))
+        assert len(policies) == len(result.policies)
+        for path in policies:
+            data = json.loads(path.read_text())
+            assert data
+            again = tmp_path / path.name
+            pipeline.write_json(again, qtable_to_json(qtable_from_json(data)))
+            assert again.read_bytes() == path.read_bytes(), path.name
 
     def test_json_artifacts_are_compact(self, tiny_q_run):
         _cfg, result = tiny_q_run

@@ -13,6 +13,7 @@ from shieldcraft.env import (
     proposition_table,
 )
 from shieldcraft.learner import (
+    CorruptPolicyError,
     Discretizer,
     LearnerConfig,
     SpacecraftSession,
@@ -195,7 +196,7 @@ class TestEpisodeTermination:
         monitor = self._monitor()
         liveness = compile_cosafe(parse("F p0", TENV), TENV)
         violation = compile_cosafe(negate(parse("G !(p1 | p2)", TENV)), TENV)
-        q = {(0, monitor.z0): np.array([0.0, 1.0, 0.0])}  # always violate
+        q = {(0, monitor.z0): [0.0, 1.0, 0.0]}  # always violate
         result = evaluate(
             q, FailingEnv(), monitor, liveness, violation, RewardConfig(),
             episodes=5, episode_length=10, seed=0,
@@ -208,7 +209,7 @@ class TestEpisodeTermination:
         monitor = self._monitor()
         liveness = compile_cosafe(parse("F p0", TENV), TENV)
         violation = compile_cosafe(negate(parse("G !(p1 | p2)", TENV)), TENV)
-        q = {(0, monitor.z0): np.array([0.0, 0.0, 1.0])}  # drive into failure
+        q = {(0, monitor.z0): [0.0, 0.0, 1.0]}  # drive into failure
         result = evaluate(
             q, FailingEnv(), monitor, liveness, violation, RewardConfig(),
             episodes=3, episode_length=10, seed=0,
@@ -233,7 +234,7 @@ class TestMetricsIdentities:
 
     def test_records_first_accept_index(self):
         dfa = compile_cosafe(parse("F p0", T1), T1)
-        q = {(0, dfa.z0): np.array([1.0, 0.0]), (1, dfa.z0): np.array([0.0, 1.0])}
+        q = {(0, dfa.z0): [1.0, 0.0], (1, dfa.z0): [0.0, 1.0]}
         out = evaluate(
             q, ToggleEnv(), dfa, dfa, compile_cosafe(parse("F p0", T1), T1),
             RewardConfig(), episodes=2, episode_length=5, seed=0,
@@ -388,7 +389,8 @@ class TestEpisodeDrawsInLoop:
         # some episodes fail early and others run the whole horizon
         pick = np.random.default_rng(0)
         capacity = session().discretizer.capacity
-        q = {(obs, z): pick.random(4) for obs in range(capacity) for z in range(monitor.n_states)}
+        q = {(obs, z): pick.random(4).tolist()
+             for obs in range(capacity) for z in range(monitor.n_states)}
         evaluated = evaluate(
             q, session(), monitor, liveness, violation, RewardConfig(),
             episodes=40, episode_length=60, seed=4,
@@ -404,7 +406,7 @@ class TestEpisodeDrawsInLoop:
 
         assert list(trained.qtable) and set(trained.qtable) == set(ref_trained.qtable)
         for key, row in ref_trained.qtable.items():
-            assert trained.qtable[key].tobytes() == row.tobytes(), key
+            assert np.asarray(trained.qtable[key]).tobytes() == np.asarray(row).tobytes(), key
         assert trained.episode_log == ref_trained.episode_log
         assert trained.steps == ref_trained.steps
         assert evaluated.episodes == ref_evaluated.episodes
@@ -436,7 +438,8 @@ class TestEpisodeDrawsInLoop:
         counting = CountingSession(session())
         pick = np.random.default_rng(0)
         capacity = counting.discretizer.capacity
-        q = {(obs, z): pick.random(4) for obs in range(capacity) for z in range(monitor.n_states)}
+        q = {(obs, z): pick.random(4).tolist()
+             for obs in range(capacity) for z in range(monitor.n_states)}
         evaluated = evaluate(
             q, counting, monitor, liveness, violation, RewardConfig(),
             episodes=40, episode_length=60, seed=4,
@@ -476,13 +479,73 @@ class CountingSession:
 
 class TestPolicySerialization:
     def test_round_trip(self):
-        q = {(3, 1): np.array([0.5, -0.25]), (0, 0): np.array([1.0, 0.0])}
+        q = {(3, 1): [0.5, -0.25], (0, 0): [1.0, 0.0]}
         data = qtable_to_json(q)
         assert set(data) == {"0,0", "3,1"}
         back = qtable_from_json(data)
         assert set(back) == set(q)
         for key in q:
             assert np.array_equal(back[key], q[key])
+
+    def test_rows_load_as_float_lists(self):
+        back = qtable_from_json({"2,1": [1, 0.5, -3]})
+        assert back == {(2, 1): [1.0, 0.5, -3.0]}
+        assert all(type(v) is float for v in back[(2, 1)])
+
+    @pytest.mark.parametrize("data, key", [
+        ({"0,0": [0.0, 1.0], "1,0": [float("nan"), 0.0]}, "1,0"),
+        ({"0,0": [-float("inf"), 0.0]}, "0,0"),
+        ({"0,0": [10 ** 400, 0.0]}, "0,0"),
+        ({"0,0": [True, 0.0]}, "0,0"),
+        ({"0,0": ["1.0", 0.0]}, "0,0"),
+        ({"0,0": [None, 0.0]}, "0,0"),
+        ({"0,0": []}, "0,0"),
+        ({"0,0": 1.0}, "0,0"),
+        ({"0;0": [1.0]}, "0;0"),
+        ({"0,0,0": [1.0]}, "0,0,0"),
+        ({"+1,0": [1.0]}, "+1,0"),
+        ({"-1,0": [1.0]}, "-1,0"),
+        ({"01,0": [1.0]}, "01,0"),
+        ({"1, 0": [1.0]}, "1, 0"),
+        ({"1,x": [1.0]}, "1,x"),
+        ([[1.0]], None),
+    ])
+    def test_corrupt_policy_named(self, data, key):
+        with pytest.raises(CorruptPolicyError) as err:
+            qtable_from_json(data)
+        assert err.value.key == key
+        assert str(err.value).startswith(
+            "corrupt policy: the policy is not" if key is None else f"corrupt policy: key {key!r}: ")
+
+
+class TestGreedyRule:
+    """Training and evaluation take a row's first maximum; an unseen row
+    takes action 0."""
+
+    def test_evaluation_takes_the_first_maximum(self):
+        monitor = TestEpisodeTermination()._monitor()
+        liveness = compile_cosafe(parse("F p0", TENV), TENV)
+        violation = compile_cosafe(negate(parse("G !(p1 | p2)", TENV)), TENV)
+        for row, violates in (([0.0, 1.0, 1.0], True), ([1.0, 1.0, 0.0], False)):
+            result = evaluate(
+                {(0, monitor.z0): row}, FailingEnv(), monitor, liveness, violation,
+                RewardConfig(), episodes=2, episode_length=3, seed=0,
+            )
+            assert result.metrics.violate_pct == (100.0 if violates else 0.0)
+            assert result.metrics.failure_pct == 0.0
+        unseen = evaluate(
+            {}, FailingEnv(), monitor, liveness, violation, RewardConfig(),
+            episodes=2, episode_length=3, seed=0,
+        )
+        assert unseen.metrics.violate_pct == 0.0 and unseen.metrics.failure_pct == 0.0
+
+    def test_training_rows_are_float_lists(self):
+        dfa = compile_cosafe(parse("F p0", T1), T1)
+        result = train(ToggleEnv(), dfa, LearnerConfig(episodes=5, episode_length=4),
+                       RewardConfig(), seed=1)
+        assert result.qtable
+        assert all(type(row) is list and all(type(v) is float for v in row)
+                   for row in result.qtable.values())
 
 
 class TestConfigValidation:

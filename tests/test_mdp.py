@@ -14,6 +14,7 @@ from shieldcraft.mdp import (
     FiniteMdp,
     LabelError,
     MalformedEntryError,
+    MalformedFieldError,
     MissingActionError,
     MissingKeyError,
     ProbabilityError,
@@ -292,6 +293,16 @@ class TestJsonRoundTrip:
         with pytest.raises(CorruptMdpError) as err:
             FiniteMdp.from_json(data)
         assert err.value.defects == [MissingKeyError("count")]
+
+    # "x" failed with a bare ValueError before the check
+    @pytest.mark.parametrize("count", ["x", "2", None, 2.0, True, [2]])
+    def test_malformed_state_count_rejected_on_load(self, rng, count):
+        data = random_mdp(rng, 2, 2).to_json()
+        data["states"]["count"] = count
+        with pytest.raises(CorruptMdpError) as err:
+            FiniteMdp.from_json(data)
+        assert err.value.defects == [MalformedFieldError("states.count")]
+        assert "MalformedFieldError(field='states.count')" in str(err.value)
 
     @pytest.mark.parametrize("state", [2, 5, -1])
     def test_label_outside_the_states_rejected_on_load(self, rng, state):

@@ -53,6 +53,7 @@ ALLOWED = {
     "abstraction.SimulatorFailureError.__init__": _RAISED,
     "mdp.CorruptMdpError.__init__": _RAISED,
     "shields.CorruptShieldError.__init__": _RAISED,
+    "learner.CorruptPolicyError.__init__": _RAISED,
     "pipeline.PipelineStageError.__init__": _RAISED,
 }
 

@@ -26,7 +26,7 @@ from shieldcraft import mdp as mdp_module
 from shieldcraft import pipeline
 from shieldcraft.dfa import Dfa, compile_cosafe
 from shieldcraft.ltl import PropositionTable, parse
-from shieldcraft.mdp import MalformedEntryError, MissingKeyError, product
+from shieldcraft.mdp import MalformedEntryError, MalformedFieldError, MissingKeyError, product
 from shieldcraft.shields import (
     AllowedActionError,
     CorruptShieldError,
@@ -516,6 +516,39 @@ class TestCorruptShield:
         data = self._data()
         data[field][index] = entry
         assert self._defects(data) == [MalformedEntryError(field, index)]
+
+    @pytest.mark.parametrize("field, value", [
+        ("p", None),          # failed with a bare TypeError before the check
+        ("p", "0.2"),
+        ("p", 1.5),
+        ("p", 0.0),
+        ("p", float("nan")),
+        ("kind", "three"),
+        ("kind", None),
+        ("horizon", None),    # a q shield's guarantee needs its horizon
+        ("horizon", 0),
+        ("horizon", 2.5),
+        ("horizon", True),
+    ])
+    def test_malformed_field(self, field, value):
+        data = self._data()
+        data[field] = value
+        assert self._defects(data) == [MalformedFieldError(field)]
+
+    def test_horizon_on_a_one_step_shield(self):
+        data = self._data()
+        data["kind"] = "one"
+        assert self._defects(data) == [MalformedFieldError("horizon")]
+        data["horizon"] = None
+        assert Shield.from_json(data).kind == "one"
+
+    def test_every_malformed_field_listed(self):
+        data = self._data()
+        data["p"], data["horizon"] = None, 0
+        assert self._defects(data) == [MalformedFieldError("horizon"), MalformedFieldError("p")]
+        # under an unknown kind the horizon is not judged
+        data["kind"] = "q9"
+        assert self._defects(data) == [MalformedFieldError("kind"), MalformedFieldError("p")]
 
     @pytest.mark.parametrize("key", ["kind", "p", "allowed", "fallback", "scores", "unsafe"])
     def test_missing_key(self, key):
