@@ -530,12 +530,12 @@ class CorruptPolicyError(ValueError):
         self.key = key
 
 
-def qtable_from_json(data: dict) -> QTable:
-    """The Q-table of a `qtable_to_json` dict; raises `CorruptPolicyError`
-    naming the first key that is not ``"<int>,<int>"`` as `qtable_to_json`
-    writes it, or whose row is not a non-empty list of finite numbers. A NaN
-    would change the greedy action silently: ``max`` keeps or skips it by
-    where it stands in the row."""
+def qtable_from_json(data: dict, n_actions: int) -> QTable:
+    """The Q-table of a `qtable_to_json` dict for ``n_actions`` actions;
+    raises `CorruptPolicyError` naming the first key that is not
+    ``"<int>,<int>"`` as `qtable_to_json` writes it, or whose row is not a
+    list of ``n_actions`` finite numbers. A NaN or a row of another length
+    would change the greedy action silently or pick one the env lacks."""
     if not isinstance(data, dict):
         raise CorruptPolicyError(None, "the policy is not a JSON object")
     q: QTable = {}
@@ -546,6 +546,8 @@ def qtable_from_json(data: dict) -> QTable:
         if not (isinstance(values, list) and values
                 and all(type(v) in (int, float) for v in values)):
             raise CorruptPolicyError(key, "not a non-empty list of numbers")
+        if len(values) != n_actions:
+            raise CorruptPolicyError(key, f"a row of {len(values)} values, not {n_actions}")
         try:
             row = [float(v) for v in values]
             finite = all(map(math.isfinite, row))

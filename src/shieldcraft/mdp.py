@@ -4,11 +4,12 @@ Transitions are flat arrays of entries (source, action, target,
 probability), in the order of the JSON form, the only place they become
 lists; the product with a DFA is one gather over them. Labels are bitmasks
 over the proposition table, so a state's label is directly a DFA input
-symbol. For shield synthesis a product splits its rows by their targets:
-the settled rows, whose targets are all final, are multiplied by the final
-indicator once (`ProductMdp.settled_mass`), and only the other rows stay
-resident, as one dense tensor in a zero-page-backed mapping
-(`ProductMdp.live_tensor`).
+symbol. For shield synthesis a product sorts its rows into three classes
+(`_row_classes`): a final state's rows are never filled, their mass is 1.0
+by definition; the settled rows, whose targets are all final, are
+multiplied by the final indicator once (`ProductMdp.settled_mass`); and
+only the live rest stay resident, as one dense tensor in a zero-page-backed
+mapping (`ProductMdp.live_tensor`).
 """
 
 from __future__ import annotations
@@ -328,27 +329,29 @@ class ProductMdp:
 
     @property
     def settled_mass(self) -> np.ndarray:
-        """(A, S) read-only one-step probability of entering a final state
-        from each settled row, and ``0.0`` at every other row. A row is
-        settled when every one of its targets is final. Computed once, with
+        """(A, S) read-only one-step probability of entering a final state:
+        exactly ``1.0`` at every row of a final state, by definition, the
+        product of each settled row of a non-final state with the final
+        indicator, and ``0.0`` at every other row. Computed once, with
         `live_tensor`, on first use, and then shared by every shield
         synthesized from this product."""
         return self._split[0]
 
     @property
     def live_tensor(self) -> np.ndarray:
-        """Dense (A, S, S) transition probabilities of the rows that are
-        not settled, and zeros at the settled rows, in a zero-page-backed
-        mapping (see `_zero_mapping`). A final state whose row leaves the
-        final set keeps that row here."""
+        """Dense (A, S, S) transition probabilities of the live rows (those
+        of non-final states with a target outside the final set), and zeros
+        at the other rows, in a zero-page-backed mapping (see
+        `_zero_mapping`)."""
         return self._split[1]
 
     def step_mass(self, v: np.ndarray) -> np.ndarray:
         """(A, S) expectation of ``v`` one step on, per action and source
         state: ``live_tensor @ v + settled_mass``.
 
-        ``v`` must be finite, non-negative and 1.0 at every final state.
-        The sum then equals the full tensor's ``@ v`` bit for bit:
+        It is exactly ``1.0`` at a final state, whatever its row. ``v`` must
+        be finite, non-negative and 1.0 at every final state; at every other
+        row the sum then equals the full tensor's ``@ v`` bit for bit:
         ``live_tensor`` has the full tensor's shape, so each row keeps its
         position, BLAS kernel and thread split; a settled row's nonzero
         entries all sit at final states, where ``v`` is 1.0, and a zero entry
@@ -383,55 +386,56 @@ class ProductMdp:
 def _split_rows(pm: ProductMdp) -> tuple[np.ndarray, np.ndarray]:
     """The product's ``(settled_mass, live_tensor)``.
 
-    The settled rows are multiplied once, by the final indicator, inside
-    one zero-page ``(A, S, S)`` mapping, one action slice at a time: fill
-    slice ``a``, take its product, then hand its pages back with
-    ``MADV_DONTNEED`` before slice ``a + 1`` is filled. Each slice's product
-    is the BLAS call that numpy's stacked ``@`` makes over the full tensor,
-    with the same shape, ``lda`` and page offset. A slice's product reads
-    only its own bytes, so rounding the released range out to whole pages
-    clears only a used slice or one not yet written. The mapping is
-    unmapped before the live tensor is filled, so its pages and the live
-    tensor's are never resident together. Without ``MADV_DONTNEED`` the
-    results are the same and only the slices stay resident until then."""
-    n_a, n_s = pm.n_actions, pm.n_states
-    index, probs, settled = _row_entries(pm)
-    settled_index, settled_probs = index[settled], probs[settled]
-    index, probs = index[~settled], probs[~settled]
+    The settled rows are filled into one zero-page ``(A, S, S)`` mapping
+    and multiplied by the final indicator with one stacked ``@``, the
+    product the full tensor's ``@`` makes for them, with the same shape,
+    ``lda`` and page offset. That mapping is unmapped before the live
+    tensor is filled, so its pages and the live tensor's are never resident
+    together. The final rows are filled into neither."""
+    kind = _row_classes(pm)[pm.actions, pm.sources]
+    buf, settled = _filled(pm, kind == SETTLED)
+    mass = settled @ pm.final_member.astype(float)
     del settled
-    member = pm.final_member.astype(float)
-    mass = np.empty((n_a, n_s))
-    buf, t = _zero_mapping((n_a, n_s, n_s))
-    flat = t.reshape(-1)
-    size = n_s * n_s
-    for a in range(n_a):
-        pick = (settled_index >= a * size) & (settled_index < (a + 1) * size)
-        _scatter(flat, settled_index[pick], settled_probs[pick])
-        # the slice's bytes, from the start of the page they begin in
-        start = a * size * 8 // mmap.PAGESIZE * mmap.PAGESIZE
-        length = (a + 1) * size * 8 - start
-        _populate(buf, start, length)
-        mass[a] = t[a] @ member
-        if hasattr(mmap, "MADV_DONTNEED"):
-            buf.madvise(mmap.MADV_DONTNEED, start, length)
-    del t, flat, settled_index, settled_probs
     buf.close()
+    mass[:, pm.final_member] = 1.0
     mass.flags.writeable = False
-    buf, live = _zero_mapping((n_a, n_s, n_s))
-    _scatter(live.reshape(-1), index, probs)
-    _populate(buf, 0, len(buf))
+    _buf, live = _filled(pm, kind == LIVE)
     return mass, live
 
 
-def _row_entries(pm: ProductMdp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every entry of the product, in entry order, as flat arrays: its
-    index ``(a * S + s) * S + target`` into an ``(A, S, S)`` tensor, its
-    probability, and whether its row is settled (has no target outside the
-    final states)."""
-    n_states = pm.n_states
-    row = pm.actions * n_states + pm.sources
-    leaving = np.bincount(row[~pm.final_member[pm.targets]], minlength=pm.n_actions * n_states)
-    return row * n_states + pm.targets, pm.probs, (leaving == 0)[row]
+LIVE, SETTLED, FINAL = 0, 1, 2  # the classes of a product row
+
+
+def _row_classes(pm: ProductMdp) -> np.ndarray:
+    """(A, S) class of each row (a, s): `FINAL` when s is final, `SETTLED`
+    when every target of a row of a non-final state is final, and `LIVE`
+    otherwise."""
+    n_a, n_s = pm.n_actions, pm.n_states
+    row = pm.actions * n_s + pm.sources
+    leaving = np.bincount(row[~pm.final_member[pm.targets]], minlength=n_a * n_s)
+    classes = np.where(leaving == 0, SETTLED, LIVE).reshape(n_a, n_s)
+    classes[:, pm.final_member] = FINAL
+    return classes
+
+
+# MADV_POPULATE_READ (Linux 5.14), which Python 3.11's mmap does not name
+_MADV_POPULATE_READ = 22
+
+
+def _filled(pm: ProductMdp, pick: np.ndarray) -> tuple[mmap.mmap, np.ndarray]:
+    """A zero-page ``(A, S, S)`` mapping (see `_zero_mapping`) holding the
+    product's entries where ``pick`` is true. One ``MADV_POPULATE_READ``
+    call maps the zero page over its untouched pages, so the first product
+    over them takes no page faults; a kernel without it leaves them to that
+    product."""
+    n_s = pm.n_states
+    buf, t = _zero_mapping((pm.n_actions, n_s, n_s))
+    index = (pm.actions[pick] * n_s + pm.sources[pick]) * n_s + pm.targets[pick]
+    _scatter(t.reshape(-1), index, pm.probs[pick])
+    if sys.platform.startswith("linux"):
+        with contextlib.suppress(OSError):  # before Linux 5.14
+            buf.madvise(_MADV_POPULATE_READ)
+    return buf, t
 
 
 def _zero_mapping(shape: tuple[int, int, int]) -> tuple[mmap.mmap, np.ndarray]:
@@ -449,20 +453,6 @@ def _zero_mapping(shape: tuple[int, int, int]) -> tuple[mmap.mmap, np.ndarray]:
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         buf.madvise(mmap.MADV_NOHUGEPAGE)
     return buf, np.frombuffer(buf, dtype=np.float64).reshape(shape)
-
-
-# MADV_POPULATE_READ (Linux 5.14), which Python 3.11's mmap does not name
-_MADV_POPULATE_READ = 22
-
-
-def _populate(buf: mmap.mmap, start: int, length: int):
-    """Map the zero page over the untouched pages of ``length`` bytes of
-    ``buf`` from the page-aligned ``start``, in one ``MADV_POPULATE_READ``
-    call, so the first product over them takes no page faults; a kernel
-    without it leaves them to that product."""
-    if sys.platform.startswith("linux"):
-        with contextlib.suppress(OSError):  # before Linux 5.14
-            buf.madvise(_MADV_POPULATE_READ, start, length)
 
 
 def _scatter(flat: np.ndarray, index: np.ndarray, probs: np.ndarray):

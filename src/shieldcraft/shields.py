@@ -11,13 +11,15 @@ score per action, and a fallback action:
              set within a required horizon N and allow actions whose
              backup value stays below p; one-step is its N = 1 case
 
-All three read the product's rows split by their targets. A row whose
-targets are all final (violating) is settled: its mass into the final
-states is computed once per product, `ProductMdp.settled_mass`. The other
-rows stay resident in one dense tensor of the full shape,
+All three read the product's rows in three classes. A final (violating)
+state has already violated, so its one-step mass is 1.0 by definition and
+its rows are never read. A row of a non-final state whose targets are all
+final is settled: its mass into the final states is computed once per
+product, in `ProductMdp.settled_mass` with the final states' 1.0. The live
+rest stay resident in one dense tensor of the full shape,
 `ProductMdp.live_tensor`. Every score and every backup is
-``live_tensor @ v + settled_mass`` for a ``v`` that is 1.0 at the final
-states, which equals the full tensor's ``@ v`` bit for bit (see
+``live_tensor @ v + settled_mass``, the full tensor's ``@ v`` bit for bit
+at every non-final state for a ``v`` that is 1.0 at the final states (see
 `ProductMdp.step_mass`).
 
 The runtime filter passes allowed actions through unchanged, replaces a
@@ -254,15 +256,14 @@ def _mass_within(pm: ProductMdp, steps: int):
     ``steps - 1`` backups under the minimizing action, and the (S,) state
     values those backups produce (the final indicator at ``steps = 1``).
 
-    Every value vector keeps 1.0 at the final states, so each backup and
-    the scores are `ProductMdp.step_mass`, which is the full tensor's
-    ``@ v`` bit for bit."""
-    member = pm.final_member
+    `ProductMdp.step_mass` is 1.0 at the final states, so every value
+    vector is too, and each backup and the scores are the full tensor's
+    ``@ v`` bit for bit at the other states."""
     if steps == 1:
-        return pm.final_mass.T, member.astype(float)
-    v = np.where(member, 1.0, pm.final_mass.min(axis=0))
+        return pm.final_mass.T, pm.final_member.astype(float)
+    v = pm.final_mass.min(axis=0)
     for _ in range(steps - 2):
-        v = np.where(member, 1.0, pm.step_mass(v).min(axis=0))
+        v = pm.step_mass(v).min(axis=0)
     return pm.step_mass(v).T, v
 
 

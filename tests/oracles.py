@@ -359,17 +359,23 @@ def scatter_tensor(pm) -> np.ndarray:
 
 def settled_split(pm) -> tuple[np.ndarray, np.ndarray]:
     """`scatter_tensor` split row by row into the product's
-    ``(live_tensor, settled_mass)``: a row is settled when every one of its
-    targets is final; the live tensor zeroes the settled rows, and the
-    settled mass is the tensor of only the settled rows times the final
-    indicator."""
+    ``(live_tensor, settled_mass)``. A final state has already violated, so
+    its rows are in neither term and its mass is 1.0 by definition; a row of
+    a non-final state is settled when every one of its targets is final. The
+    live tensor holds only the remaining rows, and the settled mass is the
+    tensor of only the settled rows times the final indicator, 1.0 at the
+    final rows."""
     t = scatter_tensor(pm)
+    final = np.zeros(t.shape[:2], dtype=bool)
     settled = np.zeros(t.shape[:2], dtype=bool)
     for (s, a), row in pm.rows.items():
-        settled[a, s] = all(target in pm.final_states for target, _p in row)
+        final[a, s] = s in pm.final_states
+        settled[a, s] = not final[a, s] and all(target in pm.final_states for target, _p in row)
     member = np.zeros(pm.n_states)
     member[list(pm.final_states)] = 1.0
-    return np.where(settled[:, :, None], 0.0, t), np.where(settled[:, :, None], t, 0.0) @ member
+    mass = np.where(settled[:, :, None], t, 0.0) @ member
+    mass[final] = 1.0
+    return np.where((settled | final)[:, :, None], 0.0, t), mass
 
 
 def backup_values(t: np.ndarray, member: np.ndarray, steps: int) -> list:
@@ -417,6 +423,8 @@ def reference_shield_json(pm, cfg) -> dict:
         scores, v = mass_within(t, unsafe, cfg.horizon if cfg.kind == "q" else 1)
         if cfg.kind == "q":
             values = [float(x) for x in v]
+    # a final state has already violated: every action scores 1.0
+    scores[list(pm.final_states)] = 1.0
     d, base = pm.dfa, pm.base
     base_rows = rows_of(base)
     fresh = [int(d.delta[d.z0, label]) in d.accepting for label in base.labels]

@@ -8,7 +8,7 @@ import shieldcraft.pipeline as pipeline
 from shieldcraft import ltl
 from shieldcraft.cli import main
 from shieldcraft.abstraction import make_partition
-from shieldcraft.env import proposition_table
+from shieldcraft.env import MODES, proposition_table
 from shieldcraft.learner import SpacecraftSession, qtable_from_json, qtable_to_json
 from shieldcraft.mdp import FiniteMdp
 from shieldcraft.pipeline import (
@@ -384,6 +384,30 @@ class TestToolCommands:
         assert f"corrupt policy: key {key!r}: {problem}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("grow", [True, False])
+    def test_policy_of_another_action_count_fails_by_name(self, tiny_q_run, tmp_path, capsys,
+                                                          grow):
+        # a value appended to every row made evaluation die with a bare
+        # IndexError in the env step
+        cfg, result = tiny_q_run
+        data = json.loads((result.out_dir / "policy_liveness_only.json").read_text())
+        for row in data.values():
+            if grow:
+                row.append(0.0)
+            else:
+                row.pop()
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps(data))
+        capsys.readouterr()
+        code = main(["evaluate", "--config", write_config(cfg, tmp_path / "config.json"),
+                     "--policy", str(policy), "--episodes", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        n = len(MODES)
+        length = n + 1 if grow else n - 1
+        assert f"corrupt policy: key {next(iter(data))!r}: a row of {length} values, not {n}" in err
+        assert "Traceback" not in err
+
     def test_shield_counts_empty_sets_of_non_final_states(self, tmp_path, capsys):
         # a final state has already violated; its empty allowed set is
         # reported among the final states, not as a state missing an action
@@ -539,7 +563,8 @@ class TestOneWiringPath:
         # give the run's own episode records, byte for byte
         cfg, result = tiny_q_run
         out = result.out_dir
-        qtable = qtable_from_json(json.loads((out / f"policy_{row.policy_key}.json").read_text()))
+        qtable = qtable_from_json(json.loads((out / f"policy_{row.policy_key}.json").read_text()),
+                                  len(MODES))
         shield = Shield.load(out / f"shield_{row.shield}.json") if row.shield != "none" else None
         evaluated = pipeline.evaluate_policy(
             cfg, pipeline.build_specs(cfg), make_partition(cfg.partition), qtable,
@@ -558,7 +583,7 @@ class TestOneWiringPath:
             data = json.loads(path.read_text())
             assert data
             again = tmp_path / path.name
-            pipeline.write_json(again, qtable_to_json(qtable_from_json(data)))
+            pipeline.write_json(again, qtable_to_json(qtable_from_json(data, len(MODES))))
             assert again.read_bytes() == path.read_bytes(), path.name
 
     def test_json_artifacts_are_compact(self, tiny_q_run):

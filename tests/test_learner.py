@@ -482,13 +482,13 @@ class TestPolicySerialization:
         q = {(3, 1): [0.5, -0.25], (0, 0): [1.0, 0.0]}
         data = qtable_to_json(q)
         assert set(data) == {"0,0", "3,1"}
-        back = qtable_from_json(data)
+        back = qtable_from_json(data, 2)
         assert set(back) == set(q)
         for key in q:
             assert np.array_equal(back[key], q[key])
 
     def test_rows_load_as_float_lists(self):
-        back = qtable_from_json({"2,1": [1, 0.5, -3]})
+        back = qtable_from_json({"2,1": [1, 0.5, -3]}, 3)
         assert back == {(2, 1): [1.0, 0.5, -3.0]}
         assert all(type(v) is float for v in back[(2, 1)])
 
@@ -511,11 +511,22 @@ class TestPolicySerialization:
         ([[1.0]], None),
     ])
     def test_corrupt_policy_named(self, data, key):
+        # every list row has the action count, so the defect is the key's own
+        rows = [v for v in data.values() if isinstance(v, list)] if isinstance(data, dict) else []
         with pytest.raises(CorruptPolicyError) as err:
-            qtable_from_json(data)
+            qtable_from_json(data, max(map(len, rows), default=1))
         assert err.value.key == key
         assert str(err.value).startswith(
             "corrupt policy: the policy is not" if key is None else f"corrupt policy: key {key!r}: ")
+
+    @pytest.mark.parametrize("row", [[0.0, 1.0, 0.0], [1.0]])
+    def test_row_of_another_action_count_named(self, row):
+        # a longer row could pick an action the env does not have
+        data = {"0,0": [0.0, 1.0], "1,0": row, "2,0": [1.0, 2.0, 3.0, 4.0]}
+        with pytest.raises(CorruptPolicyError) as err:
+            qtable_from_json(data, 2)
+        assert err.value.key == "1,0"
+        assert str(err.value) == f"corrupt policy: key '1,0': a row of {len(row)} values, not 2"
 
 
 class TestGreedyRule:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import mdp_from_rows, reference_product_rows, rows_of
+from shieldcraft import mdp as mdp_module
 from shieldcraft.dfa import Dfa, compile_cosafe
 from shieldcraft.ltl import PropositionTable, parse
 from shieldcraft.mdp import (
@@ -20,7 +21,7 @@ from shieldcraft.mdp import (
     ProbabilityError,
     RowIndexError,
     RowSumError,
-    _row_entries,
+    _row_classes,
     product,
 )
 
@@ -169,17 +170,18 @@ class TestProductGather:
         assert pm.rows == want
         # the benchmark counts the entries through the view
         assert sum(len(row) for row in pm.rows.values()) == len(pm.probs) == len(m.probs) * d.n_states
-        index, probs, settled = _row_entries(pm)
-        entries, row_settled = {}, {}
-        for i, p, s in zip(index.tolist(), probs.tolist(), settled.tolist()):
-            a_s, target = divmod(i, pm.n_states)
-            key = tuple(reversed(divmod(a_s, pm.n_states)))
-            entries.setdefault(key, []).append((target, p))
-            row_settled.setdefault(key, set()).add(s)
-        assert {key: tuple(row) for key, row in entries.items()} == want
-        assert row_settled == {
-            key: {all(t in pm.final_states for t, _p in row)} for key, row in want.items()
+        # the rows of final states, the settled rows (all targets final) of
+        # the other states, and the rest
+        final = pm.final_states
+        classes = _row_classes(pm)
+        assert classes.shape == (pm.n_actions, pm.n_states)
+        assert {(s, a): int(classes[a, s]) for s, a in want} == {
+            (s, a): mdp_module.FINAL if s in final
+            else mdp_module.SETTLED if all(t in final for t, _p in row)
+            else mdp_module.LIVE
+            for (s, a), row in want.items()
         }
+        assert len(want) == classes.size
 
 
 class TestTraceSemantics:

@@ -591,10 +591,10 @@ class TestSharedTensor:
 # Builds a product of 4 x 2048 x 2048 tensors (134 MB each) in a fresh
 # process and synthesizes all three kinds. Each base state moves to itself
 # or a neighbour, so a product row's entries fall on one or two of its four
-# 4 KiB pages. Six in seven base states are labelled, so the rows of the
-# violating states and most rows of the others enter only violating states
-# and are settled. Each tensor's resident bytes are measured by filling it
-# on its own after synthesis.
+# 4 KiB pages. Six in seven base states are labelled, so most rows of the
+# non-final states enter only violating states and are settled. The
+# resident bytes of each row class are measured by filling its entries on
+# their own after synthesis.
 PEAK_SCRIPT = """
 from oracles import mdp_from_rows
 from shieldcraft import mdp as mdp_module
@@ -631,8 +631,11 @@ before = status("VmRSS")
 for kind in ("one", "two", "q"):
     synthesize(pm, ShieldConfig(threshold=0.2, kind=kind, horizon=4 if kind == "q" else None))
 peak = status("VmHWM") - before
-index, probs, settled = mdp_module._row_entries(pm)
-print(peak, resident(index[~settled], probs[~settled]), resident(index[settled], probs[settled]),
+kind = mdp_module._row_classes(pm)[pm.actions, pm.sources]
+n_s = pm.n_states
+index = (pm.actions * n_s + pm.sources) * n_s + pm.targets
+print(peak, *(resident(index[kind == k], pm.probs[kind == k])
+              for k in (mdp_module.LIVE, mdp_module.SETTLED, mdp_module.FINAL)),
       pm.live_tensor.nbytes)
 """
 
@@ -662,23 +665,42 @@ class TestMappedTensor:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="reads VmRSS and VmHWM from /proc/self/status")
-    def test_peak_holds_the_live_tensor_or_one_settled_slice(self):
+    def test_peak_holds_the_live_tensor_or_the_settled_rows(self):
         src = str(Path(shieldcraft.__file__).parents[1])
         tests = str(Path(__file__).parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, tests, os.environ.get("PYTHONPATH")) if p)}
         out = subprocess.run([sys.executable, "-c", PEAK_SCRIPT], env=env,
                              capture_output=True, text=True, check=True).stdout
-        peak, live, settled, nbytes = map(int, out.split())
+        peak, live, settled, final, nbytes = map(int, out.split())
         assert nbytes >= 64 * 2**20
         # the untouched pages of the live tensor stay unbacked
         assert live < 0.75 * nbytes
-        # the settled rows are never all resident beside the live tensor,
+        # the settled rows are never resident beside the live tensor, and
+        # the rows of final states are never filled: they alone would hold
+        # more than the live tensor
+        assert final > live
         assert peak < live + settled
-        # nor all at once: they are released one action slice at a time,
-        # and a slice holds about a quarter of them
-        assert settled > 4 * live
-        assert peak < live + settled / 2
+
+    def test_no_mapping_holds_an_entry_from_a_final_state(self, monkeypatch):
+        filled = []
+        scatter = mdp_module._scatter
+
+        def recording(flat, index, probs):
+            filled.append(index.copy())
+            scatter(flat, index, probs)
+
+        monkeypatch.setattr(mdp_module, "_scatter", recording)
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            pm = automaton_product(rng, n_q=5, n_actions=2, n_z=4, repeat=True)
+            filled.clear()
+            pm.live_tensor
+            assert len(filled) == 2
+            sources = np.concatenate(filled) // pm.n_states % pm.n_states
+            assert not pm.final_member[sources].any()
+            # every entry of a non-final state is in one of the two
+            assert len(sources) == np.count_nonzero(~pm.final_member[pm.sources])
 
     def test_mappings_released_when_synthesis_drops_the_product(self, monkeypatch, tmp_path):
         pm = random_product(np.random.default_rng(3), max_q=5)
@@ -752,17 +774,19 @@ def row_kinds(pm):
 
 def assert_split_matches_oracle(pm, threshold, horizon):
     """``live_tensor @ v + settled_mass`` equals the single tensor's
-    ``@ v`` bit for bit for every vector the shields multiply, and every
-    kind's shield JSON equals the oracle's byte for byte."""
+    ``@ v`` bit for bit at every non-final row and is exactly 1.0 at every
+    final row, for every vector the shields multiply, and every kind's
+    shield JSON equals the oracle's byte for byte."""
     t = scatter_tensor(pm)
     member = np.zeros(pm.n_states, dtype=bool)
     member[list(pm.final_states)] = True
     vectors = [unsafe.astype(float) for unsafe in two_step_unsafe_sets(t, member, threshold)]
     vectors += backup_values(t, member, horizon)
     for v in vectors:
-        expect = (t @ v).tobytes()
-        assert (pm.live_tensor @ v + pm.settled_mass).tobytes() == expect
-        assert pm.step_mass(v).tobytes() == expect
+        expect = t @ v
+        expect[:, member] = 1.0
+        assert (pm.live_tensor @ v + pm.settled_mass).tobytes() == expect.tobytes()
+        assert pm.step_mass(v).tobytes() == expect.tobytes()
     for cfg in (
         ShieldConfig(threshold=threshold, kind="one"),
         ShieldConfig(threshold=threshold, kind="two"),
@@ -791,17 +815,50 @@ class TestSettledSplitOracle:
         assert not pm.live_tensor[0, s].any() and pm.settled_mass[0, s] == 1.0
         assert_split_matches_oracle(pm, 0.3, 4)
 
-    def test_final_row_leaving_the_final_set_stays_live(self):
-        # the accepting state 1 returns to 0 on an unlabelled region, so the
-        # final state (1, 1) steps out of the final set
-        dfa = Dfa(T1.names, 0, np.array([[0, 1], [0, 1]]), frozenset({1}), frozenset())
-        rows = {(0, 0): ((0, 0.5), (1, 0.5)), (1, 0): ((0, 0.75), (1, 0.25))}
-        pm = product(mdp_from_rows(2, ("a0",), rows, (0, 1), T1.names), dfa)
-        s = pm.state_index(1, 1)
-        assert s in pm.final_states
-        assert pm.live_tensor[0, s].tobytes() == scatter_tensor(pm)[0, s].tobytes()
-        assert pm.settled_mass[0, s] == 0.0
+    def test_settled_row_keeps_the_full_tensors_bits(self):
+        # F p0: from (0, z0) action 0 enters the final states (1, z1),
+        # (2, z1) and (3, z1) with 8, 9 and 18 of 35 samples, three entries
+        # that sum to 1 - 2**-53 in every order
+        rows = {(0, 0): ((1, 8 / 35), (2, 9 / 35), (3, 18 / 35))}
+        rows.update({(q, 0): ((q, 1.0),) for q in (1, 2, 3)})
+        pm = product_from_rows(rows, [0, 1, 1, 1], 1)
+        s = pm.state_index(0, 0)
+        assert s not in pm.final_states
+        assert mdp_module._row_classes(pm)[0, s] == mdp_module.SETTLED
+        full = scatter_tensor(pm) @ pm.final_member.astype(float)
+        assert full[0, s] != 1.0
+        assert pm.settled_mass[0, s].tobytes() == full[0, s].tobytes()
+        assert not pm.live_tensor[0, s].any()
         assert_split_matches_oracle(pm, 0.3, 4)
+
+    def test_final_row_leaving_the_final_set_scores_one(self):
+        # the accepting state 1 returns to 0 on an unlabelled region, so the
+        # final state (0, 1) steps out of the final set under both actions
+        # (one-step mass 0.5 and 0.0) and (1, 1) under action 1 (0.25), all
+        # below p
+        dfa = Dfa(T1.names, 0, np.array([[0, 1], [0, 1]]), frozenset({1}), frozenset())
+        rows = {(0, 0): ((0, 0.5), (1, 0.5)), (0, 1): ((0, 1.0),),
+                (1, 0): ((1, 1.0),), (1, 1): ((0, 0.75), (1, 0.25))}
+        pm = product(mdp_from_rows(2, ("a0", "a1"), rows, (0, 1), T1.names), dfa)
+        final = [pm.state_index(0, 1), pm.state_index(1, 1)]
+        assert sorted(pm.final_states) == final
+        for s in final:
+            assert (mdp_module._row_classes(pm)[:, s] == mdp_module.FINAL).all()
+            assert not pm.live_tensor[:, s].any()
+        t = scatter_tensor(pm)
+        assert (t[:, final[0]] @ pm.final_member).tolist() == [0.5, 0.0]
+        assert t[1, final[1]] @ pm.final_member == 0.25
+        for cfg in (ShieldConfig(threshold=0.6, kind="one"), ShieldConfig(threshold=0.6, kind="two"),
+                    ShieldConfig(threshold=0.6, kind="q", horizon=3)):
+            shield = synthesize(pm, cfg)
+            for s in final:
+                assert shield.scores[s] == (1.0, 1.0)
+                assert shield.allowed[s] == ()
+            # the fresh-violation rule: from base state 0 action 1 never
+            # enters the labelled region, from base state 1 action 1 does
+            # least often; the scores alone would fall back to action 0
+            assert [shield.fallback[s] for s in final] == [1, 1]
+        assert_split_matches_oracle(pm, 0.6, 3)
 
     def test_blas_threaded_size(self):
         # S = 750: large enough for OpenBLAS to split each gemv over threads
