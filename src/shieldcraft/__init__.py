@@ -10,8 +10,8 @@ from .abstraction import (
     make_partition,
 )
 from .dfa import Dfa, compile_cosafe, monitor_product, progress
-from .env import EnvParams, SpacecraftEnv, label, observation, proposition_table
-from .learner import Discretizer, LearnerConfig, Metrics, evaluate, train
+from .env import Discretizer, EnvParams, SpacecraftEnv, label, observation, proposition_table
+from .learner import LearnerConfig, Metrics, evaluate, train
 from .ltl import Fragment, PropositionTable, classify, negate, parse
 from .mdp import FiniteMdp, ProductMdp, product
 from .pipeline import ExperimentConfig, default_config, run_pipeline

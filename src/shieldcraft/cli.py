@@ -17,7 +17,7 @@ import numpy as np
 from . import ltl, pipeline
 from .abstraction import PartitionSpec, make_partition
 from .dfa import DEFAULT_STATE_CAP, StateExplosionError, compile_cosafe
-from .env import ATOM_NAMES, RATE_LIMIT, SpacecraftEnv, proposition_table
+from .env import ATOM_NAMES, RATE_LIMIT, Discretizer, SpacecraftEnv, proposition_table
 from .learner import qtable_from_json
 from .ltl import Fragment, PropositionTable, classify, parse
 from .mdp import FiniteMdp
@@ -182,11 +182,13 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _experiment_config(args)
     cfg = replace(cfg, eval_episodes=args.episodes or cfg.eval_episodes)
+    specs = pipeline.build_specs(cfg)
+    partition = make_partition(cfg.partition)
     policy = json.loads(Path(args.policy).read_text(encoding="utf-8"))
-    qtable = qtable_from_json(policy, len(SpacecraftEnv.action_names))
+    qtable = qtable_from_json(policy, SpacecraftEnv.n_actions, Discretizer(partition).capacity,
+                              specs.monitors[args.train_spec].n_states)
     result = pipeline.evaluate_policy(
-        cfg, pipeline.build_specs(cfg), make_partition(cfg.partition), qtable,
-        args.train_spec, _load_shield(args),
+        cfg, specs, partition, qtable, args.train_spec, _load_shield(args),
     )
     m = result.metrics
     print(

@@ -47,6 +47,7 @@ by position the flight-mode draw that the step never reads.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,11 @@ POINTING_TOL = 0.008  # rad, image quality gate on pointing error
 RATE_TOL = 0.002      # rad/s, image quality gate on attitude rate
 CHARGE_FLOOR = 0.2    # p1 region boundary
 WHEEL_CEIL = 0.8      # p2 region boundary
+
+# the label of a good image in imaging mode A or B, as `label` sets it
+_IMAGE_A = P0_BIT | P3_BIT
+_IMAGE_B = P0_BIT | P4_BIT
+_INF = math.inf
 
 _NOISE_CLIP = 3.0
 # Python floats, so the per-step scalar draw makes no numpy scalar op
@@ -474,23 +480,71 @@ def observation(state: SpacecraftState) -> list[float]:
     ]
 
 
+class Discretizer:
+    """Observation binning: the safety partition for (rate, wheel, charge)
+    plus coarse pointing-error bins and the two access indicators.
+
+    Bins come from ``bisect_right`` over Python-float edges, which gives
+    the bins of ``np.searchsorted(side="right")`` without a numpy call per
+    step. The same bins give the shield's partition cell.
+    """
+
+    def __init__(self, partition, pointing_edges=(POINTING_TOL, 0.04)):
+        self.pointing_edges = tuple(float(e) for e in pointing_edges)
+        self._rate_edges, self._wheel_edges, self._charge_edges = partition.interior_edges
+        self._dims = (
+            len(self._rate_edges) + 1,
+            len(self._wheel_edges) + 1,
+            len(self._charge_edges) + 1,
+            len(self.pointing_edges) + 1,
+            2,
+            2,
+        )
+
+    @property
+    def capacity(self) -> int:
+        """The number of observation indices."""
+        return math.prod(self._dims)
+
+    def __call__(self, state: SpacecraftState, failed: bool) -> tuple[int, int]:
+        """(observation index, partition cell) of a state; the cell is -1
+        when ``failed`` (the state left the safe domain)."""
+        ri = bisect_right(self._rate_edges, state.attitude_rate)
+        wi = bisect_right(self._wheel_edges, state.wheel_speed)
+        ci = bisect_right(self._charge_edges, state.charge)
+        pi = bisect_right(self.pointing_edges, state.pointing_error)
+        _, nw, nc, np_, _, _ = self._dims
+        cell = (ri * nw + wi) * nc + ci
+        idx = (cell * np_ + pi) * 2 + state.sun
+        return idx * 2 + state.target, -1 if failed else cell
+
+
+# What the learner reads after a reset or a step: (obs_index, cell, labels,
+# failed), where cell is the shield's partition cell, -1 on domain exit.
+StepOutcome = tuple[int, int, int, bool]
+
+
 class SpacecraftEnv:
     """Single mutable simulation instance; run one per thread.
 
-    Also implements the abstraction's simulator protocol: `sample_in_cell`
-    makes the random draws of a chunk of rows from their `RowStreams` and
-    `step_batch` steps them through the dynamics kernel without drawing.
+    `reset` and `step` return what the learner reads: the observation index
+    and partition cell of ``discretizer``, the labels and the failure flag.
+    Also implements the abstraction's simulator
+    protocol: `sample_in_cell` makes the random draws of a chunk of rows
+    from their `RowStreams` and `step_batch` steps them through the
+    dynamics kernel without drawing.
     """
 
     action_names = MODES
     atom_names = ATOM_NAMES
+    n_actions = len(MODES)
 
-    def __init__(self, params: EnvParams | None = None):
-        self.params = params or EnvParams()
-        self._par = self.params.param_vector()
+    def __init__(self, params: EnvParams, discretizer: Discretizer):
+        self.params = p = params
+        self.discretizer = discretizer
+        self._par = p.param_vector()
         self._coef = _kernels.action_rows(self._par)
-        self._windows = self.params.target_windows
-        p = self.params
+        self._windows = p.target_windows
         windows = ((0.05, 0.45), (0.55, 0.95 - p.window_width)) if p.randomize_windows else ()
         # (lo, hi) of each value a reset draws, in stream order
         self._reset_bounds = (
@@ -512,8 +566,8 @@ class SpacecraftEnv:
 
     # --- episode interface -------------------------------------------------
 
-    def reset(self, draws: EpisodeDraws) -> int:
-        """Start an episode; returns the labels of the initial state.
+    def reset(self, draws: EpisodeDraws) -> StepOutcome:
+        """Start an episode; returns the outcome of the initial state.
 
         The start state reads ``draws.uniforms``: the two target windows
         first when they are randomized, then pointing error, rate, wheel
@@ -530,37 +584,78 @@ class SpacecraftEnv:
             self._windows = ((first, first + w), (second, second + w))
         err, rate, wheel, charge = values
         sun, target = self._access(0.0, self._windows)
-        self.state = SpacecraftState(
+        self.state = st = SpacecraftState(
             pointing_error=err, attitude_rate=rate, wheel_speed=wheel,
             charge=charge, sun=sun, target=target, mode=0, minutes=0.0,
         )
-        return label(self.state)
+        failed = is_failure(rate, wheel, charge)
+        return (*self.discretizer(st, failed), label(st), failed)
 
-    def step(self, action: int, draws: EpisodeDraws) -> tuple[int, bool]:
-        """One decision step; returns (labels, failed). The three noise
-        deviates are the next ones of ``draws``: `truncated_normal`'s of the
-        next three outputs of the episode's PCG64 stream.
+    def step(self, action: int, draws: EpisodeDraws) -> StepOutcome:
+        """One decision step and its outcome, computed in one frame.
 
-        This is the reference step. The learner steps episodes through
-        `learner.SpacecraftSession.step`, which computes the same step in
-        one frame; a property test holds the two equal bit for bit."""
+        The three noise deviates are the next ones of ``draws``:
+        `truncated_normal`'s of the next three outputs of the episode's
+        PCG64 stream. One ``_kernels.step_one`` call (looked up on the
+        module, where a tracer may replace it) moves the state; then the
+        access of `_access`, the bits of `label`, the test of `is_failure`
+        and the bins of the discretizer are computed inline with the same
+        arithmetic, so the outcome is theirs bit for bit. ``state.minutes``
+        stays the clock, so a caller may set the state between steps.
+        """
         st = self.state
+        p = self.params
+        d = self.discretizer
         e_w, e_r, e_a = draws.noise()
+        # an int sun multiplies to the same bits as float(sun)
         rate, wheel, charge, err = _kernels.step_one(
             st.attitude_rate, st.wheel_speed, st.charge, st.pointing_error,
-            float(st.sun), self._coef[action], e_w, e_r, e_a,
+            st.sun, self._coef[action], e_w, e_r, e_a,
         )
-        minutes = st.minutes + self.params.step_minutes
-        sun, target = self._access(minutes, self._windows)
+        minutes = st.minutes + p.step_minutes
+        orbit = p.orbit_minutes
+        frac = (minutes % orbit) / orbit
+        sun_lo, sun_hi = p.sun_window
+        sun = 1 if sun_lo <= frac < sun_hi else 0
+        target = 0
+        for lo, hi in self._windows:
+            if lo <= frac < hi:
+                target = 1
+                break
+        mode = int(action)
         st.pointing_error = err
         st.attitude_rate = rate
         st.wheel_speed = wheel
         st.charge = charge
         st.sun = sun
         st.target = target
-        st.mode = int(action)
+        st.mode = mode
         st.minutes = minutes
-        return label(st), is_failure(rate, wheel, charge)
+        labels = 0
+        if err < POINTING_TOL and rate < RATE_TOL and target:
+            if mode == 2:
+                labels = _IMAGE_A
+            elif mode == 3:
+                labels = _IMAGE_B
+        if charge < CHARGE_FLOOR:
+            labels |= P1_BIT
+        if wheel > WHEEL_CEIL:
+            labels |= P2_BIT
+        # a comparison with NaN is false, and the infinite bounds exclude
+        # the infinities, so this is `is_failure`
+        failed = not (
+            0.0 < charge < _INF and -_INF < wheel < WHEEL_LIMIT and -_INF < rate <= RATE_LIMIT
+        )
+        _, nw, nc, n_pointing, _, _ = d._dims
+        cell = (
+            bisect_right(d._rate_edges, rate) * nw + bisect_right(d._wheel_edges, wheel)
+        ) * nc + bisect_right(d._charge_edges, charge)
+        idx = ((cell * n_pointing + bisect_right(d.pointing_edges, err)) * 2 + sun) * 2 + target
+        return idx, -1 if failed else cell, labels, failed
+
+    def observation(self) -> list[float]:
+        """The current observation vector, for recorded trajectory rows."""
+        return observation(self.state)
 
     # --- abstraction interface ---------------------------------------------
 

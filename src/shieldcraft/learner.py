@@ -21,30 +21,12 @@ action 0.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
-from . import _kernels, rewards
+from . import rewards
 from .dfa import Dfa
-from .env import (
-    CHARGE_FLOOR,
-    P0_BIT,
-    P1_BIT,
-    P2_BIT,
-    P3_BIT,
-    P4_BIT,
-    POINTING_TOL,
-    RATE_LIMIT,
-    RATE_TOL,
-    RESET_DRAWS,
-    WHEEL_CEIL,
-    WHEEL_LIMIT,
-    EpisodeDraws,
-    SpacecraftEnv,
-    SpacecraftState,
-    is_failure,
-    observation,
-)
+# perfbench/probe.py imports `Discretizer` from this module
+from .env import RESET_DRAWS, Discretizer, EpisodeDraws  # noqa: F401
 from .rewards import EpisodeEvent, RewardConfig
 
 _TRAIN_STREAM = 2
@@ -53,11 +35,6 @@ _EVAL_STREAM = 3
 # an output or less) and three noise deviates; evaluation's noise alone
 _TRAIN_STEP_DRAWS = 5
 _EVAL_STEP_DRAWS = 3
-
-# the label of a good image in imaging mode A or B, as `env.label` sets it
-_IMAGE_A = P0_BIT | P3_BIT
-_IMAGE_B = P0_BIT | P4_BIT
-_INF = math.inf
 
 QTable = dict  # (obs_index, monitor_state) -> list of action values
 
@@ -95,140 +72,6 @@ class LearnerConfig:
             raise ValueError(f"optimistic_init must be finite, got {self.optimistic_init!r}")
 
 
-class Discretizer:
-    """Observation binning: the safety partition for (rate, wheel, charge)
-    plus coarse pointing-error bins and the two access indicators.
-
-    Bins come from ``bisect_right`` over Python-float edges, which gives
-    the bins of ``np.searchsorted(side="right")`` without a numpy call per
-    step. The same bins give the shield's partition cell.
-    """
-
-    def __init__(self, partition, pointing_edges=(POINTING_TOL, 0.04)):
-        self.partition = partition
-        self.pointing_edges = tuple(float(e) for e in pointing_edges)
-        self._rate_edges, self._wheel_edges, self._charge_edges = partition.interior_edges
-        self._dims = (
-            len(self._rate_edges) + 1,
-            len(self._wheel_edges) + 1,
-            len(self._charge_edges) + 1,
-            len(self.pointing_edges) + 1,
-            2,
-            2,
-        )
-
-    @property
-    def capacity(self) -> int:
-        return math.prod(self._dims)
-
-    def __call__(self, state: SpacecraftState, failed: bool) -> tuple[int, int]:
-        """(observation index, partition cell) of a state; the cell is -1
-        when ``failed`` (the state left the safe domain)."""
-        ri = bisect_right(self._rate_edges, state.attitude_rate)
-        wi = bisect_right(self._wheel_edges, state.wheel_speed)
-        ci = bisect_right(self._charge_edges, state.charge)
-        pi = bisect_right(self.pointing_edges, state.pointing_error)
-        _, nw, nc, np_, _, _ = self._dims
-        cell = (ri * nw + wi) * nc + ci
-        idx = (cell * np_ + pi) * 2 + state.sun
-        return idx * 2 + state.target, -1 if failed else cell
-
-
-# What the learner reads after a reset or a step: (obs_index, cell, labels,
-# failed), where cell is the shield's partition cell, -1 on domain exit.
-StepOutcome = tuple[int, int, int, bool]
-
-
-class SpacecraftSession:
-    """Adapter presenting a SpacecraftEnv as a discrete learning session."""
-
-    def __init__(self, env: SpacecraftEnv, discretizer: Discretizer):
-        self.env = env
-        self.discretizer = discretizer
-        self.n_actions = len(env.action_names)
-        d = discretizer
-        _, nw, nc, n_pointing, _, _ = d._dims
-        # everything `step` reads besides the state, the windows and the
-        # draws, fixed for the session's life
-        self._frame = (
-            env._coef, env.params.step_minutes, env.params.orbit_minutes,
-            *env.params.sun_window,
-            d._rate_edges, d._wheel_edges, d._charge_edges, d.pointing_edges,
-            nw, nc, n_pointing,
-        )
-
-    def reset(self, draws: EpisodeDraws) -> StepOutcome:
-        labels = self.env.reset(draws)
-        st = self.env.state
-        failed = is_failure(st.attitude_rate, st.wheel_speed, st.charge)
-        return (*self.discretizer(st, failed), labels, failed)
-
-    def step(self, action: int, draws: EpisodeDraws) -> StepOutcome:
-        """The episode step: one env step and its outcome, in one frame.
-
-        It computes what ``SpacecraftEnv.step`` followed by
-        ``Discretizer.__call__`` computes, with the same arithmetic, so the
-        outcome and the next state are theirs bit for bit: the three
-        deviates of ``draws.noise()``, one ``_kernels.step_one`` call (looked
-        up on the module, where a tracer may replace it), the access of
-        `SpacecraftEnv._access`, the bits of `label`, the test of
-        `is_failure` and the discretizer's bins. Those stay the reference
-        implementations, and `reset` uses them. ``state.minutes`` stays the
-        clock, so a caller may set the state between steps.
-        """
-        env = self.env
-        st = env.state
-        (coef, step_minutes, orbit, sun_lo, sun_hi,
-         rate_edges, wheel_edges, charge_edges, pointing_edges, nw, nc, n_pointing) = self._frame
-        e_w, e_r, e_a = draws.noise()
-        # an int sun multiplies to the same bits as float(sun)
-        rate, wheel, charge, err = _kernels.step_one(
-            st.attitude_rate, st.wheel_speed, st.charge, st.pointing_error,
-            st.sun, coef[action], e_w, e_r, e_a,
-        )
-        minutes = st.minutes + step_minutes
-        frac = (minutes % orbit) / orbit
-        sun = 1 if sun_lo <= frac < sun_hi else 0
-        target = 0
-        for lo, hi in env._windows:
-            if lo <= frac < hi:
-                target = 1
-                break
-        mode = int(action)
-        st.pointing_error = err
-        st.attitude_rate = rate
-        st.wheel_speed = wheel
-        st.charge = charge
-        st.sun = sun
-        st.target = target
-        st.mode = mode
-        st.minutes = minutes
-        labels = 0
-        if err < POINTING_TOL and rate < RATE_TOL and target:
-            if mode == 2:
-                labels = _IMAGE_A
-            elif mode == 3:
-                labels = _IMAGE_B
-        if charge < CHARGE_FLOOR:
-            labels |= P1_BIT
-        if wheel > WHEEL_CEIL:
-            labels |= P2_BIT
-        # a comparison with NaN is false, and the infinite bounds exclude
-        # the infinities, so this is `is_failure`
-        failed = not (
-            0.0 < charge < _INF and -_INF < wheel < WHEEL_LIMIT and -_INF < rate <= RATE_LIMIT
-        )
-        cell = (
-            bisect_right(rate_edges, rate) * nw + bisect_right(wheel_edges, wheel)
-        ) * nc + bisect_right(charge_edges, charge)
-        idx = ((cell * n_pointing + bisect_right(pointing_edges, err)) * 2 + sun) * 2 + target
-        return idx, -1 if failed else cell, labels, failed
-
-    def observation(self) -> list[float]:
-        """The current observation vector, for recorded trajectory rows."""
-        return observation(self.env.state)
-
-
 def _q_row(q: dict, key, init_row: list) -> list:
     row = q.get(key)
     if row is None:
@@ -248,7 +91,7 @@ class TrainResult:
 
 
 def train(
-    session,
+    env,
     monitor: Dfa,
     cfg: LearnerConfig,
     reward_cfg: RewardConfig,
@@ -262,14 +105,14 @@ def train(
     executed or the proposed action.
 
     Each episode reads one `EpisodeDraws` of stream ``(seed, 2, episode)``:
-    the session's reset, then per step the epsilon draw, the exploration
-    action when it explores, and the session step's noise, in that order,
+    the env's reset, then per step the epsilon draw, the exploration
+    action when it explores, and the env step's noise, in that order,
     as the `Generator` calls ``random()``, ``integers(n_actions)`` and
-    ``random(3)`` would draw them. ``session.step(action, draws)`` is called
+    ``random(3)`` would draw them. ``env.step(action, draws)`` is called
     once per env step.
     """
     q = {}
-    n_actions = session.n_actions
+    n_actions = env.n_actions
     init_row = [float(cfg.optimistic_init)] * n_actions
     advance = rewards.advance_table(monitor, reward_cfg)
     sink = EpisodeEvent.SINK_TERMINATE
@@ -283,7 +126,7 @@ def train(
         draws = EpisodeDraws([seed, _TRAIN_STREAM, ep], block)
         anneal = min(1.0, ep / denom)
         epsilon = cfg.epsilon_start + (cfg.epsilon_end - cfg.epsilon_start) * anneal
-        obs_idx, cell, labels, _failed = session.reset(draws)
+        obs_idx, cell, labels, _failed = env.reset(draws)
         init = advance[monitor.z0][labels]
         z = init.z_next
         reward_steps = [init.step]
@@ -305,7 +148,7 @@ def train(
                     executed = shield_runtime.filter(cell, proposed).action
                 else:
                     executed = proposed
-                obs_idx, cell, labels, failed = session.step(executed, draws)
+                obs_idx, cell, labels, failed = env.step(executed, draws)
                 adv = advance[z][labels]
                 step = adv.step
                 reward_steps.append(step)
@@ -371,7 +214,7 @@ class EvalResult:
 
 def evaluate(
     qtable: QTable,
-    session,
+    env,
     monitor: Dfa,
     dfa_liveness: Dfa,
     dfa_violation: Dfa,
@@ -390,9 +233,8 @@ def evaluate(
     Q lookups stay on-distribution.
 
     Each episode reads one `EpisodeDraws` of stream ``(seed, 3, episode)``:
-    the session's reset, then each step's noise; its first block covers the
-    whole horizon. ``session.step(action, draws)`` is called once per env
-    step.
+    the env's reset, then each step's noise; its first block covers the
+    whole horizon. ``env.step(action, draws)`` is called once per env step.
     """
     advance = rewards.advance_table(monitor, reward_cfg)
     delta_l = dfa_liveness.delta.tolist()
@@ -405,7 +247,7 @@ def evaluate(
     block = RESET_DRAWS + _EVAL_STEP_DRAWS * episode_length
     for ep in range(episodes):
         draws = EpisodeDraws([seed, _EVAL_STREAM, ep], block)
-        obs_idx, cell, labels, _failed = session.reset(draws)
+        obs_idx, cell, labels, _failed = env.reset(draws)
         adv0 = advance[monitor.z0][labels]
         z = adv0.z_next
         reward_steps = [adv0.step]
@@ -421,7 +263,7 @@ def evaluate(
         trajectory = None
         if ep < record_trajectories:
             trajectory = [
-                _trajectory_row(0, None, session.observation(), labels, adv0.step.reward, z, False)
+                _trajectory_row(0, None, env.observation(), labels, adv0.step.reward, z, False)
             ]
         for t in range(episode_length):
             key = (obs_idx, z)
@@ -436,7 +278,7 @@ def evaluate(
                 executed = decision.action
                 intervened = decision.intervened
                 interventions += int(intervened)
-            obs_idx, cell, labels, failed = session.step(executed, draws)
+            obs_idx, cell, labels, failed = env.step(executed, draws)
             steps = t + 1
             adv = advance[z][labels]
             reward_steps.append(adv.step)
@@ -451,7 +293,7 @@ def evaluate(
             z = adv.z_next
             if trajectory is not None:
                 trajectory.append(_trajectory_row(
-                    steps, executed, session.observation(), labels, adv.step.reward, z,
+                    steps, executed, env.observation(), labels, adv.step.reward, z,
                     intervened,
                 ))
             if failed:
@@ -530,11 +372,14 @@ class CorruptPolicyError(ValueError):
         self.key = key
 
 
-def qtable_from_json(data: dict, n_actions: int) -> QTable:
-    """The Q-table of a `qtable_to_json` dict for ``n_actions`` actions;
-    raises `CorruptPolicyError` naming the first key that is not
-    ``"<int>,<int>"`` as `qtable_to_json` writes it, or whose row is not a
-    list of ``n_actions`` finite numbers. A NaN or a row of another length
+def qtable_from_json(data: dict, n_actions: int, n_observations: int,
+                     n_monitor_states: int) -> QTable:
+    """The Q-table of a `qtable_to_json` dict for ``n_actions`` actions,
+    ``n_observations`` observation indices and ``n_monitor_states`` monitor
+    states; raises `CorruptPolicyError` naming the first key that is not
+    ``"<int>,<int>"`` as `qtable_to_json` writes it or lies outside those
+    counts, or whose row is not a list of ``n_actions`` finite numbers. A
+    NaN, a row of another length or a key of another partition or monitor
     would change the greedy action silently or pick one the env lacks."""
     if not isinstance(data, dict):
         raise CorruptPolicyError(None, "the policy is not a JSON object")
@@ -543,6 +388,13 @@ def qtable_from_json(data: dict, n_actions: int) -> QTable:
         obs, _, z = key.partition(",")
         if not (obs.isdecimal() and z.isdecimal() and key == f"{int(obs)},{int(z)}"):
             raise CorruptPolicyError(key, "not '<obs_index>,<monitor_state>'")
+        obs, z = int(obs), int(z)
+        if obs >= n_observations:
+            raise CorruptPolicyError(
+                key, f"observation index {obs} is outside the {n_observations} of this run")
+        if z >= n_monitor_states:
+            raise CorruptPolicyError(
+                key, f"monitor state {z} is outside the {n_monitor_states} of this run")
         if not (isinstance(values, list) and values
                 and all(type(v) in (int, float) for v in values)):
             raise CorruptPolicyError(key, "not a non-empty list of numbers")
@@ -555,5 +407,5 @@ def qtable_from_json(data: dict, n_actions: int) -> QTable:
             finite = False
         if not finite:
             raise CorruptPolicyError(key, "a value is not finite")
-        q[(int(obs), int(z))] = row
+        q[(obs, z)] = row
     return q

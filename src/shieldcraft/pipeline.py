@@ -25,8 +25,8 @@ from .abstraction import (
     make_partition,
 )
 from .dfa import DEFAULT_STATE_CAP, Dfa, compile_cosafe, monitor_product
-from .env import EnvParams, SpacecraftEnv, proposition_table
-from .learner import Discretizer, LearnerConfig, SpacecraftSession, evaluate, train
+from .env import Discretizer, EnvParams, SpacecraftEnv, proposition_table
+from .learner import LearnerConfig, evaluate, train
 from .ltl import Formula, negate, parse
 from .mdp import product
 from .rewards import RewardConfig
@@ -207,9 +207,6 @@ def load_config(path) -> ExperimentConfig:
 
 @dataclass
 class SpecBundle:
-    table: object
-    liveness: object
-    safety: object
     dfa_liveness: Dfa
     dfa_violation: Dfa
     monitors: dict  # train-spec selector -> Dfa
@@ -238,7 +235,7 @@ def build_specs(cfg: ExperimentConfig) -> SpecBundle:
     safety = parse(cfg.safety_spec, table)
     dfa_liveness, dfa_violation, monitor = training_monitor(liveness, safety, table)
     monitors = {"liveness_only": dfa_liveness, "liveness_and_safety": monitor}
-    return SpecBundle(table, liveness, safety, dfa_liveness, dfa_violation, monitors)
+    return SpecBundle(dfa_liveness, dfa_violation, monitors)
 
 
 # run_pipeline and the CLI stage commands wire each stage through the
@@ -256,7 +253,7 @@ def estimate_mdp(cfg: ExperimentConfig, partition, mdp_path, report_path):
     """Estimate the safety MDP by simulation; write it and its sampling
     report."""
     abs_cfg = cfg.abstraction_config()
-    mdp = estimate_transitions(SpacecraftEnv(cfg.env), partition, abs_cfg)
+    mdp = estimate_transitions(make_env(cfg, partition), partition, abs_cfg)
     mdp.save(mdp_path)
     write_json(report_path, abstraction_report(mdp, abs_cfg))
     return mdp
@@ -277,8 +274,8 @@ def synthesize_shields(mdp, violation_dfa: Dfa, targets: dict) -> dict:
     return {shield.kind: shield for shield in made.values()}
 
 
-def make_session(cfg: ExperimentConfig, partition) -> SpacecraftSession:
-    return SpacecraftSession(SpacecraftEnv(cfg.env), Discretizer(partition))
+def make_env(cfg: ExperimentConfig, partition) -> SpacecraftEnv:
+    return SpacecraftEnv(cfg.env, Discretizer(partition))
 
 
 def make_runtime(shield, specs: SpecBundle, partition) -> ShieldRuntime | None:
@@ -300,7 +297,7 @@ def train_policy(cfg: ExperimentConfig, specs: SpecBundle, partition, train_spec
             learner_cfg, episodes=cfg.inloop_train_episodes, optimistic_init=cfg.inloop_optimism
         )
     result = train(
-        make_session(cfg, partition),
+        make_env(cfg, partition),
         specs.monitors[train_spec],
         learner_cfg,
         cfg.reward,
@@ -316,7 +313,7 @@ def evaluate_policy(cfg: ExperimentConfig, specs: SpecBundle, partition, qtable,
     """Evaluate one matrix row: ``qtable`` under ``shield`` (or none)."""
     return evaluate(
         qtable,
-        make_session(cfg, partition),
+        make_env(cfg, partition),
         specs.monitors[train_spec],
         specs.dfa_liveness,
         specs.dfa_violation,

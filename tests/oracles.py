@@ -8,9 +8,10 @@ progression-based DFA compiler they are used to check.
 Likewise the reachability oracle evaluates the defining recursion for
 minimal N-step reach probability without any of the value-iteration
 machinery under test, the shield oracle synthesizes over one scattered
-transition tensor and assembles each shield entry by entry, and the
-randomness oracles draw each value with the
-`numpy.random.Generator` call that `EpisodeDraws` and
+transition tensor and assembles each shield entry by entry, the episode
+step oracle composes `SpacecraftEnv.step` from the reference functions
+that its one frame inlines, and the randomness oracles draw each value with
+the `numpy.random.Generator` call that `EpisodeDraws` and
 `SpacecraftEnv.sample_in_cell` reproduce from raw PCG64 outputs. The
 formula printer and canonicalizer exist only to check the parser's round
 trip and the canonical constructors' idempotence.
@@ -22,8 +23,8 @@ import itertools
 
 import numpy as np
 
-from shieldcraft import ltl
-from shieldcraft.env import truncated_normal
+from shieldcraft import _kernels, ltl
+from shieldcraft.env import is_failure, label, truncated_normal
 from shieldcraft.mdp import FiniteMdp
 from shieldcraft.ltl import (
     And,
@@ -445,6 +446,34 @@ def reference_shield_json(pm, cfg) -> dict:
         "unsafe": np.flatnonzero(unsafe).tolist(),
         "values": values,
     }
+
+
+# --- the episode step --------------------------------------------------------
+
+
+def reference_step(env, action: int, draws):
+    """`SpacecraftEnv.step` composed from its reference parts: the noise of
+    ``draws``, one `_kernels.step_one` call, `SpacecraftEnv._access`,
+    `label`, `is_failure` and `Discretizer.__call__`. Moves ``env.state``
+    and returns ``(obs_index, cell, labels, failed)``."""
+    st = env.state
+    e_w, e_r, e_a = draws.noise()
+    rate, wheel, charge, err = _kernels.step_one(
+        st.attitude_rate, st.wheel_speed, st.charge, st.pointing_error,
+        float(st.sun), env._coef[action], e_w, e_r, e_a,
+    )
+    minutes = st.minutes + env.params.step_minutes
+    sun, target = env._access(minutes, env._windows)
+    st.pointing_error = err
+    st.attitude_rate = rate
+    st.wheel_speed = wheel
+    st.charge = charge
+    st.sun = sun
+    st.target = target
+    st.mode = int(action)
+    st.minutes = minutes
+    failed = is_failure(rate, wheel, charge)
+    return (*env.discretizer(st, failed), label(st), failed)
 
 
 # --- episode randomness -----------------------------------------------------

@@ -20,7 +20,7 @@ from shieldcraft.abstraction import (
     make_partition,
     wilson_halfwidth,
 )
-from shieldcraft.env import ATOM_NAMES, MODES, RowStreams, SpacecraftEnv
+from shieldcraft.env import ATOM_NAMES, MODES, Discretizer, EnvParams, RowStreams, SpacecraftEnv
 
 
 class TeleportEnv:
@@ -216,16 +216,16 @@ class TestEstimator:
         assert mdp.state_meta[m] == {"unsafe_exit": True}
 
     def test_bit_identical_rerun(self):
-        env = SpacecraftEnv()
         partition = make_partition()
+        env = SpacecraftEnv(EnvParams(), Discretizer(partition))
         a = estimate_transitions(env, partition, AbstractionConfig(300, seed=4))
         b = estimate_transitions(env, partition, AbstractionConfig(300, seed=4))
         assert rows_of(a) == rows_of(b)
         assert json.dumps(a.to_json()) == json.dumps(b.to_json())
 
     def test_chunk_size_does_not_change_the_mdp(self, monkeypatch):
-        env = SpacecraftEnv()
         partition = make_partition()
+        env = SpacecraftEnv(EnvParams(), Discretizer(partition))
         cfg = AbstractionConfig(50, seed=6)
         rows = partition.n_cells * len(env.action_names)
         texts = []
@@ -236,8 +236,8 @@ class TestEstimator:
 
     @pytest.mark.parametrize("rows_per_chunk", ["one", "all"])
     def test_worker_count_does_not_change_the_mdp(self, rows_per_chunk, monkeypatch):
-        env = SpacecraftEnv()
         partition = make_partition()
+        env = SpacecraftEnv(EnvParams(), Discretizer(partition))
         cfg = AbstractionConfig(50, seed=6)
         rows = partition.n_cells * len(env.action_names) if rows_per_chunk == "all" else 1
         monkeypatch.setattr(abstraction, "CHUNK_SAMPLES", rows * cfg.samples_per_cell)
@@ -278,8 +278,8 @@ class TestEstimator:
         assert_no_child_left()
 
     def test_serial_without_fork(self, monkeypatch):
-        env = SpacecraftEnv()
         partition = make_partition()
+        env = SpacecraftEnv(EnvParams(), Discretizer(partition))
         cfg = AbstractionConfig(50, seed=6)
         monkeypatch.setattr(abstraction, "CHUNK_SAMPLES", cfg.samples_per_cell)
         force_workers(monkeypatch, 2)
@@ -526,12 +526,14 @@ class TestSpacecraftAbstraction:
 
         monkeypatch.setattr(np.random, "default_rng", refuse)
         monkeypatch.setattr(np.random, "Generator", refuse)
-        mdp = estimate_transitions(SpacecraftEnv(), make_partition(), AbstractionConfig(20, seed=1))
+        partition = make_partition()
+        env = SpacecraftEnv(EnvParams(), Discretizer(partition))
+        mdp = estimate_transitions(env, partition, AbstractionConfig(20, seed=1))
         assert mdp.validate() == []
 
     def test_full_pipeline_shape(self):
-        env = SpacecraftEnv()
         partition = make_partition()
+        env = SpacecraftEnv(EnvParams(), Discretizer(partition))
         cfg = AbstractionConfig(samples_per_cell=500, seed=11)
         mdp = estimate_transitions(env, partition, cfg)
         assert mdp.n_states == 101

@@ -8,8 +8,8 @@ import shieldcraft.pipeline as pipeline
 from shieldcraft import ltl
 from shieldcraft.cli import main
 from shieldcraft.abstraction import make_partition
-from shieldcraft.env import MODES, proposition_table
-from shieldcraft.learner import SpacecraftSession, qtable_from_json, qtable_to_json
+from shieldcraft.env import MODES, Discretizer, SpacecraftEnv, proposition_table
+from shieldcraft.learner import qtable_from_json, qtable_to_json
 from shieldcraft.mdp import FiniteMdp
 from shieldcraft.pipeline import (
     ExperimentConfig,
@@ -384,6 +384,33 @@ class TestToolCommands:
         assert f"corrupt policy: key {key!r}: {problem}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("train_spec, key", [
+        ("liveness_and_safety", "99999,0"),
+        ("liveness_only", "0,3"),
+    ])
+    def test_policy_key_outside_the_run_fails_by_name(self, tiny_q_run, tmp_path, capsys,
+                                                      train_spec, key):
+        # a policy of another partition or monitor evaluated with every row
+        # unseen, as a constant policy, and exited 0
+        cfg, result = tiny_q_run
+        n_observations = Discretizer(make_partition(cfg.partition)).capacity
+        n_monitor_states = pipeline.build_specs(cfg).monitors[train_spec].n_states
+        obs, z = map(int, key.split(","))
+        assert obs >= n_observations or z >= n_monitor_states
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({key: [0.0] * len(MODES)}))
+        capsys.readouterr()
+        code = main(["evaluate", "--config", write_config(cfg, tmp_path / "config.json"),
+                     "--train-spec", train_spec, "--policy", str(policy), "--episodes", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        if obs >= n_observations:
+            problem = f"observation index {obs} is outside the {n_observations} of this run"
+        else:
+            problem = f"monitor state {z} is outside the {n_monitor_states} of this run"
+        assert f"corrupt policy: key {key!r}: {problem}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("grow", [True, False])
     def test_policy_of_another_action_count_fails_by_name(self, tiny_q_run, tmp_path, capsys,
                                                           grow):
@@ -563,27 +590,29 @@ class TestOneWiringPath:
         # give the run's own episode records, byte for byte
         cfg, result = tiny_q_run
         out = result.out_dir
+        specs, partition = pipeline.build_specs(cfg), make_partition(cfg.partition)
         qtable = qtable_from_json(json.loads((out / f"policy_{row.policy_key}.json").read_text()),
-                                  len(MODES))
+                                  len(MODES), Discretizer(partition).capacity,
+                                  specs.monitors[row.train_spec].n_states)
         shield = Shield.load(out / f"shield_{row.shield}.json") if row.shield != "none" else None
-        evaluated = pipeline.evaluate_policy(
-            cfg, pipeline.build_specs(cfg), make_partition(cfg.partition), qtable,
-            row.train_spec, shield,
-        )
+        evaluated = pipeline.evaluate_policy(cfg, specs, partition, qtable, row.train_spec, shield)
         assert evaluated.metrics.episodes == cfg.eval_episodes
         episodes = tmp_path / "episodes.jsonl"
         pipeline._write_episode_records(episodes, evaluated.episodes)
         assert episodes.read_bytes() == (out / f"episodes_{row.row_id}.jsonl").read_bytes()
 
     def test_policy_file_round_trip(self, tiny_q_run, tmp_path):
-        _cfg, result = tiny_q_run
+        cfg, result = tiny_q_run
+        n_observations = Discretizer(make_partition(cfg.partition)).capacity
+        n_monitor_states = pipeline.build_specs(cfg).monitors["liveness_and_safety"].n_states
         policies = sorted(result.out_dir.glob("policy_*.json"))
         assert len(policies) == len(result.policies)
         for path in policies:
             data = json.loads(path.read_text())
             assert data
             again = tmp_path / path.name
-            pipeline.write_json(again, qtable_to_json(qtable_from_json(data, len(MODES))))
+            qtable = qtable_from_json(data, len(MODES), n_observations, n_monitor_states)
+            pipeline.write_json(again, qtable_to_json(qtable))
             assert again.read_bytes() == path.read_bytes(), path.name
 
     def test_json_artifacts_are_compact(self, tiny_q_run):
@@ -609,20 +638,38 @@ class TestOneWiringPath:
                 if name == "synthesize":
                     assert len(args) == 2 and not kwargs
                 if name == "train":
-                    assert isinstance(args[0], SpacecraftSession)
+                    assert isinstance(args[0], SpacecraftEnv)
                     assert "shield_runtime" in kwargs
                 if name == "evaluate":
-                    assert isinstance(args[1], SpacecraftSession)
+                    assert isinstance(args[1], SpacecraftEnv)
                     assert "shield_runtime" in kwargs
                 return fn(*args, **kwargs)
             return wrapper
 
         for name in names:
             monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+        # the traced benchmark counts env steps by replacing the class's
+        # step, so every step that train and evaluate take must call it
+        env_steps = 0
+        step = SpacecraftEnv.step
+
+        def counted_step(self, action, draws):
+            nonlocal env_steps
+            env_steps += 1
+            return step(self, action, draws)
+
+        monkeypatch.setattr(SpacecraftEnv, "step", counted_step)
 
         cfg = tiny_config(shield_kinds=("none", "q"))
-        run_pipeline(cfg, tmp_path / "run")
+        out = tmp_path / "run"
+        run_pipeline(cfg, out)
         assert all(calls.values()), calls
+        info = json.loads((out / "run_info.json").read_text())
+        trained = sum(policy["train_steps"] for policy in info["policies"].values())
+        evaluated = sum(json.loads(line)["steps"] for path in sorted(out.glob("episodes_*.jsonl"))
+                        for line in path.read_text().splitlines())
+        assert trained > 0 and evaluated > 0
+        assert env_steps == trained + evaluated
 
         calls.update((name, 0) for name in names)
         config = write_config(cfg, tmp_path / "config.json")

@@ -9,6 +9,7 @@ from shieldcraft import env as env_mod
 from shieldcraft.abstraction import make_partition
 from shieldcraft.env import (
     RESET_DRAWS,
+    Discretizer,
     EnvParams,
     EpisodeDraws,
     RowStreams,
@@ -20,6 +21,9 @@ from shieldcraft.env import (
     proposition_table,
     truncated_normal,
 )
+
+# every test env here bins its observations on the default partition
+DISCRETIZER = Discretizer(make_partition())
 
 
 def state(err=0.05, rate=0.001, wheel=0.5, charge=0.6, sun=1, target=1, mode=0, minutes=0.0):
@@ -90,7 +94,7 @@ class TestDynamics:
         # documented example: dump coefficient 0.25 takes 0.9 to 0.65 up to
         # the (3-sigma truncated) noise band
         params = EnvParams(wheel_drift=(0.001, -0.25, 0.07, 0.07))
-        env = SpacecraftEnv(params)
+        env = SpacecraftEnv(params, DISCRETIZER)
         draws = EpisodeDraws(0, RESET_DRAWS + 3 * 50)
         env.reset(draws)
         for _ in range(50):
@@ -99,7 +103,7 @@ class TestDynamics:
             assert abs(env.state.wheel_speed - 0.65) <= 3 * params.wheel_noise[1] + 1e-12
 
     def test_charging_in_eclipse_strictly_drains(self):
-        env = SpacecraftEnv()
+        env = SpacecraftEnv(EnvParams(), DISCRETIZER)
         draws = EpisodeDraws(1, 64)
         env.reset(draws)
         env.state.minutes = 0.8 * env.params.orbit_minutes  # eclipse phase
@@ -109,7 +113,7 @@ class TestDynamics:
         assert env.state.charge < before
 
     def test_charging_in_sun_gains(self):
-        env = SpacecraftEnv()
+        env = SpacecraftEnv(EnvParams(), DISCRETIZER)
         draws = EpisodeDraws(2, 64)
         env.reset(draws)
         env.state.sun = 1
@@ -118,7 +122,7 @@ class TestDynamics:
         assert env.state.charge == pytest.approx(0.5 + 0.06 - 0.006)
 
     def test_charge_clamped_at_top_only(self):
-        env = SpacecraftEnv()
+        env = SpacecraftEnv(EnvParams(), DISCRETIZER)
         draws = EpisodeDraws(3, 64)
         env.reset(draws)
         env.state.sun = 1
@@ -129,7 +133,7 @@ class TestDynamics:
     def test_sustained_imaging_saturates_wheels(self):
         # alternating imaging with no dumping drives the wheels up
         # monotonically to saturation within 50 steps
-        env = SpacecraftEnv()
+        env = SpacecraftEnv(EnvParams(), DISCRETIZER)
         draws = EpisodeDraws(4, RESET_DRAWS + 3 * 50)
         env.reset(draws)
         env.state.wheel_speed = 0.3
@@ -142,7 +146,7 @@ class TestDynamics:
         assert history[-1] >= 1.0
 
     def test_imaging_converges_pointing(self):
-        env = SpacecraftEnv()
+        env = SpacecraftEnv(EnvParams(), DISCRETIZER)
         draws = EpisodeDraws(5, 64)
         env.reset(draws)
         env.state.pointing_error = 0.1
@@ -154,12 +158,12 @@ class TestDynamics:
 
     def test_determinism(self):
         def run(seed):
-            env = SpacecraftEnv()
+            env = SpacecraftEnv(EnvParams(), DISCRETIZER)
             draws = EpisodeDraws(seed, RESET_DRAWS + 3 * 40)
             env.reset(draws)
             trace = []
             for t in range(40):
-                labels, failed = env.step(t % 4, draws)
+                _, _, labels, failed = env.step(t % 4, draws)
                 trace.append((tuple(observation(env.state)), labels, failed))
             return trace
 
@@ -167,7 +171,7 @@ class TestDynamics:
         assert run(7) != run(8)
 
     def test_mode_recorded(self):
-        env = SpacecraftEnv()
+        env = SpacecraftEnv(EnvParams(), DISCRETIZER)
         draws = EpisodeDraws(6, 64)
         env.reset(draws)
         env.step(3, draws)
@@ -176,7 +180,7 @@ class TestDynamics:
 
 class TestAccessWindows:
     def test_fixed_windows(self):
-        env = SpacecraftEnv()
+        env = SpacecraftEnv(EnvParams(), DISCRETIZER)
         draws = EpisodeDraws(0, 64)
         env.reset(draws)
         orbit = env.params.orbit_minutes
@@ -186,7 +190,7 @@ class TestAccessWindows:
         assert env._access(0.90 * orbit, env.params.target_windows)[0] == 0
 
     def test_randomized_windows_differ_between_episodes(self):
-        env = SpacecraftEnv(EnvParams(randomize_windows=True))
+        env = SpacecraftEnv(EnvParams(randomize_windows=True), DISCRETIZER)
         draws = EpisodeDraws(0, 64)
         env.reset(draws)
         w1 = env._windows
@@ -202,7 +206,8 @@ class TestSampleInCell:
 
     def sample(self, n, seed):
         """One row in BOUNDS, from the stream of ``default_rng(seed)``."""
-        return SpacecraftEnv().sample_in_cell(np.array([self.BOUNDS]), n, RowStreams.seeded(seed))
+        env = SpacecraftEnv(EnvParams(), DISCRETIZER)
+        return env.sample_in_cell(np.array([self.BOUNDS]), n, RowStreams.seeded(seed))
 
     def test_bounds_respected(self):
         batch = self.sample(5000, 0)
@@ -223,7 +228,7 @@ class TestSampleInCell:
             assert np.array_equal(b1[key], b2[key])
 
     def test_hidden_coordinates_randomized(self):
-        env = SpacecraftEnv()
+        env = SpacecraftEnv(EnvParams(), DISCRETIZER)
         n = 2000
         batch = self.sample(n, 4)
         lo, hi = env.params.sample_pointing_error
@@ -244,7 +249,7 @@ class TestSampleInCell:
 class TestLabelPartitionConsistency:
     def test_safety_labels_match_cells(self):
         partition = make_partition()
-        env = SpacecraftEnv()
+        env = SpacecraftEnv(EnvParams(), Discretizer(partition))
         rng = np.random.default_rng(8)
         table = proposition_table()
         safety_mask = (1 << table.names.index("p1")) | (1 << table.names.index("p2"))
@@ -302,7 +307,7 @@ def _start_values(env):
 class TestResetDraw:
     @pytest.mark.parametrize("randomize", [False, True])
     def test_one_call_equals_uniform_calls_bitwise(self, randomize):
-        env = SpacecraftEnv(EnvParams(randomize_windows=randomize))
+        env = SpacecraftEnv(EnvParams(randomize_windows=randomize), DISCRETIZER)
         for seed in range(10_000):
             want_rng = np.random.default_rng([seed, 3])
             want = _uniform_reset(env.params, want_rng)
@@ -321,11 +326,11 @@ class TestNoiseBlock:
     BLOCK = RESET_DRAWS + 3 * max(STEPS)
 
     def _rollout(self, params, seed, steps, draws):
-        env = SpacecraftEnv(params)
+        env = SpacecraftEnv(params, DISCRETIZER)
         actions = np.random.default_rng(seed).integers(0, 4, steps).tolist()
         trace = [(env.reset(draws), tuple(_start_values(env)))]
         for action in actions:
-            labels, failed = env.step(action, draws)
+            _, _, labels, failed = env.step(action, draws)
             trace.append((labels, failed, dataclasses.astuple(env.state)))
         return trace
 

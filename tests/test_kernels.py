@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from shieldcraft import _kernels
 from shieldcraft.abstraction import make_partition
-from shieldcraft.env import EnvParams, EpisodeDraws, RowStreams, SpacecraftEnv
-from shieldcraft.learner import Discretizer, SpacecraftSession
+from shieldcraft.env import Discretizer, EnvParams, EpisodeDraws, RowStreams, SpacecraftEnv
 
 # One step per action under the default EnvParams coefficients, worked by
 # hand from the update rules in env.py. Each case drives one coordinate
@@ -184,8 +183,8 @@ def test_nan_state_stays_nan():
 
 class TestBenchmarkContract:
     """perfbench reads ``USING_COMPILED`` and times the kernel by replacing
-    ``step_one`` and ``step_batch`` on the module, so the environment and
-    the session must call them through the module attribute."""
+    ``step_one`` and ``step_batch`` on the module, so the environment must
+    call them through the module attribute."""
 
     def test_env_calls_through_module(self, monkeypatch):
         assert _kernels.USING_COMPILED is False
@@ -202,7 +201,7 @@ class TestBenchmarkContract:
 
         monkeypatch.setattr(_kernels, "step_one", counting("step_one"))
         monkeypatch.setattr(_kernels, "step_batch", counting("step_batch"))
-        env = SpacecraftEnv()
+        env = SpacecraftEnv(EnvParams(), Discretizer(make_partition()))
         draws = EpisodeDraws(0, 16)
         env.reset(draws)
         env.step(2, draws)
@@ -211,8 +210,3 @@ class TestBenchmarkContract:
         env.step_batch(env.sample_in_cell(np.array([cell]), 8, RowStreams.seeded(0)),
                        np.full(8, 1))
         assert calls == {"step_one": 1, "step_batch": 1}
-        # the session's one-frame episode step calls the kernel once too
-        session = SpacecraftSession(SpacecraftEnv(), Discretizer(make_partition()))
-        session.reset(draws)
-        session.step(3, draws)
-        assert calls == {"step_one": 2, "step_batch": 1}

@@ -7,6 +7,7 @@ from shieldcraft.abstraction import make_partition
 from shieldcraft.dfa import compile_cosafe, monitor_product
 from shieldcraft.env import (
     RESET_DRAWS,
+    Discretizer,
     EnvParams,
     SpacecraftEnv,
     SpacecraftState,
@@ -14,9 +15,7 @@ from shieldcraft.env import (
 )
 from shieldcraft.learner import (
     CorruptPolicyError,
-    Discretizer,
     LearnerConfig,
-    SpacecraftSession,
     evaluate,
     qtable_from_json,
     qtable_to_json,
@@ -251,7 +250,8 @@ def _spacecraft_shield():
     table = proposition_table()
     partition = make_partition()
     violation = compile_cosafe(negate(parse("G !(p1 | p2)", table)), table)
-    mdp = estimate_transitions(SpacecraftEnv(), partition, AbstractionConfig(500, seed=0))
+    env = SpacecraftEnv(EnvParams(), Discretizer(partition))
+    mdp = estimate_transitions(env, partition, AbstractionConfig(500, seed=0))
     shield = one_step(product(mdp, violation), ShieldConfig(threshold=0.05, kind="one"))
     return partition, violation, shield
 
@@ -272,10 +272,10 @@ class TestShieldInLoop:
                 executed_log.append((s, decision.action))
                 return decision
 
-        session = SpacecraftSession(SpacecraftEnv(), Discretizer(partition))
+        env = SpacecraftEnv(EnvParams(), Discretizer(partition))
         cfg = LearnerConfig(episodes=30, episode_length=50)
         train(
-            session, liveness, cfg, RewardConfig(), seed=0,
+            env, liveness, cfg, RewardConfig(), seed=0,
             shield_runtime=SpyRuntime(shield, violation, partition),
         )
         assert executed_log
@@ -287,7 +287,8 @@ class TestShieldInLoop:
 
         partition, violation, shield = _spacecraft_shield()
         liveness = compile_cosafe(parse("F p0", proposition_table()), proposition_table())
-        env = SpacecraftEnv(EnvParams(init_rate=(0.011, 0.012)))  # above RATE_LIMIT
+        # starts above RATE_LIMIT
+        env = SpacecraftEnv(EnvParams(init_rate=(0.011, 0.012)), Discretizer(partition))
         first_filters = []
 
         class SpyRuntime(ShieldRuntime):
@@ -304,10 +305,9 @@ class TestShieldInLoop:
                     self.first = False
                 return super().filter(cell, proposed)
 
-        session = SpacecraftSession(env, Discretizer(partition))
         cfg = LearnerConfig(episodes=5, episode_length=3)
         train(
-            session, liveness, cfg, RewardConfig(), seed=0,
+            env, liveness, cfg, RewardConfig(), seed=0,
             shield_runtime=SpyRuntime(shield, violation, partition),
         )
         assert len(first_filters) == 5
@@ -365,34 +365,33 @@ class TestEpisodeDrawsInLoop:
         liveness = compile_cosafe(parse("F p0", table), table)
         monitor = monitor_product(liveness, violation)
 
-        def session():
-            params = EnvParams(randomize_windows=True)
-            return SpacecraftSession(SpacecraftEnv(params), Discretizer(partition))
+        def make_env():
+            return SpacecraftEnv(EnvParams(randomize_windows=True), Discretizer(partition))
 
         def runtime():
             return ShieldRuntime(shield, violation, partition)
 
-        return session, runtime, monitor, liveness, violation
+        return make_env, runtime, monitor, liveness, violation
 
     def _run(self, setup, shielded):
-        session, runtime, monitor, liveness, violation = setup
+        make_env, runtime, monitor, liveness, violation = setup
         # epsilon anneals from 0.9 to 0.2: exploration and greedy steps mix
         cfg = LearnerConfig(
             episodes=40, episode_length=60, epsilon_start=0.9, epsilon_end=0.2,
             optimistic_init=0.5 if shielded else 0.0,
         )
         trained = train(
-            session(), monitor, cfg, RewardConfig(), seed=4,
+            make_env(), monitor, cfg, RewardConfig(), seed=4,
             shield_runtime=runtime() if shielded else None,
         )
         # random greedy actions: the imaging modes saturate the wheels, so
         # some episodes fail early and others run the whole horizon
         pick = np.random.default_rng(0)
-        capacity = session().discretizer.capacity
+        capacity = make_env().discretizer.capacity
         q = {(obs, z): pick.random(4).tolist()
              for obs in range(capacity) for z in range(monitor.n_states)}
         evaluated = evaluate(
-            q, session(), monitor, liveness, violation, RewardConfig(),
+            q, make_env(), monitor, liveness, violation, RewardConfig(),
             episodes=40, episode_length=60, seed=4,
             shield_runtime=runtime() if shielded else None, record_trajectories=5,
         )
@@ -425,8 +424,8 @@ class TestEpisodeDrawsInLoop:
         # for `integers(4)` (2**32 mod 4 = 0, so Lemire's method never
         # rejects) and three noise outputs; with randomized windows a reset
         # reads six
-        session, _runtime, monitor, _liveness, _violation = setup
-        counting = CountingSession(session())
+        make_env, _runtime, monitor, _liveness, _violation = setup
+        counting = CountingEnv(make_env())
         cfg = LearnerConfig(episodes=40, episode_length=60, epsilon_start=1.0, epsilon_end=1.0)
         trained = train(counting, monitor, cfg, RewardConfig(), seed=4)
         assert counting.resets == [RESET_DRAWS] * 40
@@ -434,8 +433,8 @@ class TestEpisodeDrawsInLoop:
         assert set(counting.steps) == {4, 5}
 
     def test_evaluation_reads_three_per_step(self, setup):
-        session, _runtime, monitor, liveness, violation = setup
-        counting = CountingSession(session())
+        make_env, _runtime, monitor, liveness, violation = setup
+        counting = CountingEnv(make_env())
         pick = np.random.default_rng(0)
         capacity = counting.discretizer.capacity
         q = {(obs, z): pick.random(4).tolist()
@@ -449,32 +448,32 @@ class TestEpisodeDrawsInLoop:
         assert set(counting.steps) == {3}
 
 
-class CountingSession:
-    """A session that records the draws each reset reads, and those each
+class CountingEnv:
+    """An env that records the draws each reset reads, and those each
     step reads since the previous reset or step."""
 
-    def __init__(self, session):
-        self.session = session
-        self.n_actions = session.n_actions
-        self.discretizer = session.discretizer
+    def __init__(self, env):
+        self.env = env
+        self.n_actions = env.n_actions
+        self.discretizer = env.discretizer
         self.resets = []
         self.steps = []
         self._read = 0
 
     def reset(self, draws):
-        outcome = self.session.reset(draws)
+        outcome = self.env.reset(draws)
         self.resets.append(draws._pos)
         self._read = draws._pos
         return outcome
 
     def step(self, action, draws):
-        outcome = self.session.step(action, draws)
+        outcome = self.env.step(action, draws)
         self.steps.append(draws._pos - self._read)
         self._read = draws._pos
         return outcome
 
     def observation(self):
-        return self.session.observation()
+        return self.env.observation()
 
 
 class TestPolicySerialization:
@@ -482,13 +481,13 @@ class TestPolicySerialization:
         q = {(3, 1): [0.5, -0.25], (0, 0): [1.0, 0.0]}
         data = qtable_to_json(q)
         assert set(data) == {"0,0", "3,1"}
-        back = qtable_from_json(data, 2)
+        back = qtable_from_json(data, 2, 4, 2)
         assert set(back) == set(q)
         for key in q:
             assert np.array_equal(back[key], q[key])
 
     def test_rows_load_as_float_lists(self):
-        back = qtable_from_json({"2,1": [1, 0.5, -3]}, 3)
+        back = qtable_from_json({"2,1": [1, 0.5, -3]}, 3, 3, 2)
         assert back == {(2, 1): [1.0, 0.5, -3.0]}
         assert all(type(v) is float for v in back[(2, 1)])
 
@@ -514,7 +513,7 @@ class TestPolicySerialization:
         # every list row has the action count, so the defect is the key's own
         rows = [v for v in data.values() if isinstance(v, list)] if isinstance(data, dict) else []
         with pytest.raises(CorruptPolicyError) as err:
-            qtable_from_json(data, max(map(len, rows), default=1))
+            qtable_from_json(data, max(map(len, rows), default=1), 10, 10)
         assert err.value.key == key
         assert str(err.value).startswith(
             "corrupt policy: the policy is not" if key is None else f"corrupt policy: key {key!r}: ")
@@ -524,9 +523,24 @@ class TestPolicySerialization:
         # a longer row could pick an action the env does not have
         data = {"0,0": [0.0, 1.0], "1,0": row, "2,0": [1.0, 2.0, 3.0, 4.0]}
         with pytest.raises(CorruptPolicyError) as err:
-            qtable_from_json(data, 2)
+            qtable_from_json(data, 2, 3, 1)
         assert err.value.key == "1,0"
         assert str(err.value) == f"corrupt policy: key '1,0': a row of {len(row)} values, not 2"
+
+    @pytest.mark.parametrize("key, problem", [
+        ("4,0", "observation index 4 is outside the 4 of this run"),
+        ("99999,0", "observation index 99999 is outside the 4 of this run"),
+        ("0,2", "monitor state 2 is outside the 2 of this run"),
+        ("3,99", "monitor state 99 is outside the 2 of this run"),
+    ])
+    def test_key_outside_the_run_named(self, key, problem):
+        # a policy of another partition or monitor would evaluate as rows
+        # never seen; the first key outside the counts is named
+        data = {"0,0": [0.0, 1.0], "3,1": [1.0, 0.0], key: [0.0, 1.0], "5,5": [0.0, 1.0]}
+        with pytest.raises(CorruptPolicyError) as err:
+            qtable_from_json(data, 2, 4, 2)
+        assert err.value.key == key
+        assert str(err.value) == f"corrupt policy: key {key!r}: {problem}"
 
 
 class TestGreedyRule:

@@ -36,13 +36,11 @@ _RAISED = "exception constructor: runs only on the error it reports"
 
 # "module.qualname" -> why it stays although no run calls it
 ALLOWED = {
-    "env.SpacecraftEnv.step": _PROBED,
     "env.truncated_normal": _PROBED,
     "abstraction.Partition.locate_one": _PROBED,
     "mdp.ProductMdp.rows": _PROBED,
     "mdp.ProductMdp.initial_state": "the start state of a run in the product (ROADMAP item 3)",
     "mdp.ProductMdp.state_index": "the start state of a run in the product (ROADMAP item 3)",
-    "learner.Discretizer.capacity": "the Q-table's row count (ROADMAP item 6)",
     "dfa.Dfa.from_json": "the reader of `compile --out`",
     "ltl.Formula.__eq__": "formula equality, part of the type's contract",
     "ltl.Formula.__repr__": "formula display, part of the type's contract",

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import generator_sample_in_cell, lemire_modes
 from shieldcraft.abstraction import PartitionSpec, make_partition
-from shieldcraft.env import EnvParams, RowStreams, SpacecraftEnv, pcg64_states
+from shieldcraft.env import Discretizer, EnvParams, RowStreams, SpacecraftEnv, pcg64_states
 
 # the word widths SeedSequence splits on: 0 is one word, 2**32 two
 WORD = st.one_of(
@@ -108,8 +108,8 @@ class TestChunkSampling:
     @pytest.mark.parametrize("spec", [PartitionSpec(), FINE], ids=["default", "fine"])
     @pytest.mark.parametrize("seed", [0, 2**40 + 5])
     def test_rows_equal_generator_rows(self, seed, spec, n):
-        env = SpacecraftEnv()
         partition = make_partition(spec)
+        env = SpacecraftEnv(EnvParams(), Discretizer(partition))
         # seven rows spread over the partition and the actions
         cells = np.linspace(0, partition.n_cells - 1, 7).astype(np.int64)
         actions = np.arange(7) % 4
@@ -130,8 +130,8 @@ class TestChunkSampling:
 
     def test_other_params(self):
         params = EnvParams(sample_pointing_error=(0.01, 0.2), orbit_minutes=95.5)
-        env = SpacecraftEnv(params)
         partition = make_partition(FINE)
+        env = SpacecraftEnv(params, Discretizer(partition))
         cells, actions = np.array([4, 1499]), np.array([2, 1])
         batch = env.sample_in_cell(
             partition.bounds[cells], 50, RowStreams.seeded(9, 1, cells, actions)

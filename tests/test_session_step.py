@@ -1,6 +1,6 @@
-"""`SpacecraftSession.step`, the episode step computed in one frame, against
-its reference: `SpacecraftEnv.step` followed by `Discretizer.__call__` on a
-twin environment with twin draws. The outcome must be equal and the next
+"""`SpacecraftEnv.step`, the episode step computed in one frame, against
+its reference, `oracles.reference_step`, on a twin environment with twin
+draws. The outcome must be equal and the next
 states bitwise equal, for states whose next values sit on every interior
 edge and label or failure threshold, for non-finite states, for all four
 actions, fixed and randomized windows and default and fine partitions."""
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_step
 from shieldcraft import _kernels
 from shieldcraft.abstraction import PartitionSpec, make_partition
 from shieldcraft.env import (
@@ -24,11 +25,11 @@ from shieldcraft.env import (
     RESET_DRAWS,
     WHEEL_CEIL,
     WHEEL_LIMIT,
+    Discretizer,
     EnvParams,
     EpisodeDraws,
     SpacecraftEnv,
 )
-from shieldcraft.learner import Discretizer, SpacecraftSession
 
 PARTITIONS = {
     "default_4x5x5": make_partition(),
@@ -71,16 +72,15 @@ TARGETS = {name: _targets(p) for name, p in PARTITIONS.items()}
 
 
 def _twins(params, partition, seed):
-    """A session and a reference env, reset from twin draws, and the noise
+    """An env and a reference twin, reset from twin draws, and the noise
     deviates their next step reads."""
-    session = SpacecraftSession(SpacecraftEnv(params), Discretizer(partition))
-    ref = SpacecraftEnv(params)
+    env, ref, peeker = (SpacecraftEnv(params, Discretizer(partition)) for _ in range(3))
     words = [seed, 3]
     draws, ref_draws, peek = (EpisodeDraws(words, BLOCK) for _ in range(3))
-    session.reset(draws)
+    env.reset(draws)
     ref.reset(ref_draws)
-    SpacecraftEnv(params).reset(peek)
-    return session, draws, ref, ref_draws, peek.noise()
+    peeker.reset(peek)
+    return env, draws, ref, ref_draws, peek.noise()
 
 
 def _solve(f, target: float, x: float) -> float:
@@ -127,28 +127,27 @@ def _bits(state) -> tuple:
 
 
 def check_step(params, partition_name, seed, state, action, pin=None):
-    """Step the session and the reference from ``state`` (rate, wheel,
+    """Step the env and the reference from ``state`` (rate, wheel,
     charge, err, sun, target, mode, minutes); ``pin`` is an (axis, target)
     of `_pinned`, solved so that the next value is the target. Returns
     whether the pinned value landed on its target."""
     partition = PARTITIONS[partition_name]
-    session, draws, ref, ref_draws, noise = _twins(params, partition, seed)
+    env, draws, ref, ref_draws, noise = _twins(params, partition, seed)
     state = list(state)
     if pin is not None:
         axis, target = pin
         value = _pinned(state, axis, target, params, ref._coef[action], noise)
         state[7 if axis == 4 else axis] = value
-    for env in (session.env, ref):
+    for twin in (env, ref):
         for name, value in zip(FIELDS, state[:4]):
-            setattr(env.state, name, value)
-        env.state.sun, env.state.target, env.state.mode, env.state.minutes = state[4:]
+            setattr(twin.state, name, value)
+        twin.state.sun, twin.state.target, twin.state.mode, twin.state.minutes = state[4:]
 
-    got = session.step(action, draws)
-    labels, failed = ref.step(action, ref_draws)
-    want = (*Discretizer(partition)(ref.state, failed), labels, failed)
+    got = env.step(action, draws)
+    want = reference_step(ref, action, ref_draws)
     assert got == want
     assert [type(v) for v in got] == [int, int, int, bool]
-    assert _bits(session.env.state) == _bits(ref.state)
+    assert _bits(env.state) == _bits(ref.state)
     if pin is None:
         return True
     if pin[0] == 4:
@@ -177,7 +176,7 @@ def test_every_edge_and_threshold(name, windows):
 def _window_bounds(params, seed) -> list[float]:
     """The phases where sun or target access begins or ends, in the
     episode of ``seed``."""
-    env = SpacecraftEnv(params)
+    env = SpacecraftEnv(params, Discretizer(PARTITIONS["default_4x5x5"]))
     env.reset(EpisodeDraws([seed, 3], BLOCK))
     return [b for window in (params.sun_window, *env._windows) for b in window]
 

@@ -871,13 +871,13 @@ class TestSettledSplitOracle:
 class TestRuntime:
     def test_tracks_violation_automaton(self):
         from shieldcraft.abstraction import AbstractionConfig, estimate_transitions, make_partition
-        from shieldcraft.env import SpacecraftEnv, proposition_table
+        from shieldcraft.env import Discretizer, EnvParams, SpacecraftEnv, proposition_table
         from shieldcraft.ltl import negate
 
         table = proposition_table()
         violation = compile_cosafe(negate(parse("G !(p1 | p2)", table)), table)
         partition = make_partition()
-        env = SpacecraftEnv()
+        env = SpacecraftEnv(EnvParams(), Discretizer(partition))
         mdp = estimate_transitions(env, partition, AbstractionConfig(200, seed=0))
         pm = product(mdp, violation)
         shield = one_step(pm, ShieldConfig(threshold=0.05, kind="one"))
