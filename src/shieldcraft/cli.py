@@ -194,7 +194,7 @@ def cmd_evaluate(args) -> int:
     print(
         f"episodes={m.episodes} sat={m.sat_pct:.1f}% viol={m.violate_pct:.1f}% "
         f"fail={m.failure_pct:.1f}% interventions={m.interventions_mean:.2f} "
-        f"mean_vf={m.avg_vf:.4f}"
+        f"mean_vf={m.eval_mean_vf:.4f}"
     )
     return 0
 

@@ -68,6 +68,7 @@ P4_BIT = 1 << ATOM_NAMES.index("p4")
 RATE_LIMIT = 0.01    # rad/s, safe-domain bound on attitude rate
 WHEEL_LIMIT = 1.0    # wheel-speed fraction at saturation
 POINTING_TOL = 0.008  # rad, image quality gate on pointing error
+POINTING_EDGES = (POINTING_TOL, 0.04)  # rad, the observation's pointing-error bins
 RATE_TOL = 0.002      # rad/s, image quality gate on attitude rate
 CHARGE_FLOOR = 0.2    # p1 region boundary
 WHEEL_CEIL = 0.8      # p2 region boundary
@@ -489,14 +490,13 @@ class Discretizer:
     step. The same bins give the shield's partition cell.
     """
 
-    def __init__(self, partition, pointing_edges=(POINTING_TOL, 0.04)):
-        self.pointing_edges = tuple(float(e) for e in pointing_edges)
+    def __init__(self, partition):
         self._rate_edges, self._wheel_edges, self._charge_edges = partition.interior_edges
         self._dims = (
             len(self._rate_edges) + 1,
             len(self._wheel_edges) + 1,
             len(self._charge_edges) + 1,
-            len(self.pointing_edges) + 1,
+            len(POINTING_EDGES) + 1,
             2,
             2,
         )
@@ -512,7 +512,7 @@ class Discretizer:
         ri = bisect_right(self._rate_edges, state.attitude_rate)
         wi = bisect_right(self._wheel_edges, state.wheel_speed)
         ci = bisect_right(self._charge_edges, state.charge)
-        pi = bisect_right(self.pointing_edges, state.pointing_error)
+        pi = bisect_right(POINTING_EDGES, state.pointing_error)
         _, nw, nc, np_, _, _ = self._dims
         cell = (ri * nw + wi) * nc + ci
         idx = (cell * np_ + pi) * 2 + state.sun
@@ -650,7 +650,7 @@ class SpacecraftEnv:
         cell = (
             bisect_right(d._rate_edges, rate) * nw + bisect_right(d._wheel_edges, wheel)
         ) * nc + bisect_right(d._charge_edges, charge)
-        idx = ((cell * n_pointing + bisect_right(d.pointing_edges, err)) * 2 + sun) * 2 + target
+        idx = ((cell * n_pointing + bisect_right(POINTING_EDGES, err)) * 2 + sun) * 2 + target
         return idx, -1 if failed else cell, labels, failed
 
     def observation(self) -> list[float]:

@@ -182,14 +182,15 @@ def train(
 
 @dataclass(frozen=True)
 class Metrics:
-    episodes: int
-    avg_vf: float
+    # metrics.csv's columns after the row's, in this order
     sat_pct: float
     violate_pct: float
     failure_pct: float
     interventions_sat: float
     interventions_unsat: float
     interventions_mean: float
+    eval_mean_vf: float
+    episodes: int
 
 
 @dataclass
@@ -343,14 +344,14 @@ def _aggregate(records) -> Metrics:
         return sum(r.interventions for r in group) / len(group)
 
     return Metrics(
-        episodes=n,
-        avg_vf=sum(r.value for r in records) / n,
         sat_pct=100.0 * len(sat) / n,
         violate_pct=100.0 * sum(r.violated_safety for r in records) / n,
         failure_pct=100.0 * sum(r.failed for r in records) / n,
         interventions_sat=mean_interventions(sat),
         interventions_unsat=mean_interventions(unsat),
         interventions_mean=sum(r.interventions for r in records) / n,
+        eval_mean_vf=sum(r.value for r in records) / n,
+        episodes=n,
     )
 
 

@@ -227,10 +227,6 @@ class FiniteMdp:
             raise CorruptMdpError(defects)
         return mdp
 
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.to_json()) + "\n")
-
     @classmethod
     def load(cls, path) -> "FiniteMdp":
         with open(path, encoding="utf-8") as fh:

@@ -40,22 +40,6 @@ TASKS = ("simple", "complex")
 TRAIN_SPECS = ("liveness_only", "liveness_and_safety")
 SHIELD_KINDS = ("none", "one", "two", "q")
 
-METRICS_COLUMNS = (
-    "shield",
-    "trained_with_shield",
-    "train_spec",
-    "train_avg_vf",
-    "sat_pct",
-    "violate_pct",
-    "failure_pct",
-    "interventions_sat",
-    "interventions_unsat",
-    "interventions_mean",
-    "eval_mean_vf",
-    "episodes",
-)
-
-
 class PipelineStageError(RuntimeError):
     def __init__(self, stage, cause):
         super().__init__(f"pipeline stage '{stage}' failed: {cause}")
@@ -99,6 +83,13 @@ class ExperimentConfig:
         for kind in self.shield_kinds:
             if kind not in SHIELD_KINDS:
                 raise ValueError(f"unknown shield kind {kind!r}")
+        # each selector names a matrix row group once: an empty one runs no
+        # row, a repeated one writes the same rows twice
+        for name in ("train_specs", "shield_kinds"):
+            chosen = getattr(self, name)
+            if not chosen or len(set(chosen)) != len(chosen):
+                raise ValueError(f"{name} must name at least one selector, each once, "
+                                 f"got {chosen!r}")
         # ShieldConfig holds the threshold and horizon rules; "one" checks
         # both even when the run synthesizes no shield
         try:
@@ -168,32 +159,36 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
-def _build(cls, data: dict, path: str):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
+# the config's nested sections; none of their fields shares these names
+_SECTIONS = {
+    "env": EnvParams, "partition": PartitionSpec, "reward": RewardConfig, "learner": LearnerConfig,
+}
+
+
+def _build(cls, data, path: str):
+    """``cls`` from the JSON object ``data``, with a nested section built as
+    its dataclass and a list read as a tuple (a list of lists too). A
+    non-object, an unknown key or a value of the wrong type raises
+    ValueError naming the section ``path``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"config section {path} must be a JSON object, got {data!r}")
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"unknown config keys at {path}: {sorted(unknown)}")
-    return cls(**data)
+    values = {}
+    for key, v in data.items():
+        if key in _SECTIONS:
+            v = _build(_SECTIONS[key], v, key)
+        elif isinstance(v, list):
+            v = tuple(tuple(x) if isinstance(x, list) else x for x in v)
+        values[key] = v
+    try:
+        return cls(**values)
+    except TypeError as exc:
+        raise ValueError(f"malformed config section {path}: {exc}") from None
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    data = dict(data)
-    if "env" in data:
-        env = dict(data["env"])
-        for key, val in env.items():
-            if isinstance(val, list):
-                env[key] = tuple(tuple(v) if isinstance(v, list) else v for v in val)
-        data["env"] = _build(EnvParams, env, "env")
-    if "partition" in data:
-        part = {k: tuple(v) for k, v in data["partition"].items()}
-        data["partition"] = _build(PartitionSpec, part, "partition")
-    if "reward" in data:
-        data["reward"] = _build(RewardConfig, dict(data["reward"]), "reward")
-    if "learner" in data:
-        data["learner"] = _build(LearnerConfig, data["learner"], "learner")
-    for key in ("train_specs", "shield_kinds"):
-        if key in data:
-            data[key] = tuple(data[key])
     return _build(ExperimentConfig, data, "<root>")
 
 
@@ -244,9 +239,15 @@ def build_specs(cfg: ExperimentConfig) -> SpecBundle:
 # this module, which is where the benchmark's probe wraps them.
 
 
+def write_lines(path, lines):
+    """Write one run file, each line followed by a newline; every file a
+    run writes goes through here."""
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
 def write_json(path, data):
     """Write one JSON artifact: compact, so CPython's C encoder runs."""
-    Path(path).write_text(json.dumps(data) + "\n", encoding="utf-8")
+    write_lines(path, [json.dumps(data)])
 
 
 def estimate_mdp(cfg: ExperimentConfig, partition, mdp_path, report_path):
@@ -254,7 +255,7 @@ def estimate_mdp(cfg: ExperimentConfig, partition, mdp_path, report_path):
     report."""
     abs_cfg = cfg.abstraction_config()
     mdp = estimate_transitions(make_env(cfg, partition), partition, abs_cfg)
-    mdp.save(mdp_path)
+    write_json(mdp_path, mdp.to_json())
     write_json(report_path, abstraction_report(mdp, abs_cfg))
     return mdp
 
@@ -270,7 +271,7 @@ def synthesize_shields(mdp, violation_dfa: Dfa, targets: dict) -> dict:
     # product unmaps it before the shields are written
     del pm
     for path, shield in made.items():
-        shield.save(path)
+        write_json(path, shield.to_json())
     return {shield.kind: shield for shield in made.values()}
 
 
@@ -368,40 +369,29 @@ class RowResult:
 
 @dataclass
 class PipelineResult:
-    config: ExperimentConfig
     out_dir: Path
-    mdp: object
-    shields: dict
     policies: dict  # policy key -> TrainResult
     rows: list
 
 
+def _metrics_lines(rows: list) -> list[str]:
+    """metrics.csv: one line per row, its `RowSpec` fields, then
+    ``train_avg_vf``, then its `Metrics` fields, under their names."""
+    names = [f.name for f in dataclasses.fields(RowSpec)]
+    names += ["train_avg_vf", *(f.name for f in dataclasses.fields(learner_mod.Metrics))]
+    lines = [",".join(names)]
+    for row in rows:
+        values = [*vars(row.spec).values(), row.train_avg_vf, *vars(row.metrics).values()]
+        lines.append(",".join(_fmt(v) for v in values))
+    return lines
+
+
 def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return "yes" if value else "no"
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def write_metrics_csv(rows: list, path: Path):
-    lines = [",".join(METRICS_COLUMNS)]
-    for row in rows:
-        m = row.metrics
-        values = (
-            row.spec.shield,
-            "yes" if row.spec.trained_with_shield else "no",
-            row.spec.train_spec,
-            row.train_avg_vf,
-            m.sat_pct,
-            m.violate_pct,
-            m.failure_pct,
-            m.interventions_sat,
-            m.interventions_unsat,
-            m.interventions_mean,
-            m.avg_vf,
-            m.episodes,
-        )
-        lines.append(",".join(_fmt(v) for v in values))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 @contextmanager
@@ -453,9 +443,10 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
             )
             train_info[key] = _throughput("train", result.steps, time.perf_counter() - t0)
             policies[key] = result
-            lines = ["episode,value,terminal_event"]
-            lines += [f"{ep},{val!r},{event}" for ep, val, event in result.episode_log]
-            (out_dir / f"trainlog_{key}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            write_lines(out_dir / f"trainlog_{key}.csv", [
+                "episode,value,terminal_event",
+                *(f"{ep},{val!r},{event}" for ep, val, event in result.episode_log),
+            ])
 
     rows = []
     eval_info = {}  # row id -> steps and throughput
@@ -469,12 +460,17 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
             steps = sum(r.steps for r in result.episodes)
             eval_info[row.row_id] = _throughput("eval", steps, time.perf_counter() - t0)
             rows.append(RowResult(row, trained.settled_avg_vf, result.metrics))
-            _write_episode_records(out_dir / f"episodes_{row.row_id}.jsonl", result.episodes)
-            _write_trajectories(
-                out_dir / f"trajectories_{row.row_id}.jsonl", result.trajectories
+            write_lines(
+                out_dir / f"episodes_{row.row_id}.jsonl",
+                [json.dumps(vars(r)) for r in result.episodes],
+            )
+            write_lines(
+                out_dir / f"trajectories_{row.row_id}.jsonl",
+                [json.dumps({"episode": ep, **step})
+                 for ep, episode in enumerate(result.trajectories) for step in episode],
             )
 
-    write_metrics_csv(rows, out_dir / "metrics.csv")
+    write_lines(out_dir / "metrics.csv", _metrics_lines(rows))
     write_json(
         out_dir / "run_info.json",
         {
@@ -485,9 +481,7 @@ def run_pipeline(cfg: ExperimentConfig, out_dir) -> PipelineResult:
             "rows": eval_info,
         },
     )
-    return PipelineResult(
-        config=cfg, out_dir=out_dir, mdp=mdp, shields=shields, policies=policies, rows=rows
-    )
+    return PipelineResult(out_dir=out_dir, policies=policies, rows=rows)
 
 
 def _throughput(stage: str, steps: int, seconds: float) -> dict:
@@ -499,19 +493,6 @@ def _throughput(stage: str, steps: int, seconds: float) -> dict:
         f"{stage}_s": seconds,
         f"{stage}_steps_per_s": steps / seconds if seconds > 0 else 0.0,
     }
-
-
-def _write_episode_records(path: Path, records):
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(json.dumps(vars(r)) + "\n")
-
-
-def _write_trajectories(path: Path, trajectories):
-    with open(path, "w", encoding="utf-8") as fh:
-        for ep_idx, rows in enumerate(trajectories):
-            for row in rows:
-                fh.write(json.dumps({"episode": ep_idx, **row}) + "\n")
 
 
 # --- reporting ----------------------------------------------------------------
@@ -535,7 +516,7 @@ def report(run_dirs, out_dir) -> dict:
         header = lines[0]
         merged += [f"{run.name},{line}" for line in lines[1:]]
     merged_path = out_dir / "merged_metrics.csv"
-    merged_path.write_text("run," + header + "\n" + "\n".join(merged) + "\n", encoding="utf-8")
+    write_lines(merged_path, ["run," + header, *merged])
 
     series_files = []
     for run in run_dirs:
@@ -555,6 +536,6 @@ def report(run_dirs, out_dir) -> dict:
                         f"{int(obs[4])},{int(obs[5])},{int(rec['intervened'])}"
                     )
             name = f"timeseries_{run.name}_{traj.stem.removeprefix('trajectories_')}.csv"
-            (out_dir / name).write_text("\n".join(rows) + "\n", encoding="utf-8")
+            write_lines(out_dir / name, rows)
             series_files.append(name)
     return {"merged_metrics": str(merged_path), "timeseries": series_files}

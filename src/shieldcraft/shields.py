@@ -210,10 +210,6 @@ class Shield:
             raise CorruptShieldError(defects)
         return shield
 
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.to_json()) + "\n")
-
     @classmethod
     def load(cls, path) -> "Shield":
         with open(path, encoding="utf-8") as fh:

@@ -23,6 +23,7 @@ PARTITIONS = {
         )
     ),
 }
+# the discretizer's pointing-error bins
 POINTING_EDGES = (0.008, 0.04)
 
 
@@ -52,7 +53,7 @@ def check_point(partition, err, rate, wheel, charge, sun=1, target=0):
         pointing_error=err, attitude_rate=rate, wheel_speed=wheel, charge=charge,
         sun=sun, target=target, mode=0, minutes=0.0,
     )
-    index, shield_cell = Discretizer(partition, POINTING_EDGES)(
+    index, shield_cell = Discretizer(partition)(
         st, is_failure(rate, wheel, charge)
     )
     assert index == searchsorted_obs_index(partition, obs)

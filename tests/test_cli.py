@@ -1,5 +1,8 @@
 import json
-from dataclasses import replace
+import os
+import subprocess
+import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -9,7 +12,7 @@ from shieldcraft import ltl
 from shieldcraft.cli import main
 from shieldcraft.abstraction import make_partition
 from shieldcraft.env import MODES, Discretizer, SpacecraftEnv, proposition_table
-from shieldcraft.learner import qtable_from_json, qtable_to_json
+from shieldcraft.learner import Metrics, qtable_from_json, qtable_to_json
 from shieldcraft.mdp import FiniteMdp
 from shieldcraft.pipeline import (
     ExperimentConfig,
@@ -23,7 +26,8 @@ from shieldcraft.pipeline import (
 )
 from shieldcraft.shields import Shield
 
-SPECS = Path(__file__).resolve().parent.parent / "specs"
+ROOT = Path(__file__).resolve().parent.parent
+SPECS = ROOT / "specs"
 
 
 def tiny_config(task="simple", **overrides):
@@ -598,7 +602,7 @@ class TestOneWiringPath:
         evaluated = pipeline.evaluate_policy(cfg, specs, partition, qtable, row.train_spec, shield)
         assert evaluated.metrics.episodes == cfg.eval_episodes
         episodes = tmp_path / "episodes.jsonl"
-        pipeline._write_episode_records(episodes, evaluated.episodes)
+        pipeline.write_lines(episodes, [json.dumps(vars(r)) for r in evaluated.episodes])
         assert episodes.read_bytes() == (out / f"episodes_{row.row_id}.jsonl").read_bytes()
 
     def test_policy_file_round_trip(self, tiny_q_run, tmp_path):
@@ -701,6 +705,17 @@ class TestPipeline:
         rows = (out / "metrics.csv").read_text().strip().split("\n")
         assert len(rows) == 1 + len(result.rows)
 
+    def test_metrics_columns_are_the_record_fields(self, tiny_run):
+        _cfg, result = tiny_run
+        header = (result.out_dir / "metrics.csv").read_text().split("\n")[0]
+        names = [f.name for f in fields(RowSpec)] + ["train_avg_vf"]
+        assert header.split(",") == names + [f.name for f in fields(Metrics)]
+        assert header == (
+            "shield,trained_with_shield,train_spec,train_avg_vf,sat_pct,violate_pct,"
+            "failure_pct,interventions_sat,interventions_unsat,interventions_mean,"
+            "eval_mean_vf,episodes"
+        )
+
     def test_run_info_counts_steps(self, tiny_run):
         _cfg, result = tiny_run
         out = result.out_dir
@@ -801,6 +816,17 @@ class TestReport:
         assert code == 0
 
 
+# a top-level key, its malformed value, and the message naming it
+MALFORMED_CONFIGS = [
+    ("partition", None, "config section partition must be a JSON object"),
+    ("env", 5, "config section env must be a JSON object"),
+    ("learner", [], "config section learner must be a JSON object"),
+    ("reward", {"gamma": "x"}, "malformed config section reward"),
+    ("train_specs", 5, "malformed config section <root>"),
+    ("shield_kinds", [], "shield_kinds must name at least one selector"),
+]
+
+
 class TestConfigSerialization:
     def test_round_trip(self):
         cfg = default_config("complex", seed=7)
@@ -850,6 +876,11 @@ class TestConfigSerialization:
         ({"samples_per_cell": 2.5}, "samples_per_cell"),
         ({"seed": True}, "seed"),
         ({"seed": -1}, "seed"),
+        # an empty selector runs no row, a repeated one writes its rows twice
+        ({"train_specs": ()}, "train_specs must name at least one selector"),
+        ({"shield_kinds": ()}, "shield_kinds must name at least one selector"),
+        ({"train_specs": ("liveness_only",) * 2}, "train_specs must name .* each once"),
+        ({"shield_kinds": ("none", "none")}, "shield_kinds must name .* each once"),
     ])
     def test_bad_values_fail_at_construction(self, overrides, name):
         with pytest.raises(ValueError, match=name):
@@ -860,3 +891,33 @@ class TestConfigSerialization:
         data["shield_threshold"] = 1.5
         with pytest.raises(ValueError, match="shield_threshold"):
             config_from_dict(data)
+
+    @pytest.mark.parametrize("key, value, message", MALFORMED_CONFIGS,
+                             ids=[key for key, _value, _message in MALFORMED_CONFIGS])
+    def test_malformed_section_fails_by_name(self, key, value, message):
+        data = config_to_dict(default_config("simple"))
+        data[key] = value
+        with pytest.raises(ValueError, match=message):
+            config_from_dict(data)
+
+    def test_config_that_is_not_an_object_fails_by_name(self):
+        with pytest.raises(ValueError, match="config section <root> must be a JSON object"):
+            config_from_dict([])
+
+    @pytest.mark.parametrize("key, value, message", MALFORMED_CONFIGS,
+                             ids=[key for key, _value, _message in MALFORMED_CONFIGS])
+    def test_cli_exits_1_on_a_malformed_config(self, key, value, message, tmp_path):
+        # the installed console script runs main() the same way
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({key: value}))
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "shieldcraft.cli", "abstract", "--config", str(bad),
+             "--out", str(tmp_path / "m.json")],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert message in proc.stderr
+        assert not (tmp_path / "m.json").exists()

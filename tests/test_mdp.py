@@ -24,6 +24,7 @@ from shieldcraft.mdp import (
     _row_classes,
     product,
 )
+from shieldcraft.pipeline import write_json
 
 T3 = PropositionTable(("p0", "p1", "p2"))
 
@@ -261,9 +262,9 @@ class TestJsonRoundTrip:
     def test_file_round_trip(self, rng, tmp_path):
         m = random_mdp(rng, 4, 2)
         path = tmp_path / "m.json"
-        m.save(path)
+        write_json(path, m.to_json())
         m2 = FiniteMdp.load(path)
-        m2.save(tmp_path / "m2.json")
+        write_json(tmp_path / "m2.json", m2.to_json())
         assert (tmp_path / "m.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
 
     def test_corrupt_rows_rejected_on_load(self, rng):

@@ -20,6 +20,7 @@ from shieldcraft import _kernels
 from shieldcraft.abstraction import PartitionSpec, make_partition
 from shieldcraft.env import (
     CHARGE_FLOOR,
+    POINTING_EDGES,
     RATE_LIMIT,
     RATE_TOL,
     RESET_DRAWS,
@@ -51,12 +52,11 @@ def _targets(partition) -> list[list[float]]:
     next values where a bin, label or failure test changes, each with its
     neighbours one ulp away."""
     rate, wheel, charge = partition.interior_edges
-    pointing = Discretizer(partition).pointing_edges
     axes = (
         (*rate, RATE_TOL, RATE_LIMIT),
         (*wheel, WHEEL_CEIL, WHEEL_LIMIT),
         (*charge, CHARGE_FLOOR, 0.0),
-        pointing,
+        POINTING_EDGES,
     )
     return [sorted({v for e in edges for v in _around(e)}) for edges in axes]
 

@@ -437,7 +437,7 @@ class TestSerialization:
         pm = random_product(rng)
         shield = synthesize(pm, ShieldConfig(threshold=0.07, kind="q", horizon=4))
         path = tmp_path / "shield.json"
-        shield.save(path)
+        pipeline.write_json(path, shield.to_json())
         loaded = Shield.load(path)
         assert loaded == shield
 
