@@ -10,7 +10,7 @@ from .abstraction import (
     make_partition,
 )
 from .dfa import Dfa, compile_cosafe, monitor_product, progress
-from .env import Discretizer, EnvParams, SpacecraftEnv, label, observation, proposition_table
+from .env import Discretizer, EnvParams, SpacecraftEnv, proposition_table
 from .learner import LearnerConfig, Metrics, evaluate, train
 from .ltl import Fragment, PropositionTable, classify, negate, parse
 from .mdp import FiniteMdp, ProductMdp, product

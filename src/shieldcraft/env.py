@@ -73,7 +73,7 @@ RATE_TOL = 0.002      # rad/s, image quality gate on attitude rate
 CHARGE_FLOOR = 0.2    # p1 region boundary
 WHEEL_CEIL = 0.8      # p2 region boundary
 
-# the label of a good image in imaging mode A or B, as `label` sets it
+# the label of a good image in imaging mode A or B
 _IMAGE_A = P0_BIT | P3_BIT
 _IMAGE_B = P0_BIT | P4_BIT
 _INF = math.inf
@@ -153,8 +153,8 @@ class EnvParams:
                 raise ValueError(f"{name} needs finite lo <= hi, got {value!r}")
         for name in _PER_MODE:
             value = getattr(self, name)
-            if len(value) != len(MODES):
-                raise ValueError(f"{name} needs one entry per mode, got {value!r}")
+            if len(value) != len(MODES) or not all(map(math.isfinite, value)):
+                raise ValueError(f"{name} needs one finite entry per mode, got {value!r}")
 
     def param_vector(self) -> np.ndarray:
         return np.asarray([v for name in _PER_MODE for v in getattr(self, name)],
@@ -434,53 +434,6 @@ class RowStreams:
         return (raw * 2.0**-53).reshape(len(blocks), size)
 
 
-def is_failure(rate: float, wheel: float, charge: float) -> bool:
-    """Exit from the safe operating domain; a non-finite coordinate is an
-    exit too."""
-    finite = math.isfinite(rate) and math.isfinite(wheel) and math.isfinite(charge)
-    return not finite or charge <= 0.0 or wheel >= WHEEL_LIMIT or rate > RATE_LIMIT
-
-
-def _in_windows(frac: float, windows) -> bool:
-    for lo, hi in windows:
-        if lo <= frac < hi:
-            return True
-    return False
-
-
-def label(state: SpacecraftState) -> int:
-    """The label bitmask over ATOM_NAMES."""
-    good_pointing = (
-        state.pointing_error < POINTING_TOL
-        and state.attitude_rate < RATE_TOL
-        and state.target == 1
-    )
-    mask = 0
-    if good_pointing and state.mode in (2, 3):
-        mask |= P0_BIT
-    if state.charge < CHARGE_FLOOR:
-        mask |= P1_BIT
-    if state.wheel_speed > WHEEL_CEIL:
-        mask |= P2_BIT
-    if good_pointing and state.mode == 2:
-        mask |= P3_BIT
-    if good_pointing and state.mode == 3:
-        mask |= P4_BIT
-    return mask
-
-
-def observation(state: SpacecraftState) -> list[float]:
-    """The observation vector of a recorded trajectory row: (pointing_error,
-    attitude_rate, wheel_speed, charge, sun, target, mode one-hot x4)."""
-    mode = [0.0] * len(MODES)
-    mode[state.mode] = 1.0
-    return [
-        float(state.pointing_error), float(state.attitude_rate),
-        float(state.wheel_speed), float(state.charge),
-        float(state.sun), float(state.target), *mode,
-    ]
-
-
 class Discretizer:
     """Observation binning: the safety partition for (rate, wheel, charge)
     plus coarse pointing-error bins and the two access indicators.
@@ -491,15 +444,10 @@ class Discretizer:
     """
 
     def __init__(self, partition):
-        self._rate_edges, self._wheel_edges, self._charge_edges = partition.interior_edges
-        self._dims = (
-            len(self._rate_edges) + 1,
-            len(self._wheel_edges) + 1,
-            len(self._charge_edges) + 1,
-            len(POINTING_EDGES) + 1,
-            2,
-            2,
-        )
+        edges = partition.interior_edges
+        self._rate_edges, self._wheel_edges, self._charge_edges = edges
+        # rate, wheel, charge and pointing-error bins, sun, target
+        self._dims = (*(len(e) + 1 for e in edges), len(POINTING_EDGES) + 1, 2, 2)
 
     @property
     def capacity(self) -> int:
@@ -508,7 +456,9 @@ class Discretizer:
 
     def __call__(self, state: SpacecraftState, failed: bool) -> tuple[int, int]:
         """(observation index, partition cell) of a state; the cell is -1
-        when ``failed`` (the state left the safe domain)."""
+        when ``failed`` (the state left the safe domain). The episode path
+        bins inline in `SpacecraftEnv._enter`; perfbench's probe patches
+        this method by name (ROADMAP item 2a)."""
         ri = bisect_right(self._rate_edges, state.attitude_rate)
         wi = bisect_right(self._wheel_edges, state.wheel_speed)
         ci = bisect_right(self._charge_edges, state.charge)
@@ -528,7 +478,8 @@ class SpacecraftEnv:
     """Single mutable simulation instance; run one per thread.
 
     `reset` and `step` return what the learner reads: the observation index
-    and partition cell of ``discretizer``, the labels and the failure flag.
+    and partition cell of ``discretizer``, the labels and the failure flag,
+    all computed by `_enter`, the one block that both end in.
     Also implements the abstraction's simulator
     protocol: `sample_in_cell` makes the random draws of a chunk of rows
     from their `RowStreams` and `step_batch` steps them through the
@@ -550,32 +501,20 @@ class SpacecraftEnv:
         self._reset_bounds = (
             *windows, p.init_pointing_error, p.init_rate, p.init_wheel, p.init_charge,
         )
-        self.state: SpacecraftState | None = None
-
-    # --- orbit phase -----------------------------------------------------
-
-    def _phase(self, minutes: float) -> float:
-        return (minutes % self.params.orbit_minutes) / self.params.orbit_minutes
-
-    def _access(self, minutes: float, windows) -> tuple[int, int]:
-        frac = self._phase(minutes)
-        lo, hi = self.params.sun_window
-        sun = 1 if lo <= frac < hi else 0
-        target = 1 if _in_windows(frac, windows) else 0
-        return sun, target
+        # the episode's current state; `reset` and `step` overwrite its fields
+        self.state = SpacecraftState(0.0, 0.0, 0.0, 0.0, 0, 0, 0, 0.0)
 
     # --- episode interface -------------------------------------------------
 
     def reset(self, draws: EpisodeDraws) -> StepOutcome:
-        """Start an episode; returns the outcome of the initial state.
+        """Start an episode at minute 0 in mode 0; returns its outcome.
 
         The start state reads ``draws.uniforms``: the two target windows
         first when they are randomized, then pointing error, rate, wheel
         and charge, each ``lo + (hi - lo) * u``. That is what
         ``Generator.uniform(lo, hi)`` computes from the same double, so the
         state and the stream after it are those of one ``uniform`` call per
-        value.
-        """
+        value."""
         u = draws.uniforms(len(self._reset_bounds))
         values = [lo + (hi - lo) * x for (lo, hi), x in zip(self._reset_bounds, u)]
         if self.params.randomize_windows:
@@ -583,36 +522,29 @@ class SpacecraftEnv:
             w = self.params.window_width
             self._windows = ((first, first + w), (second, second + w))
         err, rate, wheel, charge = values
-        sun, target = self._access(0.0, self._windows)
-        self.state = st = SpacecraftState(
-            pointing_error=err, attitude_rate=rate, wheel_speed=wheel,
-            charge=charge, sun=sun, target=target, mode=0, minutes=0.0,
-        )
-        failed = is_failure(rate, wheel, charge)
-        return (*self.discretizer(st, failed), label(st), failed)
+        return self._enter(err, rate, wheel, charge, 0.0, 0)
 
     def step(self, action: int, draws: EpisodeDraws) -> StepOutcome:
-        """One decision step and its outcome, computed in one frame.
-
-        The three noise deviates are the next ones of ``draws``:
-        `truncated_normal`'s of the next three outputs of the episode's
-        PCG64 stream. One ``_kernels.step_one`` call (looked up on the
-        module, where a tracer may replace it) moves the state; then the
-        access of `_access`, the bits of `label`, the test of `is_failure`
-        and the bins of the discretizer are computed inline with the same
-        arithmetic, so the outcome is theirs bit for bit. ``state.minutes``
-        stays the clock, so a caller may set the state between steps.
-        """
+        """One decision step and its outcome: the next three noise deviates
+        of ``draws`` and one ``_kernels.step_one`` call (looked up on the
+        module, where a tracer may replace it). ``state.minutes`` stays the
+        clock, so a caller may set the state between steps."""
         st = self.state
-        p = self.params
-        d = self.discretizer
         e_w, e_r, e_a = draws.noise()
         # an int sun multiplies to the same bits as float(sun)
         rate, wheel, charge, err = _kernels.step_one(
             st.attitude_rate, st.wheel_speed, st.charge, st.pointing_error,
             st.sun, self._coef[action], e_w, e_r, e_a,
         )
-        minutes = st.minutes + p.step_minutes
+        return self._enter(err, rate, wheel, charge, st.minutes + self.params.step_minutes,
+                           int(action))
+
+    def _enter(self, err, rate, wheel, charge, minutes, mode) -> StepOutcome:
+        """Move the craft to a state and return its outcome: sun and target
+        access at its orbit phase, its label bits, its exit from the safe
+        domain and the discretizer's observation index and cell."""
+        p = self.params
+        d = self.discretizer
         orbit = p.orbit_minutes
         frac = (minutes % orbit) / orbit
         sun_lo, sun_hi = p.sun_window
@@ -622,7 +554,7 @@ class SpacecraftEnv:
             if lo <= frac < hi:
                 target = 1
                 break
-        mode = int(action)
+        st = self.state
         st.pointing_error = err
         st.attitude_rate = rate
         st.wheel_speed = wheel
@@ -642,7 +574,7 @@ class SpacecraftEnv:
         if wheel > WHEEL_CEIL:
             labels |= P2_BIT
         # a comparison with NaN is false, and the infinite bounds exclude
-        # the infinities, so this is `is_failure`
+        # the infinities, so a non-finite coordinate fails
         failed = not (
             0.0 < charge < _INF and -_INF < wheel < WHEEL_LIMIT and -_INF < rate <= RATE_LIMIT
         )
@@ -654,8 +586,17 @@ class SpacecraftEnv:
         return idx, -1 if failed else cell, labels, failed
 
     def observation(self) -> list[float]:
-        """The current observation vector, for recorded trajectory rows."""
-        return observation(self.state)
+        """The current observation vector, for recorded trajectory rows:
+        (pointing_error, attitude_rate, wheel_speed, charge, sun, target,
+        mode one-hot x4)."""
+        st = self.state
+        mode = [0.0] * len(MODES)
+        mode[st.mode] = 1.0
+        return [
+            float(st.pointing_error), float(st.attitude_rate),
+            float(st.wheel_speed), float(st.charge),
+            float(st.sun), float(st.target), *mode,
+        ]
 
     # --- abstraction interface ---------------------------------------------
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
+import types
+import typing
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -159,37 +161,59 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return dataclasses.asdict(cfg)
 
 
-# the config's nested sections; none of their fields shares these names
-_SECTIONS = {
-    "env": EnvParams, "partition": PartitionSpec, "reward": RewardConfig, "learner": LearnerConfig,
-}
+def _fits(value, hint) -> bool:
+    """Whether ``value`` has the field annotation ``hint``: an int or a
+    float is a ``float``, a bool is no ``int``, and a ``tuple`` is a list
+    (or a tuple, as `config_to_dict` leaves it) of the element types."""
+    args = typing.get_args(hint)
+    origin = typing.get_origin(hint)
+    if origin is types.UnionType:
+        return any(_fits(value, arg) for arg in args)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
 
 
-def _build(cls, data, path: str):
-    """``cls`` from the JSON object ``data``, with a nested section built as
-    its dataclass and a list read as a tuple (a list of lists too). A
-    non-object, an unknown key or a value of the wrong type raises
-    ValueError naming the section ``path``."""
+def _tuples(value):
+    """A JSON value with every list read as a tuple."""
+    return tuple(map(_tuples, value)) if isinstance(value, (list, tuple)) else value
+
+
+def _build(cls, data, path: str = ""):
+    """``cls`` from the JSON object ``data`` at section ``path`` (the
+    root's is empty), each value checked against its field's annotation
+    and a list read as a tuple. A non-object, an unknown key or a value of
+    the wrong type raises ValueError naming the section or the field."""
     if not isinstance(data, dict):
-        raise ValueError(f"config section {path} must be a JSON object, got {data!r}")
-    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+        raise ValueError(f"config section {path or '<root>'} must be a JSON object, got {data!r}")
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - set(hints)
     if unknown:
-        raise ValueError(f"unknown config keys at {path}: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys at {path or '<root>'}: {sorted(unknown)}")
     values = {}
     for key, v in data.items():
-        if key in _SECTIONS:
-            v = _build(_SECTIONS[key], v, key)
-        elif isinstance(v, list):
-            v = tuple(tuple(x) if isinstance(x, list) else x for x in v)
-        values[key] = v
-    try:
-        return cls(**values)
-    except TypeError as exc:
-        raise ValueError(f"malformed config section {path}: {exc}") from None
+        hint = hints[key]
+        name = f"{path}.{key}" if path else key
+        if dataclasses.is_dataclass(hint):
+            values[key] = _build(hint, v, name)
+        elif _fits(v, hint):
+            values[key] = _tuples(v)
+        else:
+            expected = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise ValueError(f"config field {name} must be {expected}, got {_tuples(v)!r}")
+    return cls(**values)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    return _build(ExperimentConfig, data, "<root>")
+    return _build(ExperimentConfig, data)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -9,8 +9,9 @@ Likewise the reachability oracle evaluates the defining recursion for
 minimal N-step reach probability without any of the value-iteration
 machinery under test, the shield oracle synthesizes over one scattered
 transition tensor and assembles each shield entry by entry, the episode
-step oracle composes `SpacecraftEnv.step` from the reference functions
-that its one frame inlines, and the randomness oracles draw each value with
+step and reset oracles compose `SpacecraftEnv.step` and `reset` from the
+scalar rules (access, labels, failure) that the env computes in one block,
+and the randomness oracles draw each value with
 the `numpy.random.Generator` call that `EpisodeDraws` and
 `SpacecraftEnv.sample_in_cell` reproduce from raw PCG64 outputs. The
 formula printer and canonicalizer exist only to check the parser's round
@@ -20,11 +21,26 @@ trip and the canonical constructors' idempotence.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from shieldcraft import _kernels, ltl
-from shieldcraft.env import is_failure, label, truncated_normal
+from shieldcraft.env import (
+    CHARGE_FLOOR,
+    P0_BIT,
+    P1_BIT,
+    P2_BIT,
+    P3_BIT,
+    P4_BIT,
+    POINTING_TOL,
+    RATE_LIMIT,
+    RATE_TOL,
+    WHEEL_CEIL,
+    WHEEL_LIMIT,
+    SpacecraftState,
+    truncated_normal,
+)
 from shieldcraft.mdp import FiniteMdp
 from shieldcraft.ltl import (
     And,
@@ -448,14 +464,70 @@ def reference_shield_json(pm, cfg) -> dict:
     }
 
 
-# --- the episode step --------------------------------------------------------
+# --- the episode step and reset -------------------------------------------------
+# The scalar rules that `SpacecraftEnv._enter` computes in one block, each
+# written on its own.
+
+
+def is_failure(rate: float, wheel: float, charge: float) -> bool:
+    """Exit from the safe operating domain; a non-finite coordinate is an
+    exit too."""
+    finite = math.isfinite(rate) and math.isfinite(wheel) and math.isfinite(charge)
+    return not finite or charge <= 0.0 or wheel >= WHEEL_LIMIT or rate > RATE_LIMIT
+
+
+def _in_windows(frac: float, windows) -> bool:
+    for lo, hi in windows:
+        if lo <= frac < hi:
+            return True
+    return False
+
+
+def label(state: SpacecraftState) -> int:
+    """The label bitmask over ATOM_NAMES."""
+    good_pointing = (
+        state.pointing_error < POINTING_TOL
+        and state.attitude_rate < RATE_TOL
+        and state.target == 1
+    )
+    mask = 0
+    if good_pointing and state.mode in (2, 3):
+        mask |= P0_BIT
+    if state.charge < CHARGE_FLOOR:
+        mask |= P1_BIT
+    if state.wheel_speed > WHEEL_CEIL:
+        mask |= P2_BIT
+    if good_pointing and state.mode == 2:
+        mask |= P3_BIT
+    if good_pointing and state.mode == 3:
+        mask |= P4_BIT
+    return mask
+
+
+def phase(params, minutes: float) -> float:
+    """The orbit phase in [0, 1) at ``minutes``."""
+    return (minutes % params.orbit_minutes) / params.orbit_minutes
+
+
+def access(params, minutes: float, windows) -> tuple[int, int]:
+    """(sun, target) access at ``minutes`` with the target ``windows``."""
+    frac = phase(params, minutes)
+    lo, hi = params.sun_window
+    sun = 1 if lo <= frac < hi else 0
+    target = 1 if _in_windows(frac, windows) else 0
+    return sun, target
+
+
+def _outcome(env, st) -> tuple:
+    failed = is_failure(st.attitude_rate, st.wheel_speed, st.charge)
+    return (*env.discretizer(st, failed), label(st), failed)
 
 
 def reference_step(env, action: int, draws):
     """`SpacecraftEnv.step` composed from its reference parts: the noise of
-    ``draws``, one `_kernels.step_one` call, `SpacecraftEnv._access`,
-    `label`, `is_failure` and `Discretizer.__call__`. Moves ``env.state``
-    and returns ``(obs_index, cell, labels, failed)``."""
+    ``draws``, one `_kernels.step_one` call, `access`, `label`,
+    `is_failure` and `Discretizer.__call__`. Moves ``env.state`` and
+    returns ``(obs_index, cell, labels, failed)``."""
     st = env.state
     e_w, e_r, e_a = draws.noise()
     rate, wheel, charge, err = _kernels.step_one(
@@ -463,7 +535,7 @@ def reference_step(env, action: int, draws):
         float(st.sun), env._coef[action], e_w, e_r, e_a,
     )
     minutes = st.minutes + env.params.step_minutes
-    sun, target = env._access(minutes, env._windows)
+    sun, target = access(env.params, minutes, env._windows)
     st.pointing_error = err
     st.attitude_rate = rate
     st.wheel_speed = wheel
@@ -472,8 +544,32 @@ def reference_step(env, action: int, draws):
     st.target = target
     st.mode = int(action)
     st.minutes = minutes
-    failed = is_failure(rate, wheel, charge)
-    return (*env.discretizer(st, failed), label(st), failed)
+    return _outcome(env, st)
+
+
+def reference_reset(env, draws):
+    """`SpacecraftEnv.reset` composed from its reference parts: one
+    ``draws.random()`` per start value (the two window starts first when
+    they are randomized, then pointing error, rate, wheel and charge), each
+    ``lo + (hi - lo) * u`` as ``Generator.uniform`` computes it, then
+    `access`, `label`, `is_failure` and `Discretizer.__call__` at minute 0
+    in mode 0. Sets ``env.state`` and the episode's windows and returns
+    ``(obs_index, cell, labels, failed)``."""
+    p = env.params
+    bounds = [p.init_pointing_error, p.init_rate, p.init_wheel, p.init_charge]
+    if p.randomize_windows:
+        bounds = [(0.05, 0.45), (0.55, 0.95 - p.window_width), *bounds]
+    values = [lo + (hi - lo) * draws.random() for lo, hi in bounds]
+    if p.randomize_windows:
+        first, second, *values = values
+        env._windows = ((first, first + p.window_width), (second, second + p.window_width))
+    err, rate, wheel, charge = values
+    sun, target = access(p, 0.0, env._windows)
+    env.state = st = SpacecraftState(
+        pointing_error=err, attitude_rate=rate, wheel_speed=wheel,
+        charge=charge, sun=sun, target=target, mode=0, minutes=0.0,
+    )
+    return _outcome(env, st)
 
 
 # --- episode randomness -----------------------------------------------------

@@ -1,6 +1,7 @@
-"""The scalar binning on the episode path (``Discretizer.__call__``, whose
-observation index and shield cell come from ``bisect_right`` over Python
-floats) and ``Partition.locate_one`` must give the bins of the vectorized
+"""The scalar binning (``Discretizer.__call__``, the reference of the
+bins that ``SpacecraftEnv._enter`` computes inline, whose observation
+index and shield cell come from ``bisect_right`` over Python floats) and
+``Partition.locate_one`` must give the bins of the vectorized
 ``Partition.locate`` and of ``np.searchsorted(side="right")``, at random
 points and exactly on every interior edge."""
 
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import is_failure
 from shieldcraft.abstraction import PartitionSpec, make_partition
-from shieldcraft.env import SpacecraftState, is_failure
+from shieldcraft.env import SpacecraftState
 from shieldcraft.learner import Discretizer
 
 PARTITIONS = {

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -818,12 +819,36 @@ class TestReport:
 
 # a top-level key, its malformed value, and the message naming it
 MALFORMED_CONFIGS = [
-    ("partition", None, "config section partition must be a JSON object"),
-    ("env", 5, "config section env must be a JSON object"),
-    ("learner", [], "config section learner must be a JSON object"),
-    ("reward", {"gamma": "x"}, "malformed config section reward"),
-    ("train_specs", 5, "malformed config section <root>"),
-    ("shield_kinds", [], "shield_kinds must name at least one selector"),
+    pytest.param(key, value, message, id=name)
+    for name, key, value, message in [
+        ("partition", "partition", None, "config section partition must be a JSON object"),
+        ("env", "env", 5, "config section env must be a JSON object"),
+        ("learner", "learner", [], "config section learner must be a JSON object"),
+        ("reward", "reward", {"gamma": "x"}, "config field reward.gamma must be float, got 'x'"),
+        ("train_specs", "train_specs", 5, "config field train_specs must be tuple[str, ...]"),
+        ("shield_kinds", "shield_kinds", [], "shield_kinds must name at least one selector"),
+        # a string where a list belongs is not read as its characters
+        ("shield_kinds-string", "shield_kinds", "none",
+         "config field shield_kinds must be tuple[str, ...], got 'none'"),
+        ("shield_horizon-string", "shield_horizon", "x",
+         "config field shield_horizon must be int | None, got 'x'"),
+        ("eval_episodes-float", "eval_episodes", 2.5,
+         "config field eval_episodes must be int, got 2.5"),
+        ("seed-bool", "seed", True, "config field seed must be int, got True"),
+        ("samples_per_cell-bool", "samples_per_cell", False,
+         "config field samples_per_cell must be int, got False"),
+        ("include_inloop_rows-int", "include_inloop_rows", 1,
+         "config field include_inloop_rows must be bool, got 1"),
+        ("task-list", "task", ["simple"], "config field task must be str, got ('simple',)"),
+        ("env.sun_window-length", "env", {"sun_window": [0.0, 0.5, 1.0]},
+         "config field env.sun_window must be tuple[float, float], got (0.0, 0.5, 1.0)"),
+        ("env.target_windows-element", "env", {"target_windows": [[0.1, "a"]]},
+         "config field env.target_windows must be tuple[tuple[float, float], ...]"),
+        ("env.rate_noise-nan", "env", {"rate_noise": [math.nan, 0.0006, 0.0004, 0.0004]},
+         "rate_noise needs one finite entry per mode, got (nan, 0.0006, 0.0004, 0.0004)"),
+        ("learner.episodes-string", "learner", {"episodes": "10"},
+         "config field learner.episodes must be int, got '10'"),
+    ]
 ]
 
 
@@ -892,20 +917,30 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match="shield_threshold"):
             config_from_dict(data)
 
-    @pytest.mark.parametrize("key, value, message", MALFORMED_CONFIGS,
-                             ids=[key for key, _value, _message in MALFORMED_CONFIGS])
+    @pytest.mark.parametrize("key, value, message", MALFORMED_CONFIGS)
     def test_malformed_section_fails_by_name(self, key, value, message):
         data = config_to_dict(default_config("simple"))
         data[key] = value
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError) as info:
             config_from_dict(data)
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("data", [
+        {"shield_horizon": None},
+        {"inloop_optimism": 1, "samples_per_cell": 3},
+        {"env": {"sun_window": [0, 1], "target_windows": []}},
+        {"learner": {"alpha": 1}},
+    ])
+    def test_json_values_of_the_field_types_load(self, data):
+        # an int is a float, null an absent horizon and a list a tuple
+        cfg = config_from_dict(data)
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
     def test_config_that_is_not_an_object_fails_by_name(self):
         with pytest.raises(ValueError, match="config section <root> must be a JSON object"):
             config_from_dict([])
 
-    @pytest.mark.parametrize("key, value, message", MALFORMED_CONFIGS,
-                             ids=[key for key, _value, _message in MALFORMED_CONFIGS])
+    @pytest.mark.parametrize("key, value, message", MALFORMED_CONFIGS)
     def test_cli_exits_1_on_a_malformed_config(self, key, value, message, tmp_path):
         # the installed console script runs main() the same way
         bad = tmp_path / "bad.json"
@@ -919,5 +954,6 @@ class TestConfigSerialization:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.splitlines()) == 1
         assert message in proc.stderr
         assert not (tmp_path / "m.json").exists()

@@ -14,10 +14,6 @@ from shieldcraft.env import (
     EpisodeDraws,
     RowStreams,
     SpacecraftEnv,
-    SpacecraftState,
-    is_failure,
-    label,
-    observation,
     proposition_table,
     truncated_normal,
 )
@@ -26,67 +22,79 @@ from shieldcraft.env import (
 DISCRETIZER = Discretizer(make_partition())
 
 
-def state(err=0.05, rate=0.001, wheel=0.5, charge=0.6, sun=1, target=1, mode=0, minutes=0.0):
-    return SpacecraftState(
-        pointing_error=err, attitude_rate=rate, wheel_speed=wheel, charge=charge,
-        sun=sun, target=target, mode=mode, minutes=minutes,
-    )
+def enter(err=0.05, rate=0.001, wheel=0.5, charge=0.6, target=1, mode=0):
+    """An env moved to a state in sunlight, inside the first target window
+    or between the windows, and the outcome it returns."""
+    env = SpacecraftEnv(EnvParams(), DISCRETIZER)
+    minutes = (0.30 if target else 0.50) * env.params.orbit_minutes
+    return env, env._enter(err, rate, wheel, charge, minutes, mode)
+
+
+def labels_of(**state) -> int:
+    return enter(**state)[1][2]
+
+
+def fails(rate, wheel, charge) -> bool:
+    """Whether the state leaves the safe domain; its cell is then -1."""
+    _env, (_obs, cell, _labels, failed) = enter(rate=rate, wheel=wheel, charge=charge)
+    assert (cell == -1) == failed
+    return failed
 
 
 class TestObserveAndLabel:
     def test_good_image_mode_a(self):
-        obs = observation(state(err=0.005, rate=0.001, mode=2))
-        labels = label(state(err=0.005, rate=0.001, mode=2))
+        env, (_obs, _cell, labels, _failed) = enter(err=0.005, rate=0.001, mode=2)
+        obs = env.observation()
         assert labels == (1 << 0) | (1 << 3)  # p0 and p3
         assert obs[0] == 0.005 and obs[6 + 2] == 1.0
 
     def test_good_image_mode_b(self):
-        labels = label(state(err=0.005, rate=0.001, mode=3))
+        labels = labels_of(err=0.005, rate=0.001, mode=3)
         assert labels == (1 << 0) | (1 << 4)
 
     def test_low_charge(self):
-        labels = label(state(charge=0.15))
+        labels = labels_of(charge=0.15)
         assert labels & (1 << 1)
 
     def test_high_wheel(self):
-        labels = label(state(wheel=0.85))
+        labels = labels_of(wheel=0.85)
         assert labels & (1 << 2)
 
     def test_no_target_access_blocks_imaging_labels(self):
-        labels = label(state(err=0.005, rate=0.001, mode=2, target=0))
+        labels = labels_of(err=0.005, rate=0.001, mode=2, target=0)
         assert labels & 0b11001 == 0
 
     def test_quality_gates(self):
-        labels = label(state(err=0.009, rate=0.001, mode=2))
+        labels = labels_of(err=0.009, rate=0.001, mode=2)
         assert not labels & 1
-        labels = label(state(err=0.005, rate=0.003, mode=2))
+        labels = labels_of(err=0.005, rate=0.003, mode=2)
         assert not labels & 1
 
     def test_non_imaging_mode_never_images(self):
-        labels = label(state(err=0.001, rate=0.0001, mode=0))
+        labels = labels_of(err=0.001, rate=0.0001, mode=0)
         assert not labels & 0b11001
 
 
 class TestFailure:
     def test_charge_depleted(self):
-        assert is_failure(rate=0.001, wheel=0.5, charge=0.0)
+        assert fails(rate=0.001, wheel=0.5, charge=0.0)
 
     def test_nominal(self):
-        assert not is_failure(rate=0.005, wheel=0.7, charge=0.4)
+        assert not fails(rate=0.005, wheel=0.7, charge=0.4)
 
     def test_wheel_saturated_boundary(self):
-        assert is_failure(rate=0.001, wheel=1.0, charge=0.5)
+        assert fails(rate=0.001, wheel=1.0, charge=0.5)
 
     def test_rate_bound_exclusive(self):
-        assert not is_failure(rate=0.01, wheel=0.5, charge=0.5)
-        assert is_failure(rate=0.0101, wheel=0.5, charge=0.5)
+        assert not fails(rate=0.01, wheel=0.5, charge=0.5)
+        assert fails(rate=0.0101, wheel=0.5, charge=0.5)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("axis", ["rate", "wheel", "charge"])
     def test_non_finite_state_fails(self, bad, axis):
         coords = {"rate": 0.005, "wheel": 0.5, "charge": 0.5}
         coords[axis] = bad
-        assert is_failure(**coords)
+        assert fails(**coords)
 
 
 class TestDynamics:
@@ -164,7 +172,7 @@ class TestDynamics:
             trace = []
             for t in range(40):
                 _, _, labels, failed = env.step(t % 4, draws)
-                trace.append((tuple(observation(env.state)), labels, failed))
+                trace.append((tuple(env.observation()), labels, failed))
             return trace
 
         assert run(7) == run(7)
@@ -184,10 +192,17 @@ class TestAccessWindows:
         draws = EpisodeDraws(0, 64)
         env.reset(draws)
         orbit = env.params.orbit_minutes
-        assert env._access(0.30 * orbit, env.params.target_windows)[1] == 1
-        assert env._access(0.50 * orbit, env.params.target_windows)[1] == 0
-        assert env._access(0.10 * orbit, env.params.target_windows) == (1, 0)
-        assert env._access(0.90 * orbit, env.params.target_windows)[0] == 0
+
+        def access(frac):
+            obs_index, _cell, _labels, _failed = env._enter(0.05, 0.001, 0.5, 0.6, frac * orbit, 0)
+            # the observation index ends in the sun and target bits
+            assert (obs_index >> 1 & 1, obs_index & 1) == (env.state.sun, env.state.target)
+            return env.state.sun, env.state.target
+
+        assert access(0.30)[1] == 1
+        assert access(0.50)[1] == 0
+        assert access(0.10) == (1, 0)
+        assert access(0.90)[0] == 0
 
     def test_randomized_windows_differ_between_episodes(self):
         env = SpacecraftEnv(EnvParams(randomize_windows=True), DISCRETIZER)
@@ -254,16 +269,14 @@ class TestLabelPartitionConsistency:
         table = proposition_table()
         safety_mask = (1 << table.names.index("p1")) | (1 << table.names.index("p2"))
         for _ in range(2000):
-            st = state(
-                err=rng.uniform(0, 0.1),
-                rate=rng.uniform(0, 0.01),
-                wheel=rng.uniform(0, 0.999),
-                charge=rng.uniform(1e-6, 1.0),
-                mode=int(rng.integers(4)),
+            err = rng.uniform(0, 0.1)
+            rate = rng.uniform(0, 0.01)
+            wheel = rng.uniform(0, 0.999)
+            charge = rng.uniform(1e-6, 1.0)
+            _obs, cell, labels, _failed = env._enter(
+                err, rate, wheel, charge, 0.0, int(rng.integers(4))
             )
-            labels = label(st)
-            cell = partition.locate_one(st.attitude_rate, st.wheel_speed, st.charge)
-            assert cell >= 0
+            assert cell == partition.locate_one(rate, wheel, charge) >= 0
             assert labels & safety_mask == partition.labels[cell]
 
 
@@ -352,9 +365,10 @@ INF = float("inf")
 
 
 class TestEnvParamsValidation:
-    """Degenerate orbit, window and range values fail at construction with
-    the field and its value named; before this check they raised mid-episode
-    or silently gave an episode without sun or target."""
+    """Degenerate orbit, window, range and per-mode values fail at
+    construction with the field and its value named; before this check
+    they raised mid-episode or silently gave an episode without sun or
+    target."""
 
     BAD = [
         ("orbit_minutes", 0.0),
@@ -379,6 +393,9 @@ class TestEnvParamsValidation:
         ("sample_pointing_error", (0.15, 0.0)),
         ("solar_gain", (0.06, 0.0, 0.0)),
         ("error_noise", (0.0015, 0.002, 0.002, 0.002, 0.002)),
+        ("rate_noise", (NAN, 0.0006, 0.0004, 0.0004)),
+        ("solar_gain", (0.06, INF, 0.0, 0.0)),
+        ("error_keep", (1.0, 1.0, 0.45, -INF)),
     ]
     BAD_RANDOMIZED_WIDTH = [0.6, 0.4, 0.0, -0.1, NAN]
 

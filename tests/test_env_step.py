@@ -1,9 +1,12 @@
-"""`SpacecraftEnv.step`, the episode step computed in one frame, against
-its reference, `oracles.reference_step`, on a twin environment with twin
-draws. The outcome must be equal and the next
-states bitwise equal, for states whose next values sit on every interior
-edge and label or failure threshold, for non-finite states, for all four
-actions, fixed and randomized windows and default and fine partitions."""
+"""`SpacecraftEnv.step` and `reset`, which end in the env's one outcome
+block (`_enter`), against their references, `oracles.reference_step` and
+`oracles.reference_reset`, on a twin environment with twin draws. The
+outcome must be equal and the states bitwise equal: for steps whose next
+values sit on every interior edge and label or failure threshold, for
+non-finite states and for all four actions; for resets whose start values
+sit on every interior edge, label threshold and domain bound, one ulp to
+either side; with fixed and randomized windows and default and fine
+partitions."""
 
 import dataclasses
 import itertools
@@ -15,12 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_step
+from oracles import reference_reset, reference_step
 from shieldcraft import _kernels
 from shieldcraft.abstraction import PartitionSpec, make_partition
 from shieldcraft.env import (
     CHARGE_FLOOR,
     POINTING_EDGES,
+    POINTING_TOL,
     RATE_LIMIT,
     RATE_TOL,
     RESET_DRAWS,
@@ -219,3 +223,74 @@ def test_random_states(name, windows, seed, state, action, data):
         axis = data.draw(st.integers(0, 3))
         pin = (axis, data.draw(st.sampled_from(TARGETS[name][axis])))
     check_step(PARAMS[windows], name, seed, state, action, pin)
+
+
+# --- the reset -------------------------------------------------------------
+
+# each start coordinate's init range, and its value in the rows of _targets
+INIT_FIELDS = ("init_rate", "init_wheel", "init_charge", "init_pointing_error")
+
+
+def _start_values(partition) -> list[list[float]]:
+    """Per coordinate (rate, wheel, charge, err), the start values where a
+    bin, label or failure test changes or the safe domain ends, each with
+    its neighbours one ulp away."""
+    rate, wheel, charge = partition.interior_edges
+    axes = (
+        (*rate, RATE_TOL, 0.0, RATE_LIMIT),
+        (*wheel, WHEEL_CEIL, 0.0, WHEEL_LIMIT),
+        (*charge, CHARGE_FLOOR, 0.0, 1.0),
+        (*POINTING_EDGES, POINTING_TOL, 0.0),
+    )
+    return [
+        sorted({v for e in edges
+                for v in (math.nextafter(e, -math.inf), float(e), math.nextafter(e, math.inf))})
+        for edges in axes
+    ]
+
+
+STARTS = {name: _start_values(p) for name, p in PARTITIONS.items()}
+
+
+def check_reset(params, partition_name, seed):
+    """Reset the env and the reference from twin draws; returns the env's
+    start state."""
+    partition = PARTITIONS[partition_name]
+    env, ref = (SpacecraftEnv(params, Discretizer(partition)) for _ in range(2))
+    draws, ref_draws = (EpisodeDraws([seed, 3], BLOCK) for _ in range(2))
+    got = env.reset(draws)
+    want = reference_reset(ref, ref_draws)
+    assert got == want
+    assert [type(v) for v in got] == [int, int, int, bool]
+    assert _bits(env.state) == _bits(ref.state)
+    assert env._windows == ref._windows
+    # both leave the stream at the same position
+    assert draws.random() == ref_draws.random()
+    return env.state
+
+
+@pytest.mark.parametrize("windows", sorted(PARAMS))
+@pytest.mark.parametrize("name", sorted(PARTITIONS))
+def test_reset_on_every_edge_threshold_and_bound(name, windows):
+    for axis, starts in enumerate(STARTS[name]):
+        for value in starts:
+            # lo == hi puts the start coordinate on the value exactly
+            params = dataclasses.replace(PARAMS[windows], **{INIT_FIELDS[axis]: (value, value)})
+            for seed in range(3):
+                state = check_reset(params, name, seed)
+                assert getattr(state, FIELDS[axis]) == value
+
+
+@pytest.mark.parametrize("windows", sorted(PARAMS))
+@pytest.mark.parametrize("name", sorted(PARTITIONS))
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32), data=st.data())
+def test_random_resets(name, windows, seed, data):
+    # start ranges anywhere around the safe domain, some of them one point
+    ranges = {}
+    for field, (lo, hi) in zip(INIT_FIELDS, ((-0.001, 0.012), (-0.1, 1.1), (-0.1, 1.1),
+                                             (0.0, 0.15))):
+        a, b = sorted(data.draw(st.tuples(st.floats(lo, hi), st.floats(lo, hi))))
+        ranges[field] = (a, a) if data.draw(st.booleans()) else (a, b)
+    check_reset(dataclasses.replace(PARAMS[windows], **ranges), name, seed)
+

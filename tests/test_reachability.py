@@ -37,6 +37,7 @@ _RAISED = "exception constructor: runs only on the error it reports"
 # "module.qualname" -> why it stays although no run calls it
 ALLOWED = {
     "env.truncated_normal": _PROBED,
+    "env.Discretizer.__call__": _PROBED,
     "abstraction.Partition.locate_one": _PROBED,
     "mdp.ProductMdp.rows": _PROBED,
     "mdp.ProductMdp.initial_state": "the start state of a run in the product (ROADMAP item 3)",
