@@ -7,10 +7,10 @@ clamp alike: a NaN coordinate stays NaN in both, as ``np.minimum`` and
 ``np.maximum`` keep it, so a non-finite state leaves the safe domain on
 either path.
 
-Parameter vector layout (``par``, float64): ten rows of one coefficient per
-flight mode, in order: solar gain, power drain, wheel drift, wheel noise
-scale, rate pull, rate target, rate noise scale, pointing keep factor,
-pointing drift, pointing noise scale. The mode count is ``len(par) // 10``.
+Both read a flight mode's ten coefficients as one row, in order: solar
+gain, power drain, wheel drift, wheel noise scale, rate pull, rate target,
+rate noise scale, pointing keep factor, pointing drift, pointing noise
+scale. ``coef`` holds one such row of floats per mode.
 """
 
 import numpy as np
@@ -19,28 +19,22 @@ import numpy as np
 USING_COMPILED = False
 
 
-def step_batch(rate, wheel, charge, err, sun, action, e_w, e_r, e_a, par):
+def step_batch(rate, wheel, charge, err, sun, action, e_w, e_r, e_a, coef):
     """Advance state arrays in place (one decision step per element);
-    ``action`` is an integer array with one mode per element."""
-    # one gather takes the actions' columns of the ten rows
+    ``action`` is an integer array with one mode per element, and ``coef``
+    the coefficient rows of the modes."""
+    # one gather takes each element's mode row, one array per coefficient
     (gain, drain, w_drift, w_noise, r_pull, r_target, r_noise,
-     e_keep, e_drift, e_noise) = par.reshape(10, -1).take(action, axis=1)
+     e_keep, e_drift, e_noise) = np.array(coef).T.take(action, axis=1)
     charge[:] = np.minimum(1.0, (charge + gain * sun) - drain)
     wheel[:] = np.maximum(0.0, (wheel + w_drift) + w_noise * e_w)
     rate[:] = np.maximum(0.0, (rate + r_pull * (r_target - rate)) + r_noise * e_r)
     err[:] = np.maximum(0.0, (e_keep * err + e_drift) + e_noise * e_a)
 
 
-def action_rows(par):
-    """The ten coefficients of each action, in ``par``'s row order, as the
-    tuples `step_one` takes; built once per environment."""
-    modes = len(par) // 10
-    return [tuple(par[action::modes].tolist()) for action in range(modes)]
-
-
 def step_one(rate, wheel, charge, err, sun, coef, e_w, e_r, e_a):
     """Scalar step under one action, whose coefficients ``coef`` are its
-    row of `action_rows`; returns (rate, wheel, charge, err)."""
+    mode's row; returns (rate, wheel, charge, err)."""
     (gain, drain, w_drift, w_noise, r_pull, r_target, r_noise,
      e_keep, e_drift, e_noise) = coef
     # ``x if not x >= 1.0 else 1.0`` is what ``np.minimum(1.0, x)`` gives,

@@ -92,16 +92,9 @@ class PartitionSpec:
     charge_edges: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "attitude_rate_edges",
-            _check_edges("attitude_rate", self.attitude_rate_edges, 0.0, RATE_LIMIT),
-        )
-        object.__setattr__(
-            self, "wheel_edges", _check_edges("wheel", self.wheel_edges, 0.0, WHEEL_LIMIT)
-        )
-        object.__setattr__(
-            self, "charge_edges", _check_edges("charge", self.charge_edges, 0.0, 1.0)
-        )
+        for name, hi in (("attitude_rate", RATE_LIMIT), ("wheel", WHEEL_LIMIT), ("charge", 1.0)):
+            edges = _check_edges(name, getattr(self, f"{name}_edges"), 0.0, hi)
+            object.__setattr__(self, f"{name}_edges", edges)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,13 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from . import ltl, pipeline
-from .abstraction import PartitionSpec, make_partition
+from .abstraction import PartitionSpec, SimulatorFailureError, make_partition
 from .dfa import DEFAULT_STATE_CAP, StateExplosionError, compile_cosafe
 from .env import ATOM_NAMES, RATE_LIMIT, Discretizer, SpacecraftEnv, proposition_table
 from .learner import qtable_from_json
 from .ltl import Fragment, PropositionTable, classify, parse
-from .mdp import FiniteMdp
-from .shields import Shield, ShieldConfig
+from .mdp import FiniteMdp, final_mask
+from .shields import KINDS, Shield, ShieldConfig
 
 
 class CliError(Exception):
@@ -127,9 +127,9 @@ def cmd_shield(args) -> int:
     violation = pipeline.violation_monitor(safety, table)
     sh_cfg = ShieldConfig(threshold=args.p, kind=args.kind, horizon=args.horizon)
     shield = pipeline.synthesize_shields(mdp, violation, {args.out: sh_cfg})[args.kind]
-    # product state s pairs a cell with automaton state s % n_z; a final
-    # state has already violated, so its empty set is not counted as a gap
-    final = [s % violation.n_states in violation.accepting for s in range(shield.n_states)]
+    # a final state has already violated, so its empty set is not counted
+    # as a gap
+    final = final_mask(mdp.n_states, violation).tolist()
     empty = sum(1 for allowed, f in zip(shield.allowed, final) if not allowed and not f)
     print(f"shield: kind={args.kind} p={args.p} product-states={shield.n_states} "
           f"final-states={sum(final)} non-final-states-without-allowed-action={empty}")
@@ -244,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shield", help="synthesize a shield from an MDP and a safe formula")
     p.add_argument("--mdp", required=True)
     p.add_argument("--spec", required=True, help="safe formula file")
-    p.add_argument("--kind", choices=[k for k in pipeline.SHIELD_KINDS if k != "none"],
-                   required=True)
+    p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--p", type=float, default=0.05)
     p.add_argument("--horizon", type=int,
                    help="steps of bounded reachability (required for --kind q)")
@@ -277,12 +276,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# reported as one `error:` line, also as the cause of a failed pipeline stage
+_REPORTED = (ltl.LtlError, CliError, FileNotFoundError, ValueError, StateExplosionError,
+             SimulatorFailureError)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ltl.LtlError, CliError, FileNotFoundError, ValueError, StateExplosionError) as exc:
+    except (*_REPORTED, pipeline.PipelineStageError) as exc:
+        cause = exc.__cause__ if isinstance(exc, pipeline.PipelineStageError) else exc
+        if not isinstance(cause, _REPORTED):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

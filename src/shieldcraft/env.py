@@ -88,7 +88,7 @@ def proposition_table() -> PropositionTable:
     return PropositionTable(ATOM_NAMES)
 
 
-# the per-mode coefficient rows, in the kernel's parameter order
+# the per-mode coefficient fields, in the order of a kernel coefficient row
 _PER_MODE = (
     "solar_gain", "power_drain", "wheel_drift", "wheel_noise",
     "rate_pull", "rate_target", "rate_noise",
@@ -155,10 +155,6 @@ class EnvParams:
             value = getattr(self, name)
             if len(value) != len(MODES) or not all(map(math.isfinite, value)):
                 raise ValueError(f"{name} needs one finite entry per mode, got {value!r}")
-
-    def param_vector(self) -> np.ndarray:
-        return np.asarray([v for name in _PER_MODE for v in getattr(self, name)],
-                          dtype=np.float64)
 
 
 @dataclass(slots=True)
@@ -493,8 +489,9 @@ class SpacecraftEnv:
     def __init__(self, params: EnvParams, discretizer: Discretizer):
         self.params = p = params
         self.discretizer = discretizer
-        self._par = p.param_vector()
-        self._coef = _kernels.action_rows(self._par)
+        # the kernels' coefficient row of each mode, as floats
+        self._coef = tuple(tuple(float(getattr(p, name)[mode]) for name in _PER_MODE)
+                           for mode in range(len(MODES)))
         self._windows = p.target_windows
         windows = ((0.05, 0.45), (0.55, 0.95 - p.window_width)) if p.randomize_windows else ()
         # (lo, hi) of each value a reset draws, in stream order
@@ -653,8 +650,10 @@ class SpacecraftEnv:
         lo, hi = p.sun_window
         sun = ((frac >= lo) & (frac < hi)).astype(np.float64)
         noise = _noise(batch["u"])
-        _kernels.step_batch(
-            batch["rate"], batch["wheel"], batch["charge"], batch["err"],
-            sun, actions, noise[0], noise[1], noise[2], self._par,
-        )
+        # the abstraction names the row of a non-finite step; no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            _kernels.step_batch(
+                batch["rate"], batch["wheel"], batch["charge"], batch["err"],
+                sun, actions, noise[0], noise[1], noise[2], self._coef,
+            )
         return np.stack([batch["rate"], batch["wheel"], batch["charge"]], axis=1)

@@ -172,42 +172,30 @@ class Until(Formula):
 # --- canonical constructors ----------------------------------------------
 
 
-def conj(items: Iterable[Formula]) -> Formula:
-    """Canonical conjunction: flattened, deduplicated, sorted, identities absorbed."""
+def _junction(items: Iterable[Formula], cls, zero: Formula, unit: Formula) -> Formula:
+    """Canonical ``cls`` (`And` or `Or`) of ``items``: flattened,
+    deduplicated and sorted; ``zero`` absorbs it and ``unit`` drops out."""
     seen: dict[str, Formula] = {}
     for item in items:
-        parts = item.children if isinstance(item, And) else (item,)
-        for part in parts:
-            if isinstance(part, LFalse):
-                return FALSE
-            if isinstance(part, LTrue):
-                continue
-            seen.setdefault(part.key, part)
+        for part in item.children if isinstance(item, cls) else (item,):
+            if isinstance(part, type(zero)):
+                return zero
+            if not isinstance(part, type(unit)):
+                seen.setdefault(part.key, part)
     kids = tuple(sorted(seen.values(), key=lambda f: f.key))
-    if not kids:
-        return TRUE
-    if len(kids) == 1:
-        return kids[0]
-    return And(kids)
+    if len(kids) > 1:
+        return cls(kids)
+    return kids[0] if kids else unit
+
+
+def conj(items: Iterable[Formula]) -> Formula:
+    """Canonical conjunction: flattened, deduplicated, sorted, identities absorbed."""
+    return _junction(items, And, FALSE, TRUE)
 
 
 def disj(items: Iterable[Formula]) -> Formula:
     """Canonical disjunction, dual of `conj`."""
-    seen: dict[str, Formula] = {}
-    for item in items:
-        parts = item.children if isinstance(item, Or) else (item,)
-        for part in parts:
-            if isinstance(part, LTrue):
-                return TRUE
-            if isinstance(part, LFalse):
-                continue
-            seen.setdefault(part.key, part)
-    kids = tuple(sorted(seen.values(), key=lambda f: f.key))
-    if not kids:
-        return FALSE
-    if len(kids) == 1:
-        return kids[0]
-    return Or(kids)
+    return _junction(items, Or, TRUE, FALSE)
 
 
 def negate(f: Formula) -> Formula:

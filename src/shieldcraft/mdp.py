@@ -177,8 +177,10 @@ class FiniteMdp:
     def from_json(cls, data: dict) -> "FiniteMdp":
         """The MDP of a `to_json` dict; raises `CorruptMdpError` when a key
         is missing, the state count is not an integer, a transition or label
-        entry is malformed, a label is on a state outside the MDP or names
-        an unknown atom, or the MDP fails `validate`."""
+        entry is malformed, there are fewer entries than (state, action)
+        rows (named by the first uncovered row alone), a label is on a state
+        outside the MDP or names an unknown atom, or the MDP fails
+        `validate`."""
         try:
             atom_names = tuple(data["atoms"])
             n = data["states"]["count"]
@@ -191,6 +193,14 @@ class FiniteMdp:
             raise CorruptMdpError([MalformedFieldError("states.count")])
         atom_index = {name: i for i, name in enumerate(atom_names)}
         table = _transition_table(transitions)
+        k, n_a = len(table), len(actions)
+        if k < n * n_a:
+            # fewer entries than rows: name the first uncovered row, one of
+            # rows 0..k, from the entries before any per-state allocation
+            q, a = table[:, :2].astype(np.int64).T
+            keep = (0 <= q) & (q <= k) & (0 <= a) & (a < n_a)
+            first = np.setdiff1d(np.arange(k + 1), q[keep] * n_a + a[keep])[0]
+            raise CorruptMdpError([MissingActionError(*divmod(int(first), n_a))])
         labels = [0] * n
         defects = []
         for i, entry in enumerate(state_labels):
@@ -279,7 +289,6 @@ class ProductMdp:
     actions: np.ndarray
     targets: np.ndarray
     probs: np.ndarray
-    final_states: frozenset[int]
 
     @property
     def n_z(self) -> int:
@@ -313,11 +322,8 @@ class ProductMdp:
 
     @cached_property
     def final_member(self) -> np.ndarray:
-        """(S,) read-only indicator of the final (violating) states."""
-        member = np.zeros(self.n_states, dtype=bool)
-        member[list(self.final_states)] = True
-        member.flags.writeable = False
-        return member
+        """(S,) read-only indicator of the final states, see `final_mask`."""
+        return final_mask(self.base.n_states, self.dfa)
 
     @cached_property
     def _split(self) -> tuple[np.ndarray, np.ndarray]:
@@ -473,9 +479,6 @@ def product(m: FiniteMdp, d: Dfa) -> ProductMdp:
             f"MDP atoms {m.atom_names} do not match DFA atoms {d.atom_names}"
         )
     n_z = d.n_states
-    final = frozenset(
-        q * n_z + z for q in range(m.n_states) for z in d.accepting
-    )
     z = np.arange(n_z)[:, None]
     entered = d.delta[z, np.asarray(m.labels, dtype=np.intp)[m.targets]]
     return ProductMdp(
@@ -485,5 +488,13 @@ def product(m: FiniteMdp, d: Dfa) -> ProductMdp:
         actions=np.tile(m.actions, n_z),
         targets=(m.targets * n_z + entered).ravel(),
         probs=np.tile(m.probs, n_z),
-        final_states=final,
     )
+
+
+def final_mask(n_base: int, d: Dfa) -> np.ndarray:
+    """(n_base * n_z,) read-only indicator of the final product states: the
+    state ``q * n_z + z`` has already violated when the automaton state z is
+    accepting, whatever the base state q."""
+    member = np.tile(np.isin(np.arange(d.n_states), list(d.accepting)), n_base)
+    member.flags.writeable = False
+    return member

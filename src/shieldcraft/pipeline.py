@@ -32,7 +32,7 @@ from .learner import LearnerConfig, evaluate, train
 from .ltl import Formula, negate, parse
 from .mdp import product
 from .rewards import RewardConfig
-from .shields import ShieldConfig, ShieldRuntime, synthesize
+from .shields import KINDS, ShieldConfig, ShieldRuntime, synthesize
 
 LIVENESS_SIMPLE = "F p0"
 LIVENESS_COMPLEX = "F (p3 & X F (p4 & X F (p3 & X F (p4 & X F p3))))"
@@ -40,7 +40,7 @@ SAFETY_SPEC = "G !(p1 | p2)"
 
 TASKS = ("simple", "complex")
 TRAIN_SPECS = ("liveness_only", "liveness_and_safety")
-SHIELD_KINDS = ("none", "one", "two", "q")
+SHIELD_KINDS = ("none", *KINDS)
 
 class PipelineStageError(RuntimeError):
     def __init__(self, stage, cause):
@@ -162,9 +162,10 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def _fits(value, hint) -> bool:
-    """Whether ``value`` has the field annotation ``hint``: an int or a
-    float is a ``float``, a bool is no ``int``, and a ``tuple`` is a list
-    (or a tuple, as `config_to_dict` leaves it) of the element types."""
+    """Whether ``value`` has the field annotation ``hint``: a float, or an
+    int that converts to a finite float, is a ``float``, a bool is no
+    ``int``, and a ``tuple`` is a list (or a tuple, as `config_to_dict`
+    leaves it) of the element types."""
     args = typing.get_args(hint)
     origin = typing.get_origin(hint)
     if origin is types.UnionType:
@@ -177,8 +178,12 @@ def _fits(value, hint) -> bool:
         return len(value) == len(args) and all(map(_fits, value, args))
     if isinstance(value, bool):
         return hint is bool
-    if hint is float:
-        return isinstance(value, (int, float))
+    if hint is float and isinstance(value, int):
+        try:
+            float(value)  # an int too large for a float overflows
+        except OverflowError:
+            return False
+        return True
     return isinstance(value, hint)
 
 
@@ -370,17 +375,12 @@ class RowSpec:
 
 
 def matrix_rows(cfg: ExperimentConfig) -> list[RowSpec]:
+    """Per shield kind, a row per training spec, then, for a shield with
+    in-loop rows, a row per spec trained with it."""
     rows = []
     for kind in cfg.shield_kinds:
-        if kind == "none":
-            for spec in cfg.train_specs:
-                rows.append(RowSpec("none", False, spec))
-            continue
-        for spec in cfg.train_specs:
-            rows.append(RowSpec(kind, False, spec))
-        if cfg.include_inloop_rows:
-            for spec in cfg.train_specs:
-                rows.append(RowSpec(kind, True, spec))
+        inloop = (False, True) if cfg.include_inloop_rows and kind != "none" else (False,)
+        rows += [RowSpec(kind, trained, spec) for trained in inloop for spec in cfg.train_specs]
     return rows
 
 

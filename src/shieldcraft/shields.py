@@ -270,7 +270,8 @@ def _row_tuples(a: np.ndarray) -> zip:
     return zip(*[iter(a.ravel().tolist())] * a.shape[1])
 
 
-def _assemble(pm, cfg, kind, scores, unsafe, values=None) -> Shield:
+def _assemble(pm, cfg, kind, scores, unsafe: np.ndarray, values=None) -> Shield:
+    """The shield of ``scores`` (S, A) and the (S,) ``unsafe`` mask."""
     actions = range(scores.shape[1])
     allowed = tuple(tuple(compress(actions, row)) for row in _row_tuples(scores < cfg.threshold))
     fallback = np.argmin(scores, axis=1)
@@ -285,7 +286,7 @@ def _assemble(pm, cfg, kind, scores, unsafe, values=None) -> Shield:
         allowed=allowed,
         fallback=tuple(fallback.tolist()),
         scores=tuple(_row_tuples(scores)),
-        unsafe_states=frozenset(unsafe),
+        unsafe_states=frozenset(np.flatnonzero(unsafe).tolist()),
         values=values,
     )
 
@@ -294,7 +295,7 @@ def one_step(pm: ProductMdp, cfg: ShieldConfig) -> Shield:
     """Allow actions keeping the one-step mass into the final (violating)
     product states strictly below the threshold."""
     scores, _ = _mass_within(pm, 1)
-    return _assemble(pm, cfg, "one", scores, pm.final_states)
+    return _assemble(pm, cfg, "one", scores, pm.final_member)
 
 
 def two_step(pm: ProductMdp, cfg: ShieldConfig) -> Shield:
@@ -315,7 +316,7 @@ def two_step(pm: ProductMdp, cfg: ShieldConfig) -> Shield:
     else:  # pragma: no cover - guarded by the monotone-growth argument
         raise AssertionError("two-step recursion failed to reach a fixed point")
     # the fixed point left unsafe unchanged, so the last scores are its own
-    return _assemble(pm, cfg, "two", scores, frozenset(np.flatnonzero(unsafe).tolist()))
+    return _assemble(pm, cfg, "two", scores, unsafe)
 
 
 def q_optimal(pm: ProductMdp, cfg: ShieldConfig) -> Shield:
@@ -323,15 +324,11 @@ def q_optimal(pm: ProductMdp, cfg: ShieldConfig) -> Shield:
     action value is the exact probability of reaching the unsafe set
     within ``cfg.horizon`` steps."""
     scores, v = _mass_within(pm, cfg.horizon)
-    return _assemble(pm, cfg, "q", scores, pm.final_states, values=tuple(v.tolist()))
+    return _assemble(pm, cfg, "q", scores, pm.final_member, values=tuple(v.tolist()))
 
 
 def synthesize(pm: ProductMdp, cfg: ShieldConfig) -> Shield:
-    if cfg.kind == "one":
-        return one_step(pm, cfg)
-    if cfg.kind == "two":
-        return two_step(pm, cfg)
-    return q_optimal(pm, cfg)
+    return {"one": one_step, "two": two_step, "q": q_optimal}[cfg.kind](pm, cfg)
 
 
 class ShieldRuntime:

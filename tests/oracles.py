@@ -8,7 +8,9 @@ progression-based DFA compiler they are used to check.
 Likewise the reachability oracle evaluates the defining recursion for
 minimal N-step reach probability without any of the value-iteration
 machinery under test, the shield oracle synthesizes over one scattered
-transition tensor and assembles each shield entry by entry, the episode
+transition tensor and assembles each shield entry by entry, both reading
+the final product states from the automaton (`is_final`) rather than from
+the product under test, the episode
 step and reset oracles compose `SpacecraftEnv.step` and `reset` from the
 scalar rules (access, labels, failure) that the env computes in one block,
 and the randomness oracles draw each value with
@@ -319,6 +321,21 @@ def reference_product_rows(m, d) -> dict:
     return rows
 
 
+# --- final product states ----------------------------------------------------
+
+
+def is_final(pm, s: int) -> bool:
+    """Whether product state s has already violated: its automaton state,
+    ``s % n_z``, is accepting. Read from the automaton, not from the
+    product's own final mask."""
+    return s % pm.n_z in pm.dfa.accepting
+
+
+def final_states(pm) -> frozenset[int]:
+    """Every final product state, by `is_final`."""
+    return frozenset(s for s in range(pm.n_states) if is_final(pm, s))
+
+
 # --- reachability oracle -----------------------------------------------------
 
 
@@ -327,7 +344,7 @@ def min_reach_within(pm, s: int, steps: int, _memo=None) -> float:
     by the defining recursion (memoized on (state, steps))."""
     if _memo is None:
         _memo = {}
-    if s in pm.final_states:
+    if is_final(pm, s):
         return 1.0
     if steps == 0:
         return 0.0
@@ -347,7 +364,7 @@ def min_reach_within(pm, s: int, steps: int, _memo=None) -> float:
 def min_reach_paths(pm, s: int, steps: int) -> float:
     """Same quantity by raw path enumeration (no memo); exponential, keep
     instances tiny. Used to cross-check the memoized oracle."""
-    if s in pm.final_states:
+    if is_final(pm, s):
         return 1.0
     if steps == 0:
         return 0.0
@@ -383,13 +400,14 @@ def settled_split(pm) -> tuple[np.ndarray, np.ndarray]:
     tensor of only the settled rows times the final indicator, 1.0 at the
     final rows."""
     t = scatter_tensor(pm)
+    final_set = final_states(pm)
     final = np.zeros(t.shape[:2], dtype=bool)
     settled = np.zeros(t.shape[:2], dtype=bool)
     for (s, a), row in pm.rows.items():
-        final[a, s] = s in pm.final_states
-        settled[a, s] = not final[a, s] and all(target in pm.final_states for target, _p in row)
+        final[a, s] = s in final_set
+        settled[a, s] = not final[a, s] and all(target in final_set for target, _p in row)
     member = np.zeros(pm.n_states)
-    member[list(pm.final_states)] = 1.0
+    member[list(final_set)] = 1.0
     mass = np.where(settled[:, :, None], t, 0.0) @ member
     mass[final] = 1.0
     return np.where((settled | final)[:, :, None], 0.0, t), mass
@@ -430,8 +448,9 @@ def reference_shield_json(pm, cfg) -> dict:
     """``synthesize(pm, cfg).to_json()``, synthesized over
     `scatter_tensor` with `mass_within` and assembled entry by entry."""
     t = scatter_tensor(pm)
+    final_set = final_states(pm)
     unsafe = np.zeros(pm.n_states, dtype=bool)
-    unsafe[list(pm.final_states)] = True
+    unsafe[list(final_set)] = True
     values = None
     if cfg.kind == "two":
         unsafe = two_step_unsafe_sets(t, unsafe, cfg.threshold)[-1]
@@ -441,12 +460,12 @@ def reference_shield_json(pm, cfg) -> dict:
         if cfg.kind == "q":
             values = [float(x) for x in v]
     # a final state has already violated: every action scores 1.0
-    scores[list(pm.final_states)] = 1.0
+    scores[list(final_set)] = 1.0
     d, base = pm.dfa, pm.base
     base_rows = rows_of(base)
     fresh = [int(d.delta[d.z0, label]) in d.accepting for label in base.labels]
     fallback = [int(a) for a in np.argmin(scores, axis=1)]
-    for s in pm.final_states:
+    for s in final_set:
         q = s // pm.n_z
         region = [sum(p for target, p in base_rows[(q, a)] if fresh[target])
                   for a in range(base.n_actions)]

@@ -15,6 +15,7 @@ from scipy import stats
 from oracles import (
     rows_of,
     dfa_accepts_matrix,
+    final_states,
     min_reach_paths,
     min_reach_within,
     random_cosafe_formula,
@@ -86,7 +87,7 @@ def test_criterion_2_shield_oracle_equivalence():
         pm = random_product(rng)
         p = float(rng.uniform(0.02, 0.45))
         s1 = one_step(pm, ShieldConfig(threshold=p, kind="one"))
-        assert list(s1.allowed) == brute_force_allowed(pm, pm.final_states, p)
+        assert list(s1.allowed) == brute_force_allowed(pm, final_states(pm), p)
         s2 = two_step(pm, ShieldConfig(threshold=p, kind="two"))
         unsafe = brute_force_two_step_unsafe(pm, p)
         assert s2.unsafe_states == frozenset(unsafe)
@@ -135,9 +136,10 @@ def test_criterion_3_shield_structural_properties():
             for a1, a2 in zip(s1.allowed, s2.allowed):
                 assert set(a2) <= set(a1)
             # strict threshold bound on every allowed action
+            final = final_states(pm)
             for s in range(pm.n_states):
                 for a in s1.allowed[s]:
-                    mass = sum(pr for t, pr in pm.rows[(s, a)] if t in pm.final_states)
+                    mass = sum(pr for t, pr in pm.rows[(s, a)] if t in final)
                     assert mass < p
                 for a in s2.allowed[s]:
                     mass = sum(pr for t, pr in pm.rows[(s, a)] if t in s2.unsafe_states)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -848,7 +849,44 @@ MALFORMED_CONFIGS = [
          "rate_noise needs one finite entry per mode, got (nan, 0.0006, 0.0004, 0.0004)"),
         ("learner.episodes-string", "learner", {"episodes": "10"},
          "config field learner.episodes must be int, got '10'"),
+        # an int too large for a float is no float, as a field or an element
+        ("env.orbit_minutes-huge-int", "env", {"orbit_minutes": 10**400},
+         "config field env.orbit_minutes must be float, got 1000"),
+        ("env.rate_noise-huge-int", "env", {"rate_noise": [0.0005, 10**309, 0.0004, 0.0004]},
+         "config field env.rate_noise must be tuple[float, float, float, float], got (0.0005, 1000"),
     ]
+]
+
+# a command's files and arguments (run in the files' directory), and the one
+# stderr line that names the failed stage, simulator row or MDP row
+STAGE_FAILURES = [
+    pytest.param(
+        {"bad.json": {"liveness_spec": "F (p0"}},
+        ["pipeline", "--config", "bad.json", "--out", "run"],
+        r"error: pipeline stage 'compile' failed: syntax error at position 5",
+        id="pipeline-compile",
+    ),
+    pytest.param(
+        {"bad.json": {"env": {"wheel_noise": [1e308] * 4}}},
+        ["abstract", "--config", "bad.json", "--out", "m.json"],
+        r"error: simulator failed at cell \d+, action \d+: non-finite state coordinates",
+        id="abstract-simulator",
+    ),
+    pytest.param(
+        {"bad.json": {"env": {"wheel_noise": [1e308] * 4}}},
+        ["pipeline", "--config", "bad.json", "--out", "run"],
+        r"error: pipeline stage 'abstract' failed: simulator failed at cell \d+, action \d+: ",
+        id="pipeline-simulator",
+    ),
+    pytest.param(
+        {"mdp.json": {"states": {"count": 10**12}, "actions": ["a", "b"],
+                      "transitions": [[0, 0, 0, 1.0], [0, 1, 0, 1.0]], "labels": [],
+                      "atoms": ["p1", "p2"]}},
+        ["shield", "--mdp", "mdp.json", "--spec", str(SPECS / "power_wheel_safety.ltl"),
+         "--kind", "one", "--out", "shield.json"],
+        r"error: corrupt MDP: 1 defect\(s\), first: MissingActionError\(state=1, action=0\)",
+        id="shield-mdp-count",
+    ),
 ]
 
 
@@ -936,6 +974,11 @@ class TestConfigSerialization:
         cfg = config_from_dict(data)
         assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
+    def test_a_large_int_that_fits_a_float_loads_unconverted(self):
+        cfg = config_from_dict({"env": {"orbit_minutes": 10**300}})
+        assert cfg.env.orbit_minutes == 10**300
+        assert type(config_to_dict(cfg)["env"]["orbit_minutes"]) is int
+
     def test_config_that_is_not_an_object_fails_by_name(self):
         with pytest.raises(ValueError, match="config section <root> must be a JSON object"):
             config_from_dict([])
@@ -957,3 +1000,26 @@ class TestConfigSerialization:
         assert len(proc.stderr.splitlines()) == 1
         assert message in proc.stderr
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("files, argv, line", STAGE_FAILURES)
+    def test_cli_exits_1_naming_the_failed_stage_or_row(self, files, argv, line, tmp_path):
+        for name, data in files.items():
+            (tmp_path / name).write_text(json.dumps(data))
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "shieldcraft.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, check=False,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert re.match(line, proc.stderr), proc.stderr
+
+    def test_a_stage_failure_of_another_cause_keeps_its_traceback(self, monkeypatch, tmp_path):
+        def broken(cfg):
+            raise RuntimeError("not a reported error")
+
+        monkeypatch.setattr(pipeline, "build_specs", broken)
+        with pytest.raises(pipeline.PipelineStageError) as info:
+            main(["pipeline", "--task", "simple", "--out", str(tmp_path / "run")])
+        assert isinstance(info.value.__cause__, RuntimeError)

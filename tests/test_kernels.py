@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 
 from shieldcraft import _kernels
 from shieldcraft.abstraction import make_partition
-from shieldcraft.env import Discretizer, EnvParams, EpisodeDraws, RowStreams, SpacecraftEnv
+from shieldcraft.env import (
+    _PER_MODE,
+    MODES,
+    Discretizer,
+    EnvParams,
+    EpisodeDraws,
+    RowStreams,
+    SpacecraftEnv,
+)
 
 # One step per action under the default EnvParams coefficients, worked by
 # hand from the update rules in env.py. Each case drives one coordinate
@@ -63,29 +71,33 @@ def _random_inputs(rng, n):
     }
 
 
-def _run(inputs, par):
+def _coef_rows(params=None):
+    """The coefficient row of each mode, as the environment holds it."""
+    return SpacecraftEnv(params or EnvParams(), Discretizer(make_partition()))._coef
+
+
+def _run(inputs, coef):
     rate = inputs["rate"].copy()
     wheel = inputs["wheel"].copy()
     charge = inputs["charge"].copy()
     err = inputs["err"].copy()
     _kernels.step_batch(
         rate, wheel, charge, err, inputs["sun"], inputs["action"],
-        inputs["e_w"], inputs["e_r"], inputs["e_a"], par,
+        inputs["e_w"], inputs["e_r"], inputs["e_a"], coef,
     )
     return rate, wheel, charge, err
 
 
-def _step_one(rate, wheel, charge, err, sun, action, e_w, e_r, e_a, par):
-    """`step_one` under ``action``, with the coefficients read from ``par``."""
-    coef = _kernels.action_rows(par)[action]
-    return _kernels.step_one(rate, wheel, charge, err, sun, coef, e_w, e_r, e_a)
+def _step_one(rate, wheel, charge, err, sun, action, e_w, e_r, e_a, coef):
+    """`step_one` under ``action``, with its row of the rows ``coef``."""
+    return _kernels.step_one(rate, wheel, charge, err, sun, coef[action], e_w, e_r, e_a)
 
 
 class TestHandComputedSteps:
     def test_step_one(self):
-        par = EnvParams().param_vector()
+        coef = _coef_rows()
         for args, expected in HAND_STEPS:
-            got = _step_one(*args, par)
+            got = _step_one(*args, coef)
             assert got == pytest.approx(expected, abs=1e-15), args
             # clamped coordinates are exact
             for g, e in zip(got, expected):
@@ -93,54 +105,65 @@ class TestHandComputedSteps:
                     assert g == e, args
 
     def test_step_batch(self):
-        par = EnvParams().param_vector()
+        coef = _coef_rows()
         columns = list(zip(*(args for args, _expected in HAND_STEPS)))
         names = ("rate", "wheel", "charge", "err", "sun", "action", "e_w", "e_r", "e_a")
         inputs = {name: np.asarray(col, dtype=np.float64) for name, col in zip(names, columns)}
         inputs["action"] = inputs["action"].astype(np.int64)
-        batch = _run(inputs, par)
+        batch = _run(inputs, coef)
         for i, (args, expected) in enumerate(HAND_STEPS):
             got = tuple(float(coord[i]) for coord in batch)
             assert got == pytest.approx(expected, abs=1e-15), args
 
 
+def test_coefficient_rows_are_floats_in_field_order():
+    """The environment holds one row of ten floats per mode, in `_PER_MODE`
+    order; an int config value becomes the float it equals."""
+    params = EnvParams(error_keep=(1, 1, 0.45, 0.45), rate_pull=(0, 0.30, 0.50, 0.50))
+    rows = _coef_rows(params)
+    assert len(rows) == len(MODES)
+    for mode, row in enumerate(rows):
+        assert row == tuple(getattr(params, name)[mode] for name in _PER_MODE)
+        assert all(type(x) is float for x in row)
+
+
 class TestPureLane:
     def test_batch_matches_scalar(self, rng):
-        par = EnvParams().param_vector()
+        coef = _coef_rows()
         inputs = _random_inputs(rng, 32)
-        batch = _run(inputs, par)
+        batch = _run(inputs, coef)
         for i in range(32):
             one = _step_one(
                 inputs["rate"][i], inputs["wheel"][i], inputs["charge"][i],
                 inputs["err"][i], inputs["sun"][i], int(inputs["action"][i]),
-                inputs["e_w"][i], inputs["e_r"][i], inputs["e_a"][i], par,
+                inputs["e_w"][i], inputs["e_r"][i], inputs["e_a"][i], coef,
             )
             assert one == (batch[0][i], batch[1][i], batch[2][i], batch[3][i])
 
     def test_clamps(self):
-        par = EnvParams().param_vector()
+        coef = _coef_rows()
         # dumping from a low wheel speed cannot go negative; charging a
         # full battery stays at 1
         rate, wheel, charge, err = _step_one(
-            0.0, 0.01, 1.0, 0.0, 1.0, 1, 0.0, -3.0, -3.0, par,
+            0.0, 0.01, 1.0, 0.0, 1.0, 1, 0.0, -3.0, -3.0, coef,
         )
         assert wheel == 0.0
         assert rate == 0.0 and err == 0.0
         rate, wheel, charge, err = _step_one(
-            0.005, 0.5, 0.999, 0.05, 1.0, 0, 0.0, 0.0, 0.0, par,
+            0.005, 0.5, 0.999, 0.05, 1.0, 0, 0.0, 0.0, 0.0, coef,
         )
         assert charge == 1.0
 
 
 def _step_batch_one(rate, wheel, charge, err, sun, coef, e_w, e_r, e_a):
-    """`step_batch` on one-element arrays, under the action whose row of
-    `action_rows` is ``coef``."""
-    par = np.array(coef, dtype=np.float64).repeat(4)  # every action has these
+    """`step_batch` on one-element arrays, under the action whose
+    coefficient row is ``coef``."""
+    rows = (coef,) * 4  # every action has these
     state = [np.array([x], dtype=np.float64) for x in (rate, wheel, charge, err)]
     with np.errstate(all="ignore"):  # the inputs hold infinities and NaNs on purpose
         _kernels.step_batch(
             *state, np.array([sun], dtype=np.float64), np.zeros(1, dtype=np.int64),
-            *(np.array([x], dtype=np.float64) for x in (e_w, e_r, e_a)), par,
+            *(np.array([x], dtype=np.float64) for x in (e_w, e_r, e_a)), rows,
         )
     return tuple(float(x[0]) for x in state)
 
@@ -154,7 +177,7 @@ SPECIAL = st.sampled_from([0.0, -0.0, 1.0, float("nan"), float("inf"), float("-i
 VALUE = st.one_of(st.floats(-2.0, 2.0), SPECIAL)
 # the four actions' rows, and one of negative zeros under which the
 # updates can produce -0.0
-COEFS = st.sampled_from([*_kernels.action_rows(EnvParams().param_vector()), (-0.0,) * 10])
+COEFS = st.sampled_from([*_coef_rows(), (-0.0,) * 10])
 
 
 @settings(max_examples=500, deadline=None)
@@ -174,7 +197,7 @@ def test_clamps_equal_min_max_bitwise(state, sun, coef, noise):
 def test_nan_state_stays_nan():
     """A NaN state stays NaN on both paths; it does not clamp to a safe,
     fully charged state."""
-    coef = _kernels.action_rows(EnvParams().param_vector())[0]
+    coef = _coef_rows()[0]
     nan = float("nan")
     for got in (_kernels.step_one(nan, nan, nan, nan, 1.0, coef, 0.0, 0.0, 0.0),
                 _step_batch_one(nan, nan, nan, nan, 1.0, coef, 0.0, 0.0, 0.0)):

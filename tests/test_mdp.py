@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mdp_from_rows, reference_product_rows, rows_of
+from oracles import final_states, mdp_from_rows, reference_product_rows, rows_of
 from shieldcraft import mdp as mdp_module
 from shieldcraft.dfa import Dfa, compile_cosafe
 from shieldcraft.ltl import PropositionTable, parse
@@ -111,7 +111,7 @@ class TestProduct:
         d = compile_cosafe(parse("(!p1) U p0", T3), T3)
         assert d.sinks
         pm = product(m, d)
-        assert pm.final_states == frozenset(
+        assert set(np.flatnonzero(pm.final_member).tolist()) == final_states(pm) == frozenset(
             q * d.n_states + z for q in range(3) for z in d.accepting
         )
         # the DFA's sinks stay absorbing in every product row
@@ -119,6 +119,22 @@ class TestProduct:
             _q, z = divmod(s, pm.n_z)
             if z in d.sinks:
                 assert all(divmod(t, pm.n_z)[1] == z for t, _p in row)
+
+    @pytest.mark.parametrize("accepting, want", [
+        ({1}, [0, 1, 0, 0, 1, 0]),
+        ({0, 2}, [1, 0, 1, 1, 0, 1]),
+        (set(), [0] * 6),
+    ])
+    def test_final_member_is_read_from_the_automaton(self, accepting, want):
+        # two base states against a hand-built three-state automaton: state
+        # q * 3 + z is final exactly when z is accepting
+        rows = {(0, 0): ((1, 1.0),), (1, 0): ((0, 1.0),)}
+        m = make_mdp(2, rows, [0, 0b010], actions=("a",))
+        delta = np.zeros((3, 1 << len(T3.names)), dtype=np.int64)
+        pm = product(m, Dfa(T3.names, 0, delta, frozenset(accepting), frozenset()))
+        assert pm.final_member.tolist() == [bool(x) for x in want]
+        assert set(np.flatnonzero(pm.final_member).tolist()) == final_states(pm)
+        assert not pm.final_member.flags.writeable
 
     def test_atom_mismatch(self):
         m = random_mdp(np.random.default_rng(2), 2, 1, atoms=("x", "y"))
@@ -173,7 +189,8 @@ class TestProductGather:
         assert sum(len(row) for row in pm.rows.values()) == len(pm.probs) == len(m.probs) * d.n_states
         # the rows of final states, the settled rows (all targets final) of
         # the other states, and the rest
-        final = pm.final_states
+        final = final_states(pm)
+        assert np.flatnonzero(pm.final_member).tolist() == sorted(final)
         classes = _row_classes(pm)
         assert classes.shape == (pm.n_actions, pm.n_states)
         assert {(s, a): int(classes[a, s]) for s, a in want} == {
@@ -281,6 +298,33 @@ class TestJsonRoundTrip:
                    for d in err.value.defects)
         assert str(err.value).startswith(f"corrupt MDP: {len(err.value.defects)} defect(s), ")
         assert "first: MissingActionError(state=0, action=1)" in str(err.value)
+
+    @pytest.mark.parametrize("count, first", [
+        (10**12, MissingActionError(2, 0)),
+        (2**70, MissingActionError(2, 0)),
+        (3, MissingActionError(2, 0)),
+    ])
+    def test_count_beyond_the_entries_fails_by_the_first_uncovered_row(self, rng, count, first):
+        # a claimed state count whose rows the entries cannot cover is named
+        # by the first uncovered row before any per-state allocation (a huge
+        # count would otherwise end in a MemoryError); a count they can
+        # cover is validated as before, with the same first defect
+        data = random_mdp(rng, 2, 2).to_json()
+        data["states"]["count"] = count
+        with pytest.raises(CorruptMdpError) as err:
+            FiniteMdp.from_json(data)
+        assert err.value.defects[0] == first
+
+    def test_first_uncovered_row_skips_rows_outside_the_mdp(self, rng):
+        # entries of no row (negative state, action past the last) cover
+        # nothing, and a gap inside the covered rows is found first
+        data = random_mdp(rng, 2, 2).to_json()
+        data["states"]["count"] = 10**12
+        data["transitions"] = [[0, 0, 0, 1.0], [0, 1, 0, 1.0], [1, 1, 0, 1.0],
+                               [-1, 0, 0, 1.0], [1, 2, 0, 1.0]]
+        with pytest.raises(CorruptMdpError) as err:
+            FiniteMdp.from_json(data)
+        assert err.value.defects == [MissingActionError(1, 0)]
 
     @pytest.mark.parametrize("key", ["atoms", "actions", "transitions", "labels"])
     def test_missing_key_rejected_on_load(self, rng, key):

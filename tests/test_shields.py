@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     backup_values,
+    final_states,
     mdp_from_rows,
     min_reach_paths,
     min_reach_within,
@@ -84,7 +85,7 @@ def brute_force_allowed(pm, unsafe, p):
 
 
 def brute_force_two_step_unsafe(pm, p):
-    unsafe = set(pm.final_states)
+    unsafe = set(final_states(pm))
     while True:
         allowed = brute_force_allowed(pm, unsafe, p)
         grown = unsafe | {s for s in range(pm.n_states) if not allowed[s]}
@@ -130,7 +131,7 @@ class TestOneStep:
         pm = product_from_rows(rows, [0, 0, 0, 1], 2)
         cfg = ShieldConfig(threshold=0.05, kind="one")
         shield = one_step(pm, cfg)
-        expect = brute_force_allowed(pm, pm.final_states, cfg.threshold)
+        expect = brute_force_allowed(pm, final_states(pm), cfg.threshold)
         assert list(shield.allowed) == expect
 
     def test_fallback_minimizes_unsafe_mass(self):
@@ -168,7 +169,7 @@ class TestTwoStep:
         cfg1 = ShieldConfig(threshold=0.05, kind="one")
         cfg2 = ShieldConfig(threshold=0.05, kind="two")
         assert two_step(pm, cfg2).allowed == one_step(pm, cfg1).allowed
-        assert two_step(pm, cfg2).unsafe_states == pm.final_states
+        assert two_step(pm, cfg2).unsafe_states == final_states(pm)
 
     def test_recursive_growth_hand_instance(self):
         # state b has only risky actions, so it joins the unsafe set and
@@ -200,7 +201,7 @@ class TestTwoStep:
             s2 = two_step(pm, ShieldConfig(threshold=p, kind="two"))
             for a1, a2 in zip(s1.allowed, s2.allowed):
                 assert set(a2) <= set(a1)
-            assert pm.final_states <= s2.unsafe_states
+            assert final_states(pm) <= s2.unsafe_states
 
 
 class TestQOptimal:
@@ -217,7 +218,7 @@ class TestQOptimal:
         # violation set has zero mass, so everything is allowed
         for q in (0, 1):
             s = pm.initial_state(q)
-            assert s not in pm.final_states
+            assert s not in final_states(pm)
             assert shield.allowed[s] == (0, 1)
             assert shield.values[s] == 0.0
 
@@ -259,11 +260,10 @@ class TestGuaranteesAndMonotonicity:
             pm = random_product(rng)
             p = float(rng.uniform(0.02, 0.4))
             shield = one_step(pm, ShieldConfig(threshold=p, kind="one"))
+            final = final_states(pm)
             for s in range(pm.n_states):
                 for a in shield.allowed[s]:
-                    mass = sum(
-                        prob for t, prob in pm.rows[(s, a)] if t in pm.final_states
-                    )
+                    mass = sum(prob for t, prob in pm.rows[(s, a)] if t in final)
                     assert mass < p
 
     def test_two_step_guarantee(self, rng):
@@ -404,7 +404,7 @@ class TestMatrixOracle:
             pm = random_product(rng)
             p = float(rng.uniform(0.02, 0.45))
             s1 = one_step(pm, ShieldConfig(threshold=p, kind="one"))
-            assert list(s1.allowed) == brute_force_allowed(pm, pm.final_states, p)
+            assert list(s1.allowed) == brute_force_allowed(pm, final_states(pm), p)
             s2 = two_step(pm, ShieldConfig(threshold=p, kind="two"))
             unsafe = brute_force_two_step_unsafe(pm, p)
             assert s2.unsafe_states == frozenset(unsafe)
@@ -763,7 +763,7 @@ def automaton_product(rng, n_q, n_actions, n_z, repeat, width=4):
 def row_kinds(pm):
     """Whether the product has a settled row from a non-final state, and a
     row from a final state that leaves the final set."""
-    final = pm.final_states
+    final = final_states(pm)
     settled_live = leaving_final = False
     for (s, _a), row in pm.rows.items():
         all_final = all(target in final for target, _p in row)
@@ -779,7 +779,7 @@ def assert_split_matches_oracle(pm, threshold, horizon):
     shield JSON equals the oracle's byte for byte."""
     t = scatter_tensor(pm)
     member = np.zeros(pm.n_states, dtype=bool)
-    member[list(pm.final_states)] = True
+    member[list(final_states(pm))] = True
     vectors = [unsafe.astype(float) for unsafe in two_step_unsafe_sets(t, member, threshold)]
     vectors += backup_values(t, member, horizon)
     for v in vectors:
@@ -811,7 +811,7 @@ class TestSettledSplitOracle:
         # F p0: from (0, z0) action 0 enters only (1, z1), which is final
         pm = product_from_rows({(0, 0): ((1, 1.0),), (1, 0): ((0, 0.5), (1, 0.5))}, [0, 1], 1)
         s = pm.state_index(0, 0)
-        assert s not in pm.final_states
+        assert s not in final_states(pm)
         assert not pm.live_tensor[0, s].any() and pm.settled_mass[0, s] == 1.0
         assert_split_matches_oracle(pm, 0.3, 4)
 
@@ -823,7 +823,7 @@ class TestSettledSplitOracle:
         rows.update({(q, 0): ((q, 1.0),) for q in (1, 2, 3)})
         pm = product_from_rows(rows, [0, 1, 1, 1], 1)
         s = pm.state_index(0, 0)
-        assert s not in pm.final_states
+        assert s not in final_states(pm)
         assert mdp_module._row_classes(pm)[0, s] == mdp_module.SETTLED
         full = scatter_tensor(pm) @ pm.final_member.astype(float)
         assert full[0, s] != 1.0
@@ -841,7 +841,7 @@ class TestSettledSplitOracle:
                 (1, 0): ((1, 1.0),), (1, 1): ((0, 0.75), (1, 0.25))}
         pm = product(mdp_from_rows(2, ("a0", "a1"), rows, (0, 1), T1.names), dfa)
         final = [pm.state_index(0, 1), pm.state_index(1, 1)]
-        assert sorted(pm.final_states) == final
+        assert sorted(final_states(pm)) == final
         for s in final:
             assert (mdp_module._row_classes(pm)[:, s] == mdp_module.FINAL).all()
             assert not pm.live_tensor[:, s].any()
