@@ -18,12 +18,14 @@ whose nonzero counts are the chunk's entries. Every value is elementwise
 or an integer count, so results are bit-identical under reruns and do
 not depend on the chunk size.
 
-The chunks are split into contiguous blocks, one per usable CPU, and each
-block seeds its rows' streams in one vectorized call (`env.pcg64_states`).
-The parent forks a child per block after the first and computes the first
-itself; each child pickles its entry arrays back through a pipe, and the
-parent concatenates them in block order. Results do not depend on the
-worker count.
+The parent computes the first chunk itself, so whatever the simulator
+loads at its first draw is loaded once, before any fork. The other chunks
+are split into contiguous blocks, one per usable CPU, and each block seeds
+its rows' streams in one vectorized call (`env.pcg64_states`). The parent
+forks a child per block after the first and computes the first itself;
+each child pickles its entry arrays back through a pipe, and the parent
+concatenates them in block order. Results do not depend on the worker
+count.
 """
 
 from __future__ import annotations
@@ -213,9 +215,10 @@ def estimate_transitions(sim, partition: Partition, cfg: AbstractionConfig) -> F
     are exactly stochastic (counts / N). A failure raises
     `SimulatorFailureError` naming the (cell, action) row it belongs to.
 
-    The chunks run in contiguous blocks, one per usable CPU and at most one
-    per chunk (`_in_workers`). Without ``os.fork``, on one usable CPU or
-    with a single chunk, they run in this process in order.
+    The first chunk runs in this process; the others run in contiguous
+    blocks, one per usable CPU and at most one per chunk (`_in_workers`).
+    Without ``os.fork``, on one usable CPU or with one or two chunks, they
+    run in this process in order.
     """
     m = partition.n_cells
     n_actions = len(sim.action_names)
@@ -236,9 +239,16 @@ def estimate_transitions(sim, partition: Partition, cfg: AbstractionConfig) -> F
         chunks = [_estimate_chunk(sim, partition, n, q[s], a[s], streams[s]) for s in spans]
         return tuple(map(np.concatenate, zip(*chunks)))
 
-    workers = min(_usable_cpus(), k) if hasattr(os, "fork") else 1
-    blocks = [starts[k * b // workers:k * (b + 1) // workers] for b in range(workers)]
-    entries = _in_workers(estimate_block, blocks)
+    # the first chunk runs before any fork, so the children share what the
+    # simulator loads at its first draw (the env's noise imports
+    # scipy.special) instead of each loading it again
+    entries = [estimate_block(starts[:1])]
+    rest = starts[1:]
+    if rest:
+        workers = min(_usable_cpus(), k - 1) if hasattr(os, "fork") else 1
+        blocks = [rest[(k - 1) * b // workers:(k - 1) * (b + 1) // workers]
+                  for b in range(workers)]
+        entries += _in_workers(estimate_block, blocks)
     # each action of the exit state stays there
     entries.append((np.full(n_actions, m), np.arange(n_actions), np.full(n_actions, m),
                     np.full(n_actions, n)))

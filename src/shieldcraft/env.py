@@ -42,6 +42,15 @@ vectorized pass of SeedSequence's hash, `RowStreams` reads each row's
 block of raw outputs through one shared bit generator, and
 `SpacecraftEnv.sample_in_cell` converts a chunk of rows at once, skipping
 by position the flight-mode draw that the step never reads.
+
+scipy is imported at the first noise draw, inside `truncated_normal` and
+`_noise` (an episode's `EpisodeDraws`, the abstraction's first chunk), not
+with this module: importing shieldcraft, and the `compile`, `shield` and
+`report` commands, load no scipy module, while `abstract`, `train`,
+`evaluate` and `pipeline` load `scipy.special` at their first draw. That
+import was more than half of a start-up: `import shieldcraft.cli` takes
+0.19 s without it and 0.41 s with it on a 2-core VM (see the README's
+"Install and test").
 """
 
 from __future__ import annotations
@@ -51,7 +60,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import _kernels
 from .ltl import PropositionTable
@@ -78,10 +86,12 @@ _IMAGE_A = P0_BIT | P3_BIT
 _IMAGE_B = P0_BIT | P4_BIT
 _INF = math.inf
 
-_NOISE_CLIP = 3.0
+# the standard normal CDF at -3 and its mass over +-3 (the noise clip), as
+# scipy.special's ndtr(-3.0) and ndtr(3.0) - ndtr(-3.0) give them (a test
+# pins them); literals, so importing this module does not import scipy, and
 # Python floats, so the per-step scalar draw makes no numpy scalar op
-_PHI_LO = float(ndtr(-_NOISE_CLIP))
-_PHI_WIDTH = float(ndtr(_NOISE_CLIP) - ndtr(-_NOISE_CLIP))
+_PHI_LO = 0.0013498980316300933
+_PHI_WIDTH = 0.9973002039367398
 
 
 def proposition_table() -> PropositionTable:
@@ -174,11 +184,15 @@ def truncated_normal(rng, n: int) -> list[float]:
     draw per sample, so the stream layout is schedule-independent. Each
     sample is computed on Python floats, with the same IEEE operations as
     `_noise`; the reference of `EpisodeDraws.noise`."""
+    from scipy.special import ndtri
+
     return [float(ndtri(_PHI_LO + u * _PHI_WIDTH)) for u in rng.random(n).tolist()]
 
 
 def _noise(u: np.ndarray) -> np.ndarray:
     """`truncated_normal`'s deviates of an array of uniforms."""
+    from scipy.special import ndtri
+
     return ndtri(_PHI_LO + u * _PHI_WIDTH)
 
 

@@ -51,9 +51,9 @@ class MissingKeyError:
 @dataclass(frozen=True)
 class MalformedFieldError:
     """A scalar field of an MDP's or a shield's JSON form that does not
-    have its form, by its key: ``states.count`` that is not an integer, or
-    a shield's ``kind``, ``p`` or ``horizon`` outside what synthesis
-    writes."""
+    have its form, by its key: ``states.count`` that is not a positive
+    integer, an empty ``actions`` list, or a shield's ``kind``, ``p`` or
+    ``horizon`` outside what synthesis writes."""
     field: str
 
 
@@ -176,11 +176,11 @@ class FiniteMdp:
     @classmethod
     def from_json(cls, data: dict) -> "FiniteMdp":
         """The MDP of a `to_json` dict; raises `CorruptMdpError` when a key
-        is missing, the state count is not an integer, a transition or label
-        entry is malformed, there are fewer entries than (state, action)
-        rows (named by the first uncovered row alone), a label is on a state
-        outside the MDP or names an unknown atom, or the MDP fails
-        `validate`."""
+        is missing, the state count is not a positive integer, the action
+        list is empty, a transition or label entry is malformed, there are
+        fewer entries than (state, action) rows (named by the first
+        uncovered row alone), a label is on a state outside the MDP or names
+        an unknown atom, or the MDP fails `validate`."""
         try:
             atom_names = tuple(data["atoms"])
             n = data["states"]["count"]
@@ -189,8 +189,10 @@ class FiniteMdp:
             state_labels = data["labels"]
         except KeyError as exc:
             raise CorruptMdpError([MissingKeyError(exc.args[0])]) from None
-        if type(n) is not int:
+        if type(n) is not int or n < 1:
             raise CorruptMdpError([MalformedFieldError("states.count")])
+        if not actions:
+            raise CorruptMdpError([MalformedFieldError("actions")])
         atom_index = {name: i for i, name in enumerate(atom_names)}
         table = _transition_table(transitions)
         k, n_a = len(table), len(actions)

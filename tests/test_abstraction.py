@@ -253,8 +253,9 @@ class TestEstimator:
 
     @pytest.mark.parametrize("workers, rows_per_chunk, forks", [
         (3, 1, 2),  # a child per block after the first
-        (9, 1, 7),  # never more blocks than the 8 chunks
+        (9, 1, 6),  # never more blocks than the 7 chunks after the first
         (3, 8, 0),  # a single chunk
+        (3, 4, 0),  # two chunks: the first here, then one block
         (1, 1, 0),  # one usable CPU
     ])
     def test_forks_once_per_block_after_the_first(self, workers, rows_per_chunk, forks,
@@ -275,6 +276,32 @@ class TestEstimator:
                                    AbstractionConfig(10, seed=0))
         assert len(calls) == forks
         assert mdp.validate() == []
+        assert_no_child_left()
+
+    def test_first_chunk_is_drawn_before_any_fork(self, monkeypatch):
+        # so the children share what the simulator loads at its first draw
+        monkeypatch.setattr(abstraction, "CHUNK_SAMPLES", 10)
+        force_workers(monkeypatch, 3)
+        partition = tiny_partition()
+        env = TeleportEnv(partition, np.full((partition.n_cells, 2, partition.n_cells + 1), 0.2))
+        parent = os.getpid()
+        events = []
+        fork = os.fork
+        sample_in_cell = env.sample_in_cell
+
+        def counting_fork():
+            events.append("fork")
+            return fork()
+
+        def recording_sample(bounds, n, streams):
+            if os.getpid() == parent:
+                events.append("sample")
+            return sample_in_cell(bounds, n, streams)
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        env.sample_in_cell = recording_sample
+        estimate_transitions(env, partition, AbstractionConfig(10, seed=0))
+        assert events[:3] == ["sample", "fork", "fork"]
         assert_no_child_left()
 
     def test_serial_without_fork(self, monkeypatch):
@@ -327,17 +354,29 @@ class TestEstimator:
         partition = tiny_partition()
         env = TeleportEnv(partition, np.full((partition.n_cells, 2, partition.n_cells + 1), 0.2))
         parent = os.getpid()
+        sample_in_cell = env.sample_in_cell
+        parent_calls, forks = [], []
+        fork = os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return fork()
 
         def interrupt_parent(bounds, n, streams):
             if os.getpid() == parent:
-                raise KeyboardInterrupt
+                parent_calls.append(1)
+                if len(parent_calls) > 1:  # its first chunk runs before the forks
+                    raise KeyboardInterrupt
+                return sample_in_cell(bounds, n, streams)
             time.sleep(60)  # a child still busy when the parent stops
 
+        monkeypatch.setattr(os, "fork", counting_fork)
         env.sample_in_cell = interrupt_parent
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             estimate_transitions(env, partition, AbstractionConfig(10, seed=0))
         assert time.monotonic() - start < 30
+        assert len(forks) == 2
         assert_no_child_left()
 
     def test_simulator_failure_annotated(self):

@@ -858,7 +858,7 @@ MALFORMED_CONFIGS = [
 ]
 
 # a command's files and arguments (run in the files' directory), and the one
-# stderr line that names the failed stage, simulator row or MDP row
+# stderr line that names the failed stage, simulator row, MDP row or MDP field
 STAGE_FAILURES = [
     pytest.param(
         {"bad.json": {"liveness_spec": "F (p0"}},
@@ -886,6 +886,22 @@ STAGE_FAILURES = [
          "--kind", "one", "--out", "shield.json"],
         r"error: corrupt MDP: 1 defect\(s\), first: MissingActionError\(state=1, action=0\)",
         id="shield-mdp-count",
+    ),
+    *(
+        pytest.param(
+            {"mdp.json": {"states": {"count": count}, "actions": actions, "transitions": [],
+                          "labels": [], "atoms": ["p1", "p2"]}},
+            ["shield", "--mdp", "mdp.json", "--spec", str(SPECS / "power_wheel_safety.ltl"),
+             "--kind", "one", "--out", "shield.json"],
+            rf"error: corrupt MDP: 1 defect\(s\), first: MalformedFieldError\(field='{field}'\)",
+            id=f"shield-mdp-{name}",
+        )
+        for name, count, actions, field in [
+            ("no-actions-huge-count", 10**12, [], "actions"),
+            ("no-actions", 3, [], "actions"),
+            ("zero-count", 0, ["a"], "states.count"),
+            ("negative-count", -5, ["a"], "states.count"),
+        ]
     ),
 ]
 

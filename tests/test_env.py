@@ -1,8 +1,13 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from oracles import GeneratorDraws, lemire_modes
 from shieldcraft import env as env_mod
@@ -294,6 +299,55 @@ class TestTruncatedNormal:
         u = np.random.default_rng(5).random(n)
         batch = ndtri(env_mod._PHI_LO + u * env_mod._PHI_WIDTH)
         assert np.array_equal(np.asarray(draws).view(np.uint64), batch.view(np.uint64))
+
+    def test_cdf_constants_are_scipys_ndtr_bit_for_bit(self):
+        # literals, so importing the env does not import scipy
+        assert env_mod._PHI_LO.hex() == float(ndtr(-3.0)).hex()
+        assert env_mod._PHI_WIDTH.hex() == float(ndtr(3.0) - ndtr(-3.0)).hex()
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# imports the package and runs what draws no noise (the specs, the
+# partition, `compile` and `shield` on a two-state MDP), then one episode's
+# draws; prints the scipy modules loaded before and after the draws
+_STARTUP_CODE = """
+import json, sys
+import shieldcraft
+from shieldcraft import cli
+from shieldcraft.abstraction import make_partition
+from shieldcraft.pipeline import build_specs, default_config
+
+build_specs(default_config("complex"))
+make_partition()
+spec = sys.argv[1] + "/power_wheel_safety.ltl"
+assert cli.main(["compile", "--spec", spec]) == 0
+assert cli.main(["shield", "--mdp", "mdp.json", "--spec", spec, "--kind", "one",
+                 "--out", "shield.json"]) == 0
+
+def loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+before = loaded()
+from shieldcraft.env import EpisodeDraws
+EpisodeDraws([0], 8)
+print(json.dumps([before, loaded()]))
+"""
+
+
+def test_scipy_loads_at_the_first_noise_draw(tmp_path):
+    mdp = {"states": {"count": 2}, "actions": ["a"],
+           "transitions": [[0, 0, 0, 0.5], [0, 0, 1, 0.5], [1, 0, 1, 1.0]],
+           "labels": [[1, ["p1"]]], "atoms": ["p1", "p2"]}
+    (tmp_path / "mdp.json").write_text(json.dumps(mdp))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_CODE, str(ROOT / "specs")],
+        capture_output=True, text=True, env=env, cwd=tmp_path, check=True,
+    )
+    before, after = json.loads(proc.stdout.splitlines()[-1])
+    assert before == []
+    assert "scipy.special" in after
 
 
 def _uniform_reset(params, rng):

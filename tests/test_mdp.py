@@ -412,12 +412,30 @@ class TestJsonRoundTrip:
         assert err.value.defects == [MalformedEntryError("labels", 1)]
 
     def test_negative_state_count_rejected_on_load(self, rng):
+        # named as a malformed count before any entry is read
         data = random_mdp(rng, 2, 1).to_json()
         data["states"]["count"] = -1
         data["labels"] = []
         with pytest.raises(CorruptMdpError) as err:
             FiniteMdp.from_json(data)
-        assert err.value.defects == [RowIndexError(0, 0), RowIndexError(1, 0)]
+        assert err.value.defects == [MalformedFieldError("states.count")]
+
+    @pytest.mark.parametrize("count, actions, field", [
+        (10**12, [], "actions"),
+        (3, [], "actions"),
+        (0, ["a"], "states.count"),
+        (-5, ["a"], "states.count"),
+    ], ids=["no-actions-huge-count", "no-actions", "zero-count", "negative-count"])
+    def test_mdp_without_rows_fails_by_field(self, count, actions, field):
+        # an MDP with no state or no action has no (state, action) row; it
+        # is refused by name before any per-state allocation (a label list
+        # of 10**12 states would not fit in memory, and an empty synthesis
+        # tensor cannot be mapped)
+        data = {"states": {"count": count}, "actions": actions, "transitions": [],
+                "labels": [], "atoms": ["p1", "p2"]}
+        with pytest.raises(CorruptMdpError) as err:
+            FiniteMdp.from_json(data)
+        assert err.value.defects == [MalformedFieldError(field)]
 
     def test_schema(self, rng):
         m = random_mdp(rng, 3, 2)
